@@ -193,38 +193,44 @@ var exportQuantiles = []float64{0.5, 0.9, 0.99}
 // WritePrometheus writes every registered series in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Registration mutates a family's series map, order slice and instrument
+	// pointers under r.mu, so everything rendered is copied by value under
+	// the lock; only the instruments themselves (atomic) are read outside it.
+	type snapshot struct {
+		name, typ, help string
+		series          []series
+	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-	}
-	r.mu.Unlock()
-
-	var b strings.Builder
-	for _, f := range fams {
+	fams := make([]snapshot, 0, len(r.families))
+	for _, f := range r.families {
 		if len(f.order) == 0 {
 			continue
 		}
+		snap := snapshot{name: f.name, typ: f.typ, help: f.help, series: make([]series, len(f.order))}
+		for i, ls := range f.order {
+			snap.series[i] = *f.series[ls]
+		}
+		fams = append(fams, snap)
+	}
+	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+
+	var b strings.Builder
+	for _, f := range fams {
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, ls := range f.order {
-			s := f.series[ls]
+		for _, s := range f.series {
 			switch {
 			case s.fn != nil:
-				fmt.Fprintf(&b, "%s%s %g\n", f.name, ls, s.fn())
+				fmt.Fprintf(&b, "%s%s %g\n", f.name, s.labels, s.fn())
 			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.counter.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
 			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.gauge.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
 			case s.hist != nil:
-				writeSummary(&b, f.name, ls, s.hist)
+				writeSummary(&b, f.name, s.labels, s.hist)
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,5 +120,51 @@ func TestLabelEscaping(t *testing.T) {
 	out := export(t, r)
 	if !strings.Contains(out, `weird_total{path="a\"b\\c\nd"} 1`) {
 		t.Errorf("label not escaped:\n%s", out)
+	}
+}
+
+// TestRegistryExportDuringRegistration is the regression for the /metrics
+// scrape that overlapped the first use of a label set: WritePrometheus used
+// to read a family's series map and order slice after dropping the registry
+// lock, which the runtime reports as a fatal concurrent map read and write
+// (and -race as a data race). Sized to finish in well under 5 s.
+func TestRegistryExportDuringRegistration(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 400
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = r.WritePrometheus(io.Discard)
+				}
+			}
+		}()
+	}
+	var reg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		reg.Add(1)
+		go func(g int) {
+			defer reg.Done()
+			for i := 0; i < perWriter; i++ {
+				l := fmt.Sprintf("%d-%d", g, i)
+				r.Counter("probe_total", "l", l).Inc()
+				r.Gauge("probe_depth", "l", l).Set(1)
+				r.Histogram("probe_seconds", "l", l).Observe(time.Millisecond)
+				r.GaugeFunc("probe_fn", func() float64 { return 1 }, "l", l)
+			}
+		}(g)
+	}
+	reg.Wait()
+	close(stop)
+	wg.Wait()
+	if got := strings.Count(export(t, r), "probe_total{"); got != writers*perWriter {
+		t.Fatalf("exported %d probe_total series, want %d", got, writers*perWriter)
 	}
 }
