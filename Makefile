@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 DST_SEEDS ?= 500
 
-.PHONY: all build vet test race fuzz-smoke dst dst-ci dst-regress bench-throughput bench-throughput-smoke bench-readmix-smoke bench-allocs bench-forced bench-transport bench-transport-smoke bench-scaleout bench-chaos bench-chaos-smoke smoke-sharded smoke-obs
+.PHONY: all build vet test race fuzz-smoke dst dst-ci dst-regress bench-throughput bench-throughput-smoke bench-readmix-smoke bench-allocs bench-forced bench-transport bench-transport-smoke bench-scaleout bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-sharded smoke-obs
 
 all: build vet test
 
@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWrites$$' -fuzztime=$(FUZZTIME) ./internal/kv
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz='^FuzzWireCodec$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzRemoteCodec$$' -fuzztime=$(FUZZTIME) ./internal/remote
 
 # Deterministic simulation sweep: exhaustive crash-point enumeration plus
 # $(DST_SEEDS) random failure schedules per protocol (2PC, 3PC and Paxos
@@ -131,6 +132,13 @@ bench-chaos-smoke:
 # transport series are present with samples.
 smoke-obs:
 	$(GO) test -run '^TestObsEndpoints$$' -count=1 -v ./cmd/kvnode
+
+# The end-to-end benchmark's own smoke: one workload on three real kvnode
+# processes plus both in-process passes, one-second windows, every check.
+# bench/inproc.go mirrors cmd/kvnode/main.go by hand, so a change to the
+# remote, nodeapi or kvnode wiring that breaks the mirror fails here.
+bench-e2e-smoke:
+	$(GO) test -count=1 ./bench
 
 # Sharded smoke for CI: 4-node in-process cluster, mixed single/cross-shard
 # keyed workload; exits nonzero on zero commits or consistency violations.

@@ -256,6 +256,8 @@ func main() {
 		// StoreResource's redo image is the encoded write set: empty means
 		// read-only at this site, so the read-only vote is sound.
 		ReadOnlyVotes: true,
+		// Called on the endpoint's receive path, never from behind a protocol
+		// shard's queue: a heartbeat or a reply is handled where it arrives.
 		Unhandled: func(m transport.Message) {
 			switch m.Kind {
 			case failure.HeartbeatKind:
@@ -309,10 +311,13 @@ func main() {
 	if *clientAddr == "" {
 		select {} // participant only
 	}
+	reg.Help("nodeapi_rejected_total", "Client sessions refused, by reason.")
+	reg.Counter("nodeapi_rejected_total", "reason", "line_too_long") // in the schema from the first scrape
 	api := &nodeapi.API{
 		Self: *id, Site: site, Store: store,
 		Client: client, Timeout: *timeout, Paradigm: *paradigm,
-		Router: &shard.Router{Map: smap},
+		Router:   &shard.Router{Map: smap},
+		Rejected: func(reason string) { reg.Counter("nodeapi_rejected_total", "reason", reason).Inc() },
 	}
 	ln, err := net.Listen("tcp", *clientAddr)
 	if err != nil {

@@ -402,8 +402,11 @@ type Config struct {
 	Deterministic bool
 	// Unhandled, when set, receives every message whose kind the engine
 	// does not recognize — heartbeats, application data-plane traffic, and
-	// anything else multiplexed onto the site's endpoint. Called on the
-	// owning shard's event loop; keep it fast.
+	// anything else multiplexed onto the site's endpoint. It is called
+	// straight from the goroutine that reads the endpoint (the injector's in
+	// deterministic mode), never from behind a shard's event queue, so such
+	// traffic neither waits for protocol events nor delays them. Keep it
+	// fast: hand anything that can block to a goroutine of its own.
 	Unhandled func(transport.Message)
 	// Trace, when set, records the site's protocol events (votes, state
 	// transitions, termination and recovery milestones). Production nodes
@@ -431,6 +434,7 @@ type Site struct {
 	forget    time.Duration
 	determin  bool
 	metrics   *Metrics
+	unhandled func(transport.Message)
 
 	shards    []*shard
 	shardMask uint32
@@ -463,7 +467,6 @@ type shard struct {
 	clk         clock.Clock
 	determin    bool
 	roVotes     bool
-	unhandled   func(transport.Message)
 	trace       *trace.Recorder
 	metrics     *Metrics
 
@@ -610,6 +613,7 @@ func New(cfg Config) (*Site, error) {
 		forget:    cfg.ForgetAfter,
 		determin:  cfg.Deterministic,
 		metrics:   cfg.Metrics,
+		unhandled: cfg.Unhandled,
 		shardMask: uint32(n - 1),
 		quit:      make(chan struct{}),
 	}
@@ -647,7 +651,6 @@ func New(cfg Config) (*Site, error) {
 			clk:         clk,
 			determin:    cfg.Deterministic,
 			roVotes:     cfg.ReadOnlyVotes,
-			unhandled:   cfg.Unhandled,
 			trace:       cfg.Trace,
 			metrics:     cfg.Metrics,
 			txns:        map[string]*txState{},
@@ -815,8 +818,27 @@ func (s *shard) enqueue(ev event) {
 // goroutine. It is the injection point used by deterministic simulation
 // (Config.Deterministic); sites wired to a live transport receive messages
 // through their endpoint instead.
-func (s *Site) Deliver(m transport.Message) {
-	s.shardFor(m.TxID).enqueue(event{kind: evMsg, msg: m})
+func (s *Site) Deliver(m transport.Message) { s.route(m) }
+
+// route hands an inbound message to whoever owns its kind: a protocol
+// message to its transaction's shard, anything else to Unhandled.
+func (s *Site) route(m transport.Message) {
+	if !s.turnAway(m) {
+		s.shardFor(m.TxID).enqueue(event{kind: evMsg, msg: m})
+	}
+}
+
+// turnAway reports whether m is of a kind the engine does not own, having
+// handed it to Unhandled on the calling goroutine if so. Heartbeats and
+// data-plane RPCs therefore never sit in a shard's event queue.
+func (s *Site) turnAway(m transport.Message) bool {
+	if handlerFor(m.Kind) != nil {
+		return false
+	}
+	if s.unhandled != nil {
+		s.unhandled(m)
+	}
+	return true
 }
 
 // castVote runs Resource.Prepare and feeds the result back as an event —
@@ -871,7 +893,7 @@ func (s *Site) recvLoop() {
 				// Endpoint closed under us: the site crashed.
 				return
 			}
-			s.shardFor(m.TxID).enqueue(event{kind: evMsg, msg: m})
+			s.route(m)
 		}
 	}
 }
@@ -893,6 +915,9 @@ func (sh *shard) loop() {
 			if !ok {
 				// Endpoint closed under us: the site crashed.
 				return
+			}
+			if sh.site.turnAway(m) {
+				continue
 			}
 			ev = event{kind: evMsg, msg: m}
 		}
@@ -938,56 +963,62 @@ func (s *shard) handleEvent(ev event) {
 	}
 }
 
-// handleMessage dispatches a protocol message by kind.
+// handleMessage dispatches a protocol message by kind. Kinds the engine does
+// not own never get this far: they are turned away before they are queued.
 func (s *shard) handleMessage(m transport.Message) {
-	switch m.Kind {
-	case KindVoteReq:
-		s.onVoteReq(m)
-	case KindYes, KindNo, KindReadOnly:
-		s.onVote(m)
-	case KindPrepare:
-		s.onPrepareMsg(m)
-	case KindAck:
-		s.onAck(m)
-	case KindCommit:
-		s.onDecision(m, OutcomeCommitted)
-	case KindAbort:
-		s.onDecision(m, OutcomeAborted)
-	case KindTermState:
-		s.onTermState(m)
-	case KindTermAck:
-		s.onTermAck(m)
-	case KindStatusReq:
-		s.onStatusReq(m)
-	case KindStatusRes:
-		s.onStatusRes(m)
-	case KindDecideReq:
-		s.onDecideReq(m)
-	case KindDecideRes:
-		s.onDecideRes(m)
-	case KindDecAck:
-		s.onDecAck(m)
-	case KindPx1a:
-		s.onPx1a(m)
-	case KindPx1b:
-		s.onPx1b(m)
-	case KindPx2a:
-		s.onPx2a(m)
-	case KindPx2b:
-		s.onPx2b(m)
-	case KindPxNudge:
-		s.onPxNudge(m)
-	case KindDXact:
-		s.onDXact(m)
-	case KindDYes, KindDNo:
-		s.onDVote(m)
-	case KindDPrepare:
-		s.onDPrepare(m)
-	default:
-		if s.unhandled != nil {
-			s.unhandled(m)
-		}
+	if h := handlerFor(m.Kind); h != nil {
+		h(s, m)
 	}
+}
+
+// handlerFor returns the handler of a protocol message kind, or nil for a
+// kind the engine does not own. It is the one list of what the engine owns.
+func handlerFor(kind string) func(*shard, transport.Message) {
+	switch kind {
+	case KindVoteReq:
+		return (*shard).onVoteReq
+	case KindYes, KindNo, KindReadOnly:
+		return (*shard).onVote
+	case KindPrepare:
+		return (*shard).onPrepareMsg
+	case KindAck:
+		return (*shard).onAck
+	case KindCommit:
+		return func(s *shard, m transport.Message) { s.onDecision(m, OutcomeCommitted) }
+	case KindAbort:
+		return func(s *shard, m transport.Message) { s.onDecision(m, OutcomeAborted) }
+	case KindTermState:
+		return (*shard).onTermState
+	case KindTermAck:
+		return (*shard).onTermAck
+	case KindStatusReq:
+		return (*shard).onStatusReq
+	case KindStatusRes:
+		return (*shard).onStatusRes
+	case KindDecideReq:
+		return (*shard).onDecideReq
+	case KindDecideRes:
+		return (*shard).onDecideRes
+	case KindDecAck:
+		return (*shard).onDecAck
+	case KindPx1a:
+		return (*shard).onPx1a
+	case KindPx1b:
+		return (*shard).onPx1b
+	case KindPx2a:
+		return (*shard).onPx2a
+	case KindPx2b:
+		return (*shard).onPx2b
+	case KindPxNudge:
+		return (*shard).onPxNudge
+	case KindDXact:
+		return (*shard).onDXact
+	case KindDYes, KindDNo:
+		return (*shard).onDVote
+	case KindDPrepare:
+		return (*shard).onDPrepare
+	}
+	return nil
 }
 
 // send transmits a protocol message, ignoring delivery failures (crash-stop

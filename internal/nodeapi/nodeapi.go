@@ -65,9 +65,14 @@ type API struct {
 	// Router resolves key-addressed operations to owner sites. Nil disables
 	// the GETK/PUTK/DELK verbs.
 	Router *shard.Router
+	// Rejected, when set, is told each time a session is refused, with the
+	// reason as a metric label value ("line_too_long").
+	Rejected func(reason string)
 }
 
-// Serve handles one client connection until it closes.
+// Serve handles one client connection until it closes. A request line over
+// bufio.MaxScanTokenSize (64 KiB) ends the session, with a reply that says
+// so.
 func (a *API) Serve(conn net.Conn) {
 	defer conn.Close()
 	s := &Session{api: a, touched: map[int]bool{}}
@@ -79,6 +84,13 @@ func (a *API) Serve(conn net.Conn) {
 		if err := w.Flush(); err != nil {
 			return
 		}
+	}
+	if sc.Err() == bufio.ErrTooLong {
+		if a.Rejected != nil {
+			a.Rejected("line_too_long")
+		}
+		fmt.Fprintln(w, "ERR line too long")
+		_ = w.Flush() // the session ends either way
 	}
 }
 
@@ -110,11 +122,9 @@ func (s *Session) abortLocked() {
 		s.releaseSnapsLocked()
 	} else {
 		for site := range s.touched {
-			if site == s.api.Self {
-				_ = s.api.Store.Abort(s.txid)
-			} else {
-				_, _ = s.api.Client.Call(site, s.txid, remote.OpAbort, "", "")
-			}
+			// Best effort: a peer that cannot be reached is down, and a
+			// crashed store holds no transaction.
+			_, _ = s.do(site, remote.Request{Op: remote.OpAbort})
 		}
 	}
 	s.txid = ""
@@ -131,21 +141,22 @@ func (s *Session) releaseSnapsLocked() {
 	s.snaps = nil
 }
 
-func (s *Session) enlist(site int) error {
-	if s.touched[site] {
-		return nil
-	}
-	var err error
-	if site == s.api.Self {
-		err = s.api.Store.Begin(s.txid)
-	} else {
-		_, err = s.api.Client.Call(site, s.txid, remote.OpBegin, "", "")
-	}
-	if err != nil {
-		return err
-	}
+// do runs one data-plane operation of the open transaction at site: through
+// the local store, or as one RPC to a peer. A site's first operation enlists
+// it (Request.Enlist): the site begins the transaction and runs the operation
+// in the same step, so joining costs a peer no round trip of its own. The
+// site counts as touched before the operation runs, because a peer whose
+// first operation fails, dies under wait-die or times out may still have
+// begun the transaction, and only a touched site is sent OpAbort.
+func (s *Session) do(site int, req remote.Request) (string, error) {
+	req.TxID = s.txid
+	req.Enlist = !s.touched[site]
 	s.touched[site] = true
-	return nil
+	if site == s.api.Self {
+		rep, err := remote.Apply(s.api.Store, req)
+		return rep.Value, err
+	}
+	return s.api.Client.Call(site, req)
 }
 
 // Execute runs one protocol line and returns the response line.
@@ -159,10 +170,8 @@ func (s *Session) Execute(line string) string {
 	switch cmd := strings.ToUpper(args[0]); cmd {
 	case "BEGIN":
 		return s.begin(args[1:])
-	case "GET", "PUT", "DEL":
+	case "GET", "PUT", "DEL", "GETK", "PUTK", "DELK":
 		return s.operate(cmd, args[1:])
-	case "GETK", "PUTK", "DELK":
-		return s.operateKeyed(cmd, args[1:])
 	case "SGETK":
 		return s.snapGetKeyed(args[1:])
 	case "COMMIT":
@@ -241,108 +250,64 @@ func (s *Session) snapGetKeyed(args []string) string {
 	default:
 		v, _, err = s.api.Client.SnapGet(site, key, 0)
 	}
+	return valueLine(v, err)
+}
+
+func valueLine(v string, err error) string {
 	if err != nil {
 		return "ERR " + err.Error()
 	}
 	return "VAL " + v
 }
 
+// operate serves the read and write verbs. GET, PUT and DEL name the site;
+// GETK, PUTK and DELK route the key to its owner site through the shard map.
 func (s *Session) operate(cmd string, args []string) string {
-	if s.txid == "" {
-		return "ERR no open transaction (BEGIN first)"
-	}
-	if len(args) < 2 {
-		return "ERR usage: " + cmd + " <site> <key> [value]"
-	}
-	site, err := strconv.Atoi(args[0])
-	if err != nil || site < 1 {
-		return "ERR bad site"
-	}
-	if s.readOnly {
-		if cmd != "GET" {
-			return "ERR read-only transaction"
-		}
-		v, err := s.snapRead(site, args[1])
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "VAL " + v
-	}
-	if err := s.enlist(site); err != nil {
-		return "ERR " + err.Error()
-	}
-	key := args[1]
-	switch cmd {
-	case "GET":
-		v, err := s.opAt(site, remote.OpGet, key, "")
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "VAL " + v
-	case "PUT":
-		if len(args) < 3 {
-			return "ERR usage: PUT <site> <key> <value>"
-		}
-		if _, err := s.opAt(site, remote.OpPut, key, strings.Join(args[2:], " ")); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
-	default: // DEL
-		if _, err := s.opAt(site, remote.OpDelete, key, ""); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
-	}
-}
-
-// operateKeyed executes a key-addressed verb by routing the key to its
-// owner site through the shard map.
-func (s *Session) operateKeyed(cmd string, args []string) string {
-	if s.api.Router == nil {
-		return "ERR this node has no shard map (use site-addressed " + cmd[:3] + ")"
+	verb, keyed := cmd[:3], len(cmd) == 4
+	if keyed && s.api.Router == nil {
+		return "ERR this node has no shard map (use site-addressed " + verb + ")"
 	}
 	if s.txid == "" {
 		return "ERR no open transaction (BEGIN first)"
 	}
-	if len(args) < 1 {
-		return "ERR usage: " + cmd + " <key> [value]"
+	form, need := " <key>", 1
+	if !keyed {
+		form, need = " <site> <key>", 2
 	}
-	key := args[0]
-	site := s.api.Router.Site(key)
-	if s.readOnly {
-		if cmd != "GETK" {
-			return "ERR read-only transaction"
-		}
-		v, err := s.snapRead(site, key)
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "VAL " + v
+	if verb == "PUT" {
+		form, need = form+" <value>", need+1
 	}
-	if err := s.enlist(site); err != nil {
-		return "ERR " + err.Error()
+	if len(args) < need {
+		return "ERR usage: " + cmd + form
 	}
-	switch cmd {
-	case "GETK":
-		v, err := s.opAt(site, remote.OpGet, key, "")
-		if err != nil {
-			return "ERR " + err.Error()
+	var site int
+	if keyed {
+		site = s.api.Router.Site(args[0])
+	} else {
+		var err error
+		if site, err = strconv.Atoi(args[0]); err != nil || site < 1 {
+			return "ERR bad site"
 		}
-		return "VAL " + v
-	case "PUTK":
-		if len(args) < 2 {
-			return "ERR usage: PUTK <key> <value>"
-		}
-		if _, err := s.opAt(site, remote.OpPut, key, strings.Join(args[1:], " ")); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
-	default: // DELK
-		if _, err := s.opAt(site, remote.OpDelete, key, ""); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
+		args = args[1:]
 	}
+	req := remote.Request{Key: args[0]}
+	switch {
+	case s.readOnly && verb == "GET":
+		return valueLine(s.snapRead(site, req.Key))
+	case s.readOnly:
+		return "ERR read-only transaction"
+	case verb == "GET":
+		req.Op = remote.OpGet
+	case verb == "DEL":
+		req.Op = remote.OpDelete
+	default:
+		req.Op, req.Value = remote.OpPut, strings.Join(args[1:], " ")
+	}
+	v, err := s.do(site, req)
+	if err != nil || verb == "GET" {
+		return valueLine(v, err)
+	}
+	return "OK"
 }
 
 func (s *Session) commit() string {
@@ -403,20 +368,4 @@ func (s *Session) runCommit(sites []int) (engine.Outcome, error) {
 		return engine.OutcomePending, err
 	}
 	return s.api.Site.WaitOutcome(s.txid, wait)
-}
-
-// opAt executes one data-plane operation locally or at a peer.
-func (s *Session) opAt(site int, op, key, value string) (string, error) {
-	if site == s.api.Self {
-		switch op {
-		case remote.OpGet:
-			return s.api.Store.Get(s.txid, key)
-		case remote.OpPut:
-			return "", s.api.Store.Put(s.txid, key, value)
-		case remote.OpDelete:
-			return "", s.api.Store.Delete(s.txid, key)
-		}
-		return "", fmt.Errorf("bad op %s", op)
-	}
-	return s.api.Client.Call(site, s.txid, op, key, value)
 }

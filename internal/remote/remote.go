@@ -5,8 +5,6 @@
 package remote
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,19 +24,20 @@ const (
 	KindReply = "KV-REPLY"
 )
 
-// Op names.
+// Op names a data-plane operation; it is one byte on the wire.
+type Op uint8
+
 const (
-	OpBegin  = "begin"
-	OpGet    = "get"
-	OpPut    = "put"
-	OpDelete = "delete"
-	OpAbort  = "abort"
+	OpGet Op = iota + 1
+	OpPut
+	OpDelete
+	OpAbort
 	// OpCommit hands coordination of a transaction to the peer: the peer's
 	// engine runs the commit protocol over req.Participants and the reply
 	// carries the outcome. This is how a node that touched no local data
 	// commits a transaction without inflating the cohort with itself — a
 	// single-shard transaction engages exactly its owner site.
-	OpCommit = "commit"
+	OpCommit
 	// OpSnapGet is the read-only fast path: a snapshot read against the
 	// peer's multi-version store. It needs no transaction, takes no locks
 	// and never touches the commit protocol — a single-shard read is this
@@ -46,16 +45,31 @@ const (
 	// timestamp (returned in Reply.TS so a session can pin later reads to
 	// the same snapshot); nonzero re-reads at a previously returned
 	// timestamp.
-	OpSnapGet = "snapget"
+	OpSnapGet
 )
+
+var opNames = [...]string{OpGet: "get", OpPut: "put", OpDelete: "delete", OpAbort: "abort", OpCommit: "commit", OpSnapGet: "snapget"}
+
+func (o Op) String() string {
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
+	}
+	return fmt.Sprintf("op(%d)", uint8(o))
+}
 
 // Request is one data-plane operation against a peer's store.
 type Request struct {
 	ReqID uint64
 	TxID  string
-	Op    string
-	Key   string
-	Value string
+	Op    Op
+	// Enlist makes this the transaction's first operation at the peer: the
+	// peer begins TxID and runs Op under the one request, so joining a
+	// transaction costs no round trip of its own. A peer that already knows
+	// TxID refuses (kv.ErrTxnExists). If the operation then fails, the
+	// transaction stays begun at the peer until an OpAbort.
+	Enlist bool
+	Key    string
+	Value  string
 	// Participants is the commit cohort for OpCommit.
 	Participants []int
 	// MapVersion stamps the sender's shard map version; the receiver rejects
@@ -67,44 +81,14 @@ type Request struct {
 	SnapTS uint64
 }
 
-// Reply answers a Request.
+// Reply answers a Request: Value on success, Err otherwise (the wire carries
+// one or the other).
 type Reply struct {
 	ReqID uint64
 	Value string
 	Err   string
 	// TS is the snapshot timestamp an OpSnapGet was served at.
 	TS uint64
-}
-
-// encodeBufPool and decodeReaderPool recycle the scratch objects of the
-// request/reply codec: every data-plane call used to allocate a fresh
-// bytes.Buffer (and its growth doublings) per encode and a bytes.Reader per
-// decode; pooling leaves only the exact-size body copy on the hot path.
-var (
-	encodeBufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	decodeReaderPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
-)
-
-func encode(v any) []byte {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("remote: encode: %v", err))
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	encodeBufPool.Put(buf)
-	return out
-}
-
-// decode gob-decodes a message body into v through a pooled reader.
-func decode(body []byte, v any) error {
-	r := decodeReaderPool.Get().(*bytes.Reader)
-	r.Reset(body)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil) // do not pin the body
-	decodeReaderPool.Put(r)
-	return err
 }
 
 // Server applies data-plane requests to a local store and, for OpCommit,
@@ -133,43 +117,55 @@ func (s *Server) SetSite(site *engine.Site) { s.site.Store(site) }
 
 // Handle processes one KV-OP message and sends the reply.
 func (s *Server) Handle(m transport.Message) {
-	var req Request
-	if err := decode(m.Body, &req); err != nil {
+	req, err := DecodeRequest(m.Body)
+	if err != nil {
 		return
 	}
-	rep := Reply{ReqID: req.ReqID}
-	var err error
-	if verr := s.Map.CheckVersion(req.MapVersion); verr != nil {
-		err = verr
-	} else {
-		switch req.Op {
-		case OpBegin:
-			err = s.Store.Begin(req.TxID)
-		case OpGet:
-			rep.Value, err = s.Store.Get(req.TxID, req.Key)
-		case OpPut:
-			err = s.Store.Put(req.TxID, req.Key, req.Value)
-		case OpDelete:
-			err = s.Store.Delete(req.TxID, req.Key)
-		case OpAbort:
-			err = s.Store.Abort(req.TxID)
-		case OpSnapGet:
-			if req.SnapTS == 0 {
-				rep.Value, rep.TS, err = s.Store.SnapshotGet(req.Key)
-			} else {
-				rep.TS = req.SnapTS
-				rep.Value, err = s.Store.ReadAt(req.SnapTS, req.Key)
-			}
-		case OpCommit:
+	var rep Reply
+	if err = s.Map.CheckVersion(req.MapVersion); err == nil {
+		if req.Op == OpCommit {
 			rep.Value, err = s.commit(req)
-		default:
-			err = fmt.Errorf("remote: unknown op %q", req.Op)
+		} else {
+			rep, err = Apply(s.Store, req)
 		}
 	}
+	rep.ReqID = req.ReqID
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	_ = s.Send(transport.Message{To: m.From, Kind: KindReply, TxID: req.TxID, Body: encode(rep)})
+	_ = s.Send(transport.Message{To: m.From, Kind: KindReply, TxID: req.TxID, Body: encodeReply(rep)})
+}
+
+// Apply runs one store operation: everything but OpCommit, which needs an
+// engine. With req.Enlist the store begins the transaction first. A node's
+// own sessions run their local operations through it too, so a site behaves
+// the same whether the transaction's coordinator is a peer or itself.
+func Apply(store *kv.Store, req Request) (rep Reply, err error) {
+	if req.Enlist {
+		if err = store.Begin(req.TxID); err != nil {
+			return rep, err
+		}
+	}
+	switch req.Op {
+	case OpGet:
+		rep.Value, err = store.Get(req.TxID, req.Key)
+	case OpPut:
+		err = store.Put(req.TxID, req.Key, req.Value)
+	case OpDelete:
+		err = store.Delete(req.TxID, req.Key)
+	case OpAbort:
+		err = store.Abort(req.TxID)
+	case OpSnapGet:
+		if req.SnapTS == 0 {
+			rep.Value, rep.TS, err = store.SnapshotGet(req.Key)
+		} else {
+			rep.TS = req.SnapTS
+			rep.Value, err = store.ReadAt(req.SnapTS, req.Key)
+		}
+	default:
+		err = fmt.Errorf("remote: unknown %v", req.Op)
+	}
+	return rep, err
 }
 
 // commit coordinates a forwarded transaction on the local engine and waits
@@ -215,33 +211,47 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]chan Reply
+	pending map[uint64]*waiter
 }
+
+// waiter is what one call blocks on: the channel its reply arrives on and
+// the timer that bounds the wait. Both are reused from call to call, so a
+// round trip allocates its request body and nothing else.
+type waiter struct {
+	ch    chan Reply // capacity 1: Deliver sends under Client.mu, at most once per call
+	timer *time.Timer
+}
+
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan Reply, 1), timer: t}
+}}
 
 // NewClient builds a client with the given send function and per-call
 // timeout.
 func NewClient(send func(transport.Message) error, timeout time.Duration) *Client {
-	return &Client{Send: send, Timeout: timeout, pending: map[uint64]chan Reply{}}
+	return &Client{Send: send, Timeout: timeout, pending: map[uint64]*waiter{}}
 }
 
 // Deliver routes a KV-REPLY message to its waiting caller.
 func (c *Client) Deliver(m transport.Message) {
-	var rep Reply
-	if err := decode(m.Body, &rep); err != nil {
+	rep, err := DecodeReply(m.Body)
+	if err != nil {
 		return
 	}
 	c.mu.Lock()
-	ch := c.pending[rep.ReqID]
-	delete(c.pending, rep.ReqID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- rep
+	if w := c.pending[rep.ReqID]; w != nil {
+		delete(c.pending, rep.ReqID)
+		w.ch <- rep
 	}
+	c.mu.Unlock()
 }
 
-// Call sends one operation to a peer and waits for the reply.
-func (c *Client) Call(to int, txid, op, key, value string) (string, error) {
-	rep, err := c.call(to, Request{TxID: txid, Op: op, Key: key, Value: value}, c.Timeout)
+// Call sends one operation to a peer and waits for the reply's value. It
+// fills in ReqID and MapVersion.
+func (c *Client) Call(to int, req Request) (string, error) {
+	rep, err := c.call(to, req, c.Timeout)
 	return rep.Value, err
 }
 
@@ -275,35 +285,50 @@ func (c *Client) Commit(to int, txid string, participants []int, wait time.Durat
 }
 
 func (c *Client) call(to int, req Request, timeout time.Duration) (Reply, error) {
+	w := waiters.Get().(*waiter)
 	c.mu.Lock()
 	c.seq++
 	req.ReqID = c.seq
-	req.MapVersion = c.MapVersion
-	ch := make(chan Reply, 1)
-	c.pending[req.ReqID] = ch
+	c.pending[req.ReqID] = w
 	c.mu.Unlock()
+	defer c.release(req.ReqID, w)
+	req.MapVersion = c.MapVersion
 
-	if err := c.Send(transport.Message{To: to, Kind: KindOp, TxID: req.TxID, Body: encode(req)}); err != nil {
-		c.drop(req.ReqID)
+	if err := c.Send(transport.Message{To: to, Kind: KindOp, TxID: req.TxID, Body: encodeRequest(req)}); err != nil {
 		return Reply{}, err
 	}
-	select {
-	case rep := <-ch:
-		if rep.Err != "" {
-			// The reply is returned alongside the error: OpSnapGet callers
-			// need the snapshot timestamp even when the key is not found,
-			// so a session pins its snapshot on the first read either way.
-			return Reply{ReqID: rep.ReqID, TS: rep.TS}, errors.New(rep.Err)
+	deadline := time.Now().Add(timeout)
+	w.timer.Reset(timeout)
+	for {
+		select {
+		case rep := <-w.ch:
+			if rep.Err != "" {
+				// The reply is returned alongside the error: OpSnapGet callers
+				// need the snapshot timestamp even when the key is not found,
+				// so a session pins its snapshot on the first read either way.
+				return Reply{ReqID: rep.ReqID, TS: rep.TS}, errors.New(rep.Err)
+			}
+			return rep, nil
+		case <-w.timer.C:
+			if time.Now().Before(deadline) {
+				continue // a fire the waiter's previous call stopped too late to prevent
+			}
+			return Reply{}, fmt.Errorf("%w (site %d, op %v)", ErrTimeout, to, req.Op)
 		}
-		return rep, nil
-	case <-time.After(timeout):
-		c.drop(req.ReqID)
-		return Reply{}, fmt.Errorf("%w (site %d, op %s)", ErrTimeout, to, req.Op)
 	}
 }
 
-func (c *Client) drop(id uint64) {
+// release retires a call's waiter. Once the pending entry is gone no Deliver
+// can reach the channel, so after one drain the waiter is safe to hand to
+// another call.
+func (c *Client) release(id uint64, w *waiter) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
+	w.timer.Stop()
+	select {
+	case <-w.ch:
+	default:
+	}
+	waiters.Put(w)
 }

@@ -40,24 +40,22 @@ func wire(t *testing.T) (*Client, *kv.Store, *transport.Network) {
 
 func TestCallRoundTrip(t *testing.T) {
 	client, store, _ := wire(t)
-	if _, err := client.Call(2, "t1", OpBegin, "", ""); err != nil {
+	// The first operation enlists: begin and put in one round trip.
+	if _, err := client.Call(2, Request{TxID: "t1", Op: OpPut, Enlist: true, Key: "k", Value: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Call(2, "t1", OpPut, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := client.Call(2, "t1", OpGet, "k", "")
+	v, err := client.Call(2, Request{TxID: "t1", Op: OpGet, Key: "k"})
 	if err != nil || v != "v" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-	if _, err := client.Call(2, "t1", OpDelete, "k", ""); err != nil {
+	if _, err := client.Call(2, Request{TxID: "t1", Op: OpDelete, Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Call(2, "t1", OpGet, "k", ""); err == nil ||
+	if _, err := client.Call(2, Request{TxID: "t1", Op: OpGet, Key: "k"}); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
 		t.Fatalf("get deleted = %v", err)
 	}
-	if _, err := client.Call(2, "t1", OpAbort, "", ""); err != nil {
+	if _, err := client.Call(2, Request{TxID: "t1", Op: OpAbort}); err != nil {
 		t.Fatal(err)
 	}
 	if p := store.Pending(); len(p) != 0 {
@@ -68,13 +66,50 @@ func TestCallRoundTrip(t *testing.T) {
 func TestCallErrorsPropagate(t *testing.T) {
 	client, _, _ := wire(t)
 	// Put without begin: ErrNoTxn surfaces as a string error.
-	if _, err := client.Call(2, "zz", OpPut, "k", "v"); err == nil ||
+	if _, err := client.Call(2, Request{TxID: "zz", Op: OpPut, Key: "k", Value: "v"}); err == nil ||
 		!strings.Contains(err.Error(), "no such transaction") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := client.Call(2, "t", "bogus", "", ""); err == nil ||
-		!strings.Contains(err.Error(), "unknown op") {
+	if _, err := client.Call(2, Request{TxID: "t", Op: Op(99)}); err == nil ||
+		!strings.Contains(err.Error(), "unknown op(99)") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestEnlistFoldsBegin: Enlist begins the transaction under the operation's
+// own request; on a txid the peer already knows it is refused, not merged;
+// and a first operation that fails leaves the transaction begun, for the
+// caller's OpAbort to clear.
+func TestEnlistFoldsBegin(t *testing.T) {
+	client, store, _ := wire(t)
+	if _, err := client.Call(2, Request{TxID: "t1", Op: OpPut, Enlist: true, Key: "k", Value: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	if p := store.Pending(); len(p) != 1 || p[0] != "t1" {
+		t.Fatalf("pending after enlist = %v", p)
+	}
+	_, err := client.Call(2, Request{TxID: "t1", Op: OpPut, Enlist: true, Key: "k2", Value: "v"})
+	if err == nil || !strings.Contains(err.Error(), kv.ErrTxnExists.Error()) {
+		t.Fatalf("second enlist = %v, want %v", err, kv.ErrTxnExists)
+	}
+	if _, err := Apply(store, Request{TxID: "t1", Op: OpGet, Enlist: true, Key: "k"}); !errors.Is(err, kv.ErrTxnExists) {
+		t.Fatalf("Apply enlist on a known txid = %v", err)
+	}
+	// t2's first operation blocks on t1's lock and times out at the store:
+	// t2 stays begun, holding nothing, until it is aborted.
+	if _, err := client.Call(2, Request{TxID: "t2", Op: OpPut, Enlist: true, Key: "k", Value: "w"}); err == nil {
+		t.Fatal("conflicting first operation succeeded")
+	}
+	if p := store.Pending(); len(p) != 2 {
+		t.Fatalf("pending after failed first op = %v, want t1 and t2", p)
+	}
+	for _, tx := range []string{"t1", "t2"} {
+		if _, err := client.Call(2, Request{TxID: tx, Op: OpAbort}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := store.Pending(); len(p) != 0 {
+		t.Fatalf("pending after aborts: %v", p)
 	}
 }
 
@@ -82,7 +117,7 @@ func TestCallTimeoutOnDeadPeer(t *testing.T) {
 	client, _, net := wire(t)
 	client.Timeout = 50 * time.Millisecond
 	net.Crash(2)
-	_, err := client.Call(2, "t1", OpBegin, "", "")
+	_, err := client.Call(2, Request{TxID: "t1", Op: OpPut, Enlist: true, Key: "k"})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -95,78 +130,57 @@ func TestCallTimeoutOnDeadPeer(t *testing.T) {
 	}
 }
 
-// TestPooledCodecRoundTrip exercises the pooled encode/decode helpers
-// directly and concurrently: values must survive the round trip intact, and
-// the returned byte slices must be independent of the pooled buffer (a later
-// encode must not scribble over an earlier result).
-func TestPooledCodecRoundTrip(t *testing.T) {
-	req := Request{ReqID: 7, TxID: "t1", Op: OpPut, Key: "k", Value: "v", Participants: []int{1, 2, 3}, MapVersion: 9}
-	first := encode(req)
-	// Recycle the pool buffer with other payloads; first must be unaffected.
-	for i := 0; i < 8; i++ {
-		_ = encode(Reply{ReqID: uint64(i), Value: strings.Repeat("x", 512)})
+// TestWaiterReuseAfterTimeout: a reply that arrives after its call timed out
+// is dropped, and must not be taken for the answer to a later call that
+// reuses the same pooled waiter.
+func TestWaiterReuseAfterTimeout(t *testing.T) {
+	var sent []transport.Message
+	c := NewClient(func(m transport.Message) error { sent = append(sent, m); return nil }, 20*time.Millisecond)
+	if _, err := c.Call(2, Request{TxID: "t1", Op: OpGet, Key: "a"}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("unanswered call = %v", err)
 	}
-	var got Request
-	if err := decode(first, &got); err != nil {
+	late, err := DecodeRequest(sent[0].Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ReqID != 7 || got.TxID != "t1" || got.Op != OpPut || got.Key != "k" ||
-		got.Value != "v" || len(got.Participants) != 3 || got.MapVersion != 9 {
-		t.Fatalf("round trip: got %+v", got)
-	}
+	c.Deliver(transport.Message{Kind: KindReply, Body: encodeReply(Reply{ReqID: late.ReqID, Value: "stale"})})
 
+	c.Timeout = 2 * time.Second
+	c.Send = func(m transport.Message) error {
+		req, _ := DecodeRequest(m.Body)
+		go c.Deliver(transport.Message{Kind: KindReply, Body: encodeReply(Reply{ReqID: req.ReqID, Value: "fresh"})})
+		return nil
+	}
+	for i := 0; i < 50; i++ { // long enough for any left-over timer fire to land
+		if v, err := c.Call(2, Request{TxID: "t2", Op: OpGet, Key: "a"}); err != nil || v != "fresh" {
+			t.Fatalf("call %d = %q, %v", i, v, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConcurrentCalls drives one client from many goroutines (several
+// sessions share a node's client) so -race covers the pooled waiters.
+func TestConcurrentCalls(t *testing.T) {
+	client, _, _ := wire(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				want := Reply{ReqID: uint64(g*1000 + i), Value: strings.Repeat("v", g+1)}
-				var rep Reply
-				if err := decode(encode(want), &rep); err != nil {
-					t.Errorf("decode: %v", err)
+			tx := "t" + strings.Repeat("x", g)
+			for i := 0; i < 100; i++ {
+				val := strings.Repeat("v", i%7+1)
+				if _, err := client.Call(2, Request{TxID: tx, Op: OpPut, Enlist: i == 0, Key: tx, Value: val}); err != nil {
+					t.Errorf("put: %v", err)
 					return
 				}
-				if rep != want {
-					t.Errorf("got %+v, want %+v", rep, want)
+				if got, err := client.Call(2, Request{TxID: tx, Op: OpGet, Key: tx}); err != nil || got != val {
+					t.Errorf("get = %q, %v, want %q", got, err, val)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestDecodeGarbageErrors: a corrupt body is an error, and the pooled reader
-// survives to decode a good body afterwards.
-func TestDecodeGarbageErrors(t *testing.T) {
-	var req Request
-	if err := decode([]byte{0xFF, 0x01, 0x02}, &req); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
-	body := encode(Request{ReqID: 1, Op: OpGet})
-	if err := decode(body, &req); err != nil || req.Op != OpGet {
-		t.Fatalf("decode after garbage: %+v, %v", req, err)
-	}
-}
-
-// BenchmarkEncodeRequest measures the pooled codec; before pooling each call
-// paid a fresh bytes.Buffer plus its growth doublings.
-func BenchmarkEncodeRequest(b *testing.B) {
-	req := Request{ReqID: 42, TxID: "tx-000042", Op: OpPut, Key: "account-17", Value: strings.Repeat("v", 64)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = encode(req)
-	}
-}
-
-func BenchmarkDecodeRequest(b *testing.B) {
-	body := encode(Request{ReqID: 42, TxID: "tx-000042", Op: OpPut, Key: "account-17", Value: strings.Repeat("v", 64)})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var req Request
-		if err := decode(body, &req); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
