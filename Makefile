@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 DST_SEEDS ?= 500
 
-.PHONY: all build vet test race fuzz-smoke dst dst-ci dst-regress bench-throughput bench-throughput-smoke bench-readmix-smoke bench-allocs bench-forced bench-transport bench-transport-smoke bench-scaleout bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-sharded smoke-obs
+.PHONY: all build vet test race flake fuzz-smoke dst dst-ci dst-regress bench-throughput bench-throughput-smoke bench-readmix-smoke bench-allocs bench-forced bench-transport bench-transport-smoke bench-scaleout bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-sharded smoke-obs
 
 all: build vet test
 
@@ -17,6 +17,27 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Tier-1 green means this target is clean, not that one run passed: the
+# whole suite ten times at each of GOMAXPROCS 1, 2 and 8. Every failed run
+# prints its GOMAXPROCS, run number, package and failing tests, and keeps its
+# full output in /tmp/flake-<GOMAXPROCS>-<run>.out; the target exits nonzero
+# if any run failed. About ten minutes on two cores, so not in CI.
+flake: build
+	@fail=0; \
+	for procs in 1 2 8; do \
+		for run in 1 2 3 4 5 6 7 8 9 10; do \
+			out=/tmp/flake-$$procs-$$run.out; \
+			GOMAXPROCS=$$procs $(GO) test -count=1 ./... > $$out 2>&1 && { rm -f $$out; continue; }; \
+			fail=1; \
+			awk -v where="GOMAXPROCS=$$procs run $$run" ' \
+				/^--- FAIL: / { tests = tests " " $$3 } \
+				/^ok / { tests = "" } \
+				/^FAIL\t/ { print "FAIL " where ": " $$2 (tests == "" ? " (no test named: build error or panic)" : tests); tests = "" }' $$out; \
+		done; \
+		echo "GOMAXPROCS=$$procs: 10 runs done"; \
+	done; \
+	exit $$fail
 
 # Short fuzzing pass over every fuzz target, starting from the checked-in
 # seed corpora under */testdata/fuzz/.
@@ -93,9 +114,8 @@ bench-forced:
 		END { if (bad) exit 1; print "forced-record budgets ok (2PC 1/2, 3PC 3/3, Paxos 5/4, 2PC abort coord 0)" }' /tmp/engine-forced.txt
 
 # Transport microbenchmark: raw message throughput and latency between two
-# TCP endpoints on loopback, gob vs binary codec, coalescing on and off, at
-# 1/8/64-byte bodies. Exits nonzero on zero throughput or corrupted bodies.
-# Emits BENCH_transport.json.
+# TCP endpoints on loopback at 1/8/64-byte bodies. Exits nonzero on zero
+# throughput or corrupted bodies. Emits BENCH_transport.json.
 bench-transport:
 	$(GO) run ./cmd/loadgen -mode transport -duration 3s -bodies 1,8,64 -out BENCH_transport.json
 

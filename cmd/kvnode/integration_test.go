@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nbcommit/internal/remote"
 )
 
 // freePorts reserves n distinct TCP ports by listening and closing.
@@ -47,7 +49,7 @@ func dialAPI(t *testing.T, addr string) *testClient {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("client API %s never came up", addr)
+	t.Fatalf("%s never accepted a connection", addr)
 	return nil
 }
 
@@ -123,17 +125,39 @@ func TestClusterEndToEnd(t *testing.T) {
 	cl := dialAPI(t, clientAddr)
 	defer cl.conn.Close()
 
-	// Transaction across all three nodes.
-	if got := cl.send(t, "BEGIN"); !strings.HasPrefix(got, "OK") {
-		t.Fatalf("BEGIN = %q", got)
+	// Node 1's client API can be up before its peers listen. Wait for their
+	// cluster ports, so node 1's first messages to them can be delivered.
+	for id := 2; id <= 3; id++ {
+		dialAPI(t, clusterAddr(id)).conn.Close()
 	}
-	for site := 1; site <= 3; site++ {
-		if got := cl.send(t, fmt.Sprintf("PUT %d shared v%d", site, site)); got != "OK" {
+
+	// Transaction across all three nodes. A heartbeat node 1 sent before a
+	// peer listened failed to dial and opened a redial-backoff window; a PUT
+	// sent inside it is dropped and times out. Retry that reply only.
+	timedOut := "ERR " + remote.ErrTimeout.Error()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if got := cl.send(t, "BEGIN"); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("BEGIN = %q", got)
+		}
+		var got string
+		site := 1
+		for ; site <= 3; site++ {
+			if got = cl.send(t, fmt.Sprintf("PUT %d shared v%d", site, site)); got != "OK" {
+				break
+			}
+		}
+		if site > 3 {
+			if got = cl.send(t, "COMMIT"); got != "COMMITTED" {
+				t.Fatalf("COMMIT = %q", got)
+			}
+			break
+		}
+		if got != timedOut || time.Now().After(deadline) {
 			t.Fatalf("PUT site %d = %q", site, got)
 		}
-	}
-	if got := cl.send(t, "COMMIT"); got != "COMMITTED" {
-		t.Fatalf("COMMIT = %q", got)
+		cl.send(t, "ABORT")
+		time.Sleep(100 * time.Millisecond)
 	}
 
 	// Kill node 3; the survivors keep committing (cohort {1,2}).
@@ -151,7 +175,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Restart node 3 from its WAL; the first transaction's data must be
 	// there (recovery redo).
 	n3 = start(3, false)
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		cl.send(t, "BEGIN")
 		got := cl.send(t, "GET 3 shared")

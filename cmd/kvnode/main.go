@@ -38,6 +38,15 @@ import (
 	"nbcommit/internal/wal"
 )
 
+// Fixed operating parameters.
+const (
+	hbEvery       = 150 * time.Millisecond // heartbeat interval
+	hbTimeout     = 600 * time.Millisecond // failure suspicion timeout
+	gcEvery       = 5 * time.Second        // version-chain GC interval
+	traceEvents   = 4096                   // protocol trace ring size for /debug/trace
+	shardsPerSite = 4                      // shards per site in the default shard map
+)
+
 func main() {
 	var (
 		id         = flag.Int("id", 1, "site ID (unique, positive)")
@@ -48,20 +57,9 @@ func main() {
 		protoFlag  = flag.String("proto", "3pc", "commit protocol: 2pc, 3pc, or paxos")
 		paradigm   = flag.String("paradigm", "central", "central or decentralized")
 		timeout    = flag.Duration("timeout", 500*time.Millisecond, "protocol timeout")
-		hbEvery    = flag.Duration("hb", 150*time.Millisecond, "heartbeat interval")
-		hbTimeout  = flag.Duration("hb-timeout", 600*time.Millisecond, "failure suspicion timeout")
 		forget     = flag.Duration("forget-after", 30*time.Second, "auto-forget settled transactions after this grace period (0: keep forever)")
-		compactEvy = flag.Duration("compact-every", 0, "rewrite the WAL online at this interval, dropping forgotten transactions (0: only at startup)")
-		walFlush   = flag.Duration("wal-flush-interval", 0, "group-commit window; 0 flushes as soon as the disk is free")
-		walNoSync  = flag.Bool("wal-no-sync", false, "skip fsync (throughput experiments only; commits are NOT durable)")
 		shardFile  = flag.String("shardmap", "", "shard map file (empty: deterministic default map over the site list)")
-		shardsPer  = flag.Int("shards-per-site", 4, "shards per site for the default map (ignored with -shardmap)")
 		obsAddr    = flag.String("obs-addr", "", "observability HTTP listener serving /metrics, /healthz and /debug/trace (empty: none)")
-		traceLimit = flag.Int("trace-events", 4096, "protocol trace ring size for /debug/trace (0: tracing off)")
-		tpCodec    = flag.String("transport-codec", "binary", "wire codec for outbound cluster messages: binary or gob (inbound auto-detects)")
-		tpNoCoal   = flag.Bool("transport-no-coalesce", false, "write queued messages one per syscall instead of coalescing batches")
-		tpQueue    = flag.Int("transport-queue", 0, "per-peer outbound queue capacity; a full queue drops, crash-stop style (0: default)")
-		gcEvery    = flag.Duration("gc-every", 5*time.Second, "version-chain GC interval; superseded versions below the stable timestamp and all snapshot pins are dropped (0: never)")
 	)
 	flag.Parse()
 	if *walPath == "" {
@@ -89,33 +87,20 @@ func main() {
 	// Built before the endpoint so the transport can feed its batch-size
 	// histogram from the writer path.
 	reg := metrics.NewRegistry()
-	reg.Help("transport_batch_msgs", "Messages per coalesced write (1 with coalescing off).")
+	reg.Help("transport_batch_msgs", "Messages per coalesced write.")
 	batchHist := reg.Histogram("transport_batch_msgs")
 
-	var codec transport.Codec
-	switch *tpCodec {
-	case "binary":
-		codec = transport.CodecBinary
-	case "gob":
-		codec = transport.CodecGob
-	default:
-		log.Fatalf("kvnode: unknown transport codec %q", *tpCodec)
-	}
 	ep, err := transport.ListenTCPOpts(*id, *listen, peers, transport.TCPOptions{
-		Codec:      codec,
-		NoCoalesce: *tpNoCoal,
-		QueueSize:  *tpQueue,
-		BatchSize:  func(n int) { batchHist.Observe(time.Duration(n)) },
+		BatchSize: func(n int) { batchHist.Observe(time.Duration(n)) },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ep.Close()
-	log.Printf("kvnode %d: cluster on %s (%s, %s, %s codec)", *id, ep.Addr(), kind, *paradigm, codec)
+	log.Printf("kvnode %d: cluster on %s (%s, %s)", *id, ep.Addr(), kind, *paradigm)
 
 	reg.Help("transport_dropped_total", "Messages dropped, by cause: backoff window, failed dial, broken write, inbox overflow, full send queue.")
 	for _, c := range transport.DropCauses {
-		c := c
 		reg.CounterFunc("transport_dropped_total", func() float64 { return float64(ep.DroppedCause(c)) }, "cause", c.String())
 	}
 	reg.Help("transport_redials_total", "Outbound dial attempts (connection churn).")
@@ -124,31 +109,20 @@ func main() {
 	reg.GaugeFunc("transport_inbox_depth", func() float64 { return float64(ep.InboxDepth()) })
 	reg.Help("transport_send_queue_depth", "Outbound messages queued per peer, awaiting the writer.")
 	for p := range peers {
-		p := p
 		reg.GaugeFunc("transport_send_queue_depth", func() float64 { return float64(ep.QueueDepth(p)) }, "peer", strconv.Itoa(p))
 	}
 	var (
 		walBatchHist = reg.Histogram("wal_batch_records")
 		walSyncHist  = reg.Histogram("wal_sync_latency_seconds")
 		walBytes     = reg.Counter("wal_log_bytes_total")
-		walCompacts  = reg.Counter("wal_compactions_total")
-		walKept      = reg.Gauge("wal_compaction_kept_records")
-		walDropped   = reg.Counter("wal_compaction_dropped_total")
 	)
 	reg.Help("wal_batch_records", "Records per group-commit batch.")
 	reg.Help("wal_sync_latency_seconds", "Write+fsync duration per batch.")
 	reg.Help("wal_log_bytes_total", "Bytes written to the log.")
-	reg.Help("wal_compaction_kept_records", "Records kept by the most recent compaction.")
-	reg.Help("wal_compaction_dropped_total", "Records dropped across all compactions.")
 	walMetrics := wal.Metrics{
 		BatchRecords: func(n int) { walBatchHist.Observe(time.Duration(n)) },
 		SyncLatency:  func(d time.Duration) { walSyncHist.Observe(d) },
 		BatchBytes:   func(n int) { walBytes.Add(int64(n)) },
-		Compaction: func(kept, dropped int) {
-			walCompacts.Inc()
-			walKept.Set(int64(kept))
-			walDropped.Add(int64(dropped))
-		},
 	}
 	// Expose every protocol family so a scrape always sees the full schema;
 	// the engine samples only the active kind's series.
@@ -159,10 +133,7 @@ func main() {
 			engineMetrics = m
 		}
 	}
-	var recorder *trace.Recorder
-	if *traceLimit > 0 {
-		recorder = trace.NewBounded(*traceLimit)
-	}
+	recorder := trace.NewBounded(traceEvents)
 
 	ids := []int{*id}
 	for p := range peers {
@@ -180,19 +151,19 @@ func main() {
 			log.Fatalf("kvnode: %v", err)
 		}
 	} else {
-		smap = shard.Default(ids, *shardsPer)
+		smap = shard.Default(ids, shardsPerSite)
 	}
 	log.Printf("kvnode %d: shard map v%d: %d shards over sites %v", *id, smap.Version, len(smap.Shards), smap.Sites())
 
-	hb := failure.NewHeartbeat(*id, ids, *hbEvery, *hbTimeout, func(to int) {
+	hb := failure.NewHeartbeat(*id, ids, hbEvery, hbTimeout, func(to int) {
 		_ = ep.Send(transport.Message{To: to, Kind: failure.HeartbeatKind})
 	})
 	hb.Start()
 	defer hb.Stop()
 
 	// Compact the log before opening: recovery replays the whole file, so
-	// garbage-collected transactions are dropped first. A missing file is
-	// fine (first boot).
+	// garbage-collected transactions are dropped first. This is the only
+	// compaction a node runs. A missing file is fine (first boot).
 	if _, statErr := os.Stat(*walPath); statErr == nil {
 		if kept, droppedRecs, cerr := wal.Compact(*walPath); cerr != nil {
 			log.Fatalf("kvnode: compact %s: %v", *walPath, cerr)
@@ -200,39 +171,22 @@ func main() {
 			log.Printf("kvnode %d: compacted WAL: kept %d records, dropped %d", *id, kept, droppedRecs)
 		}
 	}
-	logFile, err := wal.OpenFileLog(*walPath, wal.FileLogOptions{
-		NoSync:        *walNoSync,
-		FlushInterval: *walFlush,
-		Metrics:       walMetrics,
-	})
+	logFile, err := wal.OpenFileLog(*walPath, wal.FileLogOptions{Metrics: walMetrics})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer logFile.Close()
-	if *compactEvy > 0 {
-		go func() {
-			for range time.Tick(*compactEvy) {
-				if kept, dropped, err := logFile.Compact(); err != nil {
-					log.Printf("kvnode %d: online compact: %v", *id, err)
-				} else if dropped > 0 {
-					log.Printf("kvnode %d: online compact: kept %d records, dropped %d", *id, kept, dropped)
-				}
-			}
-		}()
-	}
 
 	store := kv.NewStore(kv.Options{LockTimeout: 250 * time.Millisecond})
 	reg.Help("kv_mvcc_keys", "Keys with at least one committed version.")
 	reg.GaugeFunc("kv_mvcc_keys", func() float64 { k, _ := store.VersionStats(); return float64(k) })
 	reg.Help("kv_mvcc_versions", "Committed versions retained across all keys (GC trims below the stable timestamp).")
 	reg.GaugeFunc("kv_mvcc_versions", func() float64 { _, v := store.VersionStats(); return float64(v) })
-	if *gcEvery > 0 {
-		go func() {
-			for range time.Tick(*gcEvery) {
-				store.GC()
-			}
-		}()
-	}
+	go func() {
+		for range time.Tick(gcEvery) {
+			store.GC()
+		}
+	}()
 	server := &remote.Server{
 		Store: store, Send: ep.Send, Map: smap,
 		Paradigm: *paradigm, CommitWait: 20 * *timeout,

@@ -1,4 +1,4 @@
-// Command loadgen measures sustained commit throughput. It has two modes:
+// Command loadgen measures sustained commit throughput. It has four modes:
 //
 // -mode throughput (default): a closed loop of N concurrent client sessions
 // drives distributed transactions through a 3-node in-process cluster whose
@@ -14,8 +14,7 @@
 // scaleout.go).
 //
 // -mode transport: raw TCP transport throughput and latency over loopback,
-// swept over wire codec (gob vs binary), message coalescing (on vs off) and
-// body size (see transport.go).
+// swept over body size (see transport.go).
 //
 // -mode chaos: the hostile-environment matrix — the curated WAN/partition/
 // gray-failure scenario table (internal/dst.HostileScenarios) swept over

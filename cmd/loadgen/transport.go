@@ -1,11 +1,8 @@
 // Transport microbenchmark (-mode transport): raw message throughput and
-// latency between two real TCP endpoints on loopback, swept over the wire
-// codec (gob vs binary), coalescing (on vs off) and body size. Each message
-// carries its send timestamp in TxID, so the receiver measures end-to-end
-// latency — enqueue, coalesced write, wire, decode, inbox — and validates
-// the body byte-for-byte as a consistency check. The headline number is the
-// speedup of binary+coalescing over the gob per-message-write baseline,
-// which is the pre-rewrite transport.
+// latency between two real TCP endpoints on loopback, swept over body size.
+// Each message carries its send timestamp in TxID, so the receiver measures
+// end-to-end latency — enqueue, coalesced write, wire, decode, inbox — and
+// validates the body byte-for-byte as a consistency check.
 package main
 
 import (
@@ -22,8 +19,6 @@ import (
 )
 
 type transportScenario struct {
-	Codec      string  `json:"codec"`
-	Coalesce   bool    `json:"coalesce"`
 	BodyBytes  int     `json:"body_bytes"`
 	DurationS  float64 `json:"duration_s"`
 	Delivered  int64   `json:"delivered"`
@@ -31,8 +26,8 @@ type transportScenario struct {
 	MsgsPerSec float64 `json:"msgs_per_sec"`
 	P50Ms      float64 `json:"p50_ms"`
 	P99Ms      float64 `json:"p99_ms"`
-	// Writes and MeanBatch expose the coalescing itself: with it off,
-	// writes==messages; with it on, one write carries a whole queue drain.
+	// Writes and MeanBatch expose the coalescing itself: one write carries
+	// a whole queue drain.
 	Writes         int64   `json:"writes"`
 	MeanBatch      float64 `json:"mean_batch"`
 	ConsistencyErr int64   `json:"consistency_errors"`
@@ -42,54 +37,26 @@ type transportReport struct {
 	Senders   int                 `json:"senders"`
 	DurationS float64             `json:"duration_s"`
 	Scenarios []transportScenario `json:"scenarios"`
-	// Speedups maps body size to msgs/s of binary+coalescing over
-	// gob+no-coalescing (the seed transport's exact write path).
-	Speedups map[int]float64 `json:"speedup_binary_coalesce_vs_gob"`
 }
 
-// runTransport sweeps the codec × coalescing × body-size grid and writes the
-// report. It fails (for smoke use in CI) if any scenario delivers nothing or
-// corrupts a body.
+// runTransport sweeps the body sizes and writes the report. It fails (for
+// smoke use in CI) if any scenario delivers nothing or corrupts a body.
 func runTransport(bodies []int, senders int, duration, warmup time.Duration, outPath string) error {
 	rep := transportReport{Senders: senders, DurationS: duration.Seconds()}
-	for _, codec := range []transport.Codec{transport.CodecGob, transport.CodecBinary} {
-		for _, coalesce := range []bool{false, true} {
-			for _, n := range bodies {
-				res, err := runTransportScenario(codec, coalesce, n, senders, duration, warmup)
-				if err != nil {
-					return fmt.Errorf("transport %s coalesce=%v body=%d: %w", codec, coalesce, n, err)
-				}
-				if res.Delivered == 0 {
-					return fmt.Errorf("transport %s coalesce=%v body=%d: zero throughput", codec, coalesce, n)
-				}
-				if res.ConsistencyErr > 0 {
-					return fmt.Errorf("transport %s coalesce=%v body=%d: %d corrupted bodies", codec, coalesce, n, res.ConsistencyErr)
-				}
-				rep.Scenarios = append(rep.Scenarios, *res)
-				fmt.Printf("%-6s coalesce=%-5v %3dB %9.0f msgs/s  p50 %6.3fms  p99 %6.3fms  mean batch %5.1f  drops %d\n",
-					res.Codec, res.Coalesce, res.BodyBytes, res.MsgsPerSec, res.P50Ms, res.P99Ms, res.MeanBatch, res.Dropped)
-			}
-		}
-	}
-
-	rep.Speedups = map[int]float64{}
 	for _, n := range bodies {
-		var base, best float64
-		for _, s := range rep.Scenarios {
-			if s.BodyBytes != n {
-				continue
-			}
-			if s.Codec == string(transport.CodecGob) && !s.Coalesce {
-				base = s.MsgsPerSec
-			}
-			if s.Codec == string(transport.CodecBinary) && s.Coalesce {
-				best = s.MsgsPerSec
-			}
+		res, err := runTransportScenario(n, senders, duration, warmup)
+		if err != nil {
+			return fmt.Errorf("transport body=%d: %w", n, err)
 		}
-		if base > 0 {
-			rep.Speedups[n] = best / base
-			fmt.Printf("binary+coalesce vs gob baseline at %dB: %.2fx\n", n, rep.Speedups[n])
+		if res.Delivered == 0 {
+			return fmt.Errorf("transport body=%d: zero throughput", n)
 		}
+		if res.ConsistencyErr > 0 {
+			return fmt.Errorf("transport body=%d: %d corrupted bodies", n, res.ConsistencyErr)
+		}
+		rep.Scenarios = append(rep.Scenarios, *res)
+		fmt.Printf("%3dB %9.0f msgs/s  p50 %6.3fms  p99 %6.3fms  mean batch %5.1f  drops %d\n",
+			res.BodyBytes, res.MsgsPerSec, res.P50Ms, res.P99Ms, res.MeanBatch, res.Dropped)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -103,14 +70,13 @@ func runTransport(bodies []int, senders int, duration, warmup time.Duration, out
 	return nil
 }
 
-func runTransportScenario(codec transport.Codec, coalesce bool, bodyLen, senders int, duration, warmup time.Duration) (*transportScenario, error) {
+func runTransportScenario(bodyLen, senders int, duration, warmup time.Duration) (*transportScenario, error) {
 	recv, err := transport.ListenTCP(2, "127.0.0.1:0", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer recv.Close()
-	snd, err := transport.ListenTCPOpts(1, "127.0.0.1:0", map[int]string{2: recv.Addr()},
-		transport.TCPOptions{Codec: codec, NoCoalesce: !coalesce})
+	snd, err := transport.ListenTCP(1, "127.0.0.1:0", map[int]string{2: recv.Addr()})
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +150,6 @@ func runTransportScenario(codec transport.Codec, coalesce bool, bodyLen, senders
 
 	writes, msgs := snd.BatchStats()
 	res := &transportScenario{
-		Codec:          string(codec),
-		Coalesce:       coalesce,
 		BodyBytes:      bodyLen,
 		DurationS:      elapsed.Seconds(),
 		Delivered:      delivered.Load(),

@@ -797,13 +797,17 @@ func (s *Site) onTimerFire(txid string, gen uint64) {
 // is mutex-protected, and the single-threaded simulation driver is the only
 // injector, so handlers never run concurrently). Once the site has stopped,
 // events are dropped and counted: losing one while the site is live would be
-// a protocol bug, so the loss is never silent.
+// a protocol bug. The stopped check comes first so that every enqueue that
+// starts after Stop is counted: with both select arms below ready, the send
+// could otherwise win and leave the event in a queue nobody drains again.
+// An enqueue already past the check when Stop runs can still do that, and
+// that event goes uncounted.
 func (s *shard) enqueue(ev event) {
+	if s.site.stopped.Load() {
+		s.site.dropped.Add(1)
+		return
+	}
 	if s.determin {
-		if s.site.stopped.Load() {
-			s.site.dropped.Add(1)
-			return
-		}
 		s.handleEvent(ev)
 		return
 	}

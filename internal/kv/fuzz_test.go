@@ -2,8 +2,9 @@ package kv
 
 import "testing"
 
-// FuzzDecodeWrites: arbitrary payloads never panic the decoder, and valid
-// encodings round-trip.
+// FuzzDecodeWrites: arbitrary payloads never panic the decoder, a payload
+// with any tag but writesFormatV2 is refused, and valid encodings
+// round-trip.
 func FuzzDecodeWrites(f *testing.F) {
 	good, _ := EncodeWrites([]WriteOp{{Key: "a", Value: "1"}, {Key: "b", Delete: true}})
 	f.Add(good)
@@ -12,7 +13,13 @@ func FuzzDecodeWrites(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := DecodeWrites(data)
 		if err != nil {
+			if ops != nil {
+				t.Fatalf("error %v came with a partial write set %+v", err, ops)
+			}
 			return // rejected, fine
+		}
+		if len(data) > 0 && data[0] != writesFormatV2 {
+			t.Fatalf("payload tagged %#x decoded to %+v", data[0], ops)
 		}
 		re, err := EncodeWrites(ops)
 		if err != nil {

@@ -17,9 +17,7 @@
 package kv
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -77,19 +75,11 @@ type WriteOp struct {
 	Delete bool
 }
 
-// Write-set encoding tags. A gob stream can never start with either byte:
-// gob's first message is a type descriptor preceded by its byte count, which
-// is always larger than 2.
-const (
-	// writesFormatV1: per op, two uvarint-length-prefixed strings plus a
-	// single raw flags byte. Still decoded so logs written before the
-	// versioned format replay.
-	writesFormatV1 = 0x01
-	// writesFormatV2: per op, three uvarint-prefixed fields — key, value,
-	// and a flags varint that carries versioning metadata (bit 0: delete;
-	// remaining bits reserved for future per-op version hints).
-	writesFormatV2 = 0x02
-)
+// writesFormatV2 tags a write set: per op, three uvarint-prefixed fields —
+// key, value, and a flags varint that carries versioning metadata (bit 0:
+// delete; remaining bits reserved for future per-op version hints). It is
+// the only format any log holds.
+const writesFormatV2 = 0x02
 
 // opFlagDelete marks a tombstone in the v2 per-op flags varint.
 const opFlagDelete = 1 << 0
@@ -125,21 +115,15 @@ func EncodeWrites(ops []WriteOp) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeWrites parses a write set from a WAL payload. Payloads tagged with
-// the v1 format (pre-versioning) and untagged legacy gob streams still
-// decode, so logs written before the format changes replay.
+// DecodeWrites parses a write set from a WAL payload. A payload that does
+// not start with writesFormatV2 is an error.
 func DecodeWrites(p []byte) ([]WriteOp, error) {
 	if len(p) == 0 {
 		return nil, nil
 	}
-	if p[0] != writesFormatV1 && p[0] != writesFormatV2 {
-		var ops []WriteOp
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&ops); err != nil {
-			return nil, fmt.Errorf("kv: decode writes: %w", err)
-		}
-		return ops, nil
+	if p[0] != writesFormatV2 {
+		return nil, fmt.Errorf("kv: decode writes: unknown format tag %#x", p[0])
 	}
-	format := p[0]
 	rest := p[1:]
 	n, cnt, err := decodeUvarint(rest)
 	if err != nil {
@@ -158,21 +142,12 @@ func DecodeWrites(p []byte) ([]WriteOp, error) {
 		if op.Value, rest, err = decodeString(rest); err != nil {
 			return nil, err
 		}
-		switch format {
-		case writesFormatV1:
-			if len(rest) == 0 {
-				return nil, fmt.Errorf("kv: decode writes: truncated flags")
-			}
-			op.Delete = rest[0]&1 != 0
-			rest = rest[1:]
-		case writesFormatV2:
-			var flags uint64
-			if n, flags, err = decodeUvarint(rest); err != nil {
-				return nil, fmt.Errorf("kv: decode writes: flags: %w", err)
-			}
-			rest = rest[n:]
-			op.Delete = flags&opFlagDelete != 0
+		var flags uint64
+		if n, flags, err = decodeUvarint(rest); err != nil {
+			return nil, fmt.Errorf("kv: decode writes: flags: %w", err)
 		}
+		rest = rest[n:]
+		op.Delete = flags&opFlagDelete != 0
 		ops = append(ops, op)
 	}
 	return ops, nil

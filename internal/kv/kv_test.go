@@ -248,20 +248,28 @@ func TestEncodeDecodeWrites(t *testing.T) {
 	}
 }
 
-// WAL payloads written before the binary write-set format were gob streams;
-// DecodeWrites must still replay them.
-func TestDecodeWritesLegacyGob(t *testing.T) {
+// TestDecodeWritesRefusesLegacyFormats: DecodeWrites reads one format. The
+// write set {a=1, delete b} in either encoding no log holds, the v1 tag (a
+// raw flags byte per op) or an untagged gob stream, is an error and never a
+// partial write set. Both payloads are also FuzzDecodeWrites seeds.
+func TestDecodeWritesRefusesLegacyFormats(t *testing.T) {
+	var gobbed bytes.Buffer
 	ops := []WriteOp{{Key: "a", Value: "1"}, {Key: "b", Delete: true}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ops); err != nil {
+	if err := gob.NewEncoder(&gobbed).Encode(ops); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWrites(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
-		t.Fatalf("legacy gob round trip = %+v", got)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"v1", []byte{0x01, 2, 1, 'a', 1, '1', 0, 1, 'b', 0, 1}},
+		{"gob", gobbed.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, err := DecodeWrites(tc.payload); err == nil || got != nil {
+				t.Errorf("DecodeWrites = %+v, %v; want nil and an error", got, err)
+			}
+		})
 	}
 }
 

@@ -479,33 +479,6 @@ func TestEncodeWritesNoResize(t *testing.T) {
 	}
 }
 
-// TestDecodeWritesV1Compat: payloads in the pre-versioning v1 format (two
-// varint-prefixed strings plus a raw flags byte per op) must still decode,
-// so WALs written before the format change replay.
-func TestDecodeWritesV1Compat(t *testing.T) {
-	ops := []WriteOp{{Key: "a", Value: "1"}, {Key: "b", Delete: true}}
-	buf := []byte{writesFormatV1}
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	for _, op := range ops {
-		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
-		buf = append(buf, op.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
-		buf = append(buf, op.Value...)
-		var flags byte
-		if op.Delete {
-			flags = 1
-		}
-		buf = append(buf, flags)
-	}
-	got, err := DecodeWrites(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
-		t.Fatalf("v1 round trip = %+v", got)
-	}
-}
-
 // --- Race coverage: snapshots, writers, and GC concurrently ----------------
 
 // TestConcurrentSnapshotsWritersGC exercises the new snapshot and GC paths

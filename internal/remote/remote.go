@@ -297,24 +297,20 @@ func (c *Client) call(to int, req Request, timeout time.Duration) (Reply, error)
 	if err := c.Send(transport.Message{To: to, Kind: KindOp, TxID: req.TxID, Body: encodeRequest(req)}); err != nil {
 		return Reply{}, err
 	}
-	deadline := time.Now().Add(timeout)
+	// Since Go 1.23 a Reset timer delivers no fire left over from the
+	// waiter's previous call, so the first fire is this call's timeout.
 	w.timer.Reset(timeout)
-	for {
-		select {
-		case rep := <-w.ch:
-			if rep.Err != "" {
-				// The reply is returned alongside the error: OpSnapGet callers
-				// need the snapshot timestamp even when the key is not found,
-				// so a session pins its snapshot on the first read either way.
-				return Reply{ReqID: rep.ReqID, TS: rep.TS}, errors.New(rep.Err)
-			}
-			return rep, nil
-		case <-w.timer.C:
-			if time.Now().Before(deadline) {
-				continue // a fire the waiter's previous call stopped too late to prevent
-			}
-			return Reply{}, fmt.Errorf("%w (site %d, op %v)", ErrTimeout, to, req.Op)
+	select {
+	case rep := <-w.ch:
+		if rep.Err != "" {
+			// The reply is returned alongside the error: OpSnapGet callers
+			// need the snapshot timestamp even when the key is not found,
+			// so a session pins its snapshot on the first read either way.
+			return Reply{ReqID: rep.ReqID, TS: rep.TS}, errors.New(rep.Err)
 		}
+		return rep, nil
+	case <-w.timer.C:
+		return Reply{}, fmt.Errorf("%w (site %d, op %v)", ErrTimeout, to, req.Op)
 	}
 }
 

@@ -204,7 +204,6 @@ func RunTransaction(cfg Config) Result {
 		sites: map[int]*site{},
 	}
 	for i := 1; i <= cfg.N; i++ {
-		i := i
 		st := &site{r: r, id: i, phase: 'q'}
 		r.sites[i] = st
 		r.net.Handle(i, st.onMsg)
@@ -215,7 +214,6 @@ func RunTransaction(cfg Config) Result {
 		}
 	})
 	for id, at := range cfg.CrashAt {
-		id, at := id, at
 		s.At(at, func() {
 			r.anyCrashed = true
 			r.sites[id].crashed = true
@@ -223,7 +221,6 @@ func RunTransaction(cfg Config) Result {
 		})
 	}
 	for id, at := range cfg.RepairAt {
-		id, at := id, at
 		s.At(at, func() {
 			st := r.sites[id]
 			if !st.crashed {
@@ -310,7 +307,6 @@ func (r *runner) others(self int) []int {
 // transition).
 func (st *site) broadcast(dests []int, kind string, body byte) {
 	for i, d := range dests {
-		d := d
 		st.r.sim.After(Time(i)*st.r.cfg.Stagger, func() {
 			st.r.net.Send(Msg{From: st.id, To: d, Kind: kind, Body: body})
 		})

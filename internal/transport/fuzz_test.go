@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -10,9 +11,10 @@ import (
 
 // FuzzWireCodec drives the binary wire codec two ways at once: (1) any
 // Message built from the fuzzed fields must survive an encode→decode round
-// trip bit-exactly, and (2) the decoder fed arbitrary bytes must never
-// panic, never allocate beyond the frame bound, and always terminate —
-// corrupt frames are an error (or a skipped unknown version), not a crash.
+// trip bit-exactly, and the same frame with any other version byte must be
+// refused; (2) the decoder fed arbitrary bytes must never panic, never
+// allocate beyond the frame bound, and always terminate — a corrupt frame,
+// whatever its version byte, is an error that ends the stream, not a crash.
 func FuzzWireCodec(f *testing.F) {
 	f.Add(int64(1), int64(3), "PREPARE", "t42", []byte("hi"), []byte{})
 	f.Add(int64(-9), int64(0), "", "", []byte(nil), []byte("garbage garbage"))
@@ -42,20 +44,24 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("trailing bytes after a single frame: %v", err)
 		}
 
+		// The same frame under another version byte is refused.
+		v := byte(from)
+		if v == wireV1 {
+			v = wireV1 + 1
+		}
+		_, n := binary.Uvarint(enc)
+		enc[n] = v
+		if _, _, err := readWireMessage(bufio.NewReader(bytes.NewReader(enc)), nil); err != errMalformedFrame {
+			t.Fatalf("version %d frame: err = %v, want errMalformedFrame", v, err)
+		}
+
 		// Garbage: decode raw as a frame stream until it errors out. Must not
-		// panic; unknown-version frames are skipped, everything else ends the
-		// stream. Bounded by the input length, so it always terminates.
+		// panic; the first error ends the stream, as it closes a connection.
+		// Bounded by the input length, so it always terminates.
 		gbr := bufio.NewReader(bytes.NewReader(raw))
 		var scratch []byte
-		for {
-			var err error
+		for err := error(nil); err == nil; {
 			_, scratch, err = readWireMessage(gbr, scratch)
-			if err == errUnknownVersion {
-				continue
-			}
-			if err != nil {
-				break
-			}
 		}
 	})
 }

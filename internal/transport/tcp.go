@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -22,25 +21,28 @@ const (
 	DefaultBackoffMax  = 2 * time.Second
 )
 
-// Defaults for TCPOptions zero values.
+// DefaultQueueSize is the per-peer outbound queue capacity when
+// TCPOptions.QueueSize is zero.
+const DefaultQueueSize = 1024
+
 const (
-	DefaultQueueSize   = 1024
-	DefaultMaxBatch    = 128
-	DefaultDialTimeout = time.Second
+	// maxBatch caps how many queued messages one write coalesces.
+	maxBatch = 128
+	// dialTimeout bounds each dial attempt.
+	dialTimeout = time.Second
 )
 
-// Codec selects the wire encoding of a TCPEndpoint's outbound connections.
-// The receive side always auto-detects per connection, so endpoints with
-// different codecs interoperate.
+// Codec names a wire encoding. There is one, the binary framing in wire.go.
+//
+// Deprecated: kept only because existing callers name CodecBinary in
+// TCPOptions; ListenTCPOpts refuses any other value.
 type Codec string
 
-const (
-	// CodecBinary is the compact length-prefixed varint framing (wire.go).
-	CodecBinary Codec = "binary"
-	// CodecGob is the legacy encoding/gob stream, kept for compatibility
-	// and as the benchmark baseline.
-	CodecGob Codec = "gob"
-)
+// CodecBinary is the length-prefixed varint framing (wire.go).
+//
+// Deprecated: the binary codec is the only codec; leave TCPOptions.Codec
+// empty.
+const CodecBinary Codec = "binary"
 
 // DropCause classifies why the endpoint dropped a message, so an operator
 // can tell a receive-side overflow from a send-side dead peer.
@@ -81,41 +83,19 @@ func (c DropCause) String() string {
 	return "unknown"
 }
 
-// TCPOptions tunes a TCPEndpoint. The zero value selects the binary codec
-// with coalescing on and the default queue bounds.
+// TCPOptions tunes a TCPEndpoint. The zero value is the default endpoint.
 type TCPOptions struct {
-	// Codec selects the outbound wire encoding; empty means CodecBinary.
+	// Codec must be empty or CodecBinary.
+	//
+	// Deprecated: there is one codec; this field exists only so existing
+	// callers that name CodecBinary still compile.
 	Codec Codec
-	// NoCoalesce disables batching of queued messages into a single write:
-	// every message costs its own syscall, the pre-rewrite behavior.
-	NoCoalesce bool
 	// QueueSize bounds each peer's outbound queue; a full queue drops the
 	// message (DropQueueFull). Zero means DefaultQueueSize.
 	QueueSize int
-	// MaxBatch caps how many queued messages one write may coalesce. Zero
-	// means DefaultMaxBatch.
-	MaxBatch int
-	// DialTimeout bounds each dial attempt. Zero means DefaultDialTimeout.
-	DialTimeout time.Duration
 	// BatchSize, when set, observes the message count of every coalesced
 	// batch actually written (metrics hook).
 	BatchSize func(n int)
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.Codec == "" {
-		o.Codec = CodecBinary
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = DefaultQueueSize
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
-	return o
 }
 
 // peerDial tracks redial backoff for one unreachable peer.
@@ -138,8 +118,8 @@ type peerWriter struct {
 // asynchronous writer goroutine with a bounded outbound queue; queued
 // messages are coalesced into a single buffered write, so a commit round's
 // N small messages to the same site cost one syscall instead of N. Messages
-// are framed with a compact varint binary codec (wire.go) by default, or
-// legacy gob; the receive side auto-detects either. Delivery to an
+// are framed with a compact varint binary codec (wire.go); an inbound
+// connection that speaks anything else is closed. Delivery to an
 // unreachable peer is dropped (matching the crash-stop semantics of the
 // in-memory Network) and counted by cause, so an operator can tell a quiet
 // peer from a dead one.
@@ -187,6 +167,12 @@ func ListenTCP(id int, addr string, peers map[int]string) (*TCPEndpoint, error) 
 
 // ListenTCPOpts starts a TCP endpoint with explicit options.
 func ListenTCPOpts(id int, addr string, peers map[int]string, opts TCPOptions) (*TCPEndpoint, error) {
+	if opts.Codec != "" && opts.Codec != CodecBinary {
+		return nil, fmt.Errorf("transport: unknown codec %q", opts.Codec)
+	}
+	if opts.QueueSize <= 0 {
+		opts.QueueSize = DefaultQueueSize
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -196,7 +182,7 @@ func ListenTCPOpts(id int, addr string, peers map[int]string, opts TCPOptions) (
 		id:      id,
 		ln:      ln,
 		inbox:   make(chan Message, inboxSize),
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		ctx:     ctx,
 		cancel:  cancel,
 		peers:   map[int]string{},
@@ -321,33 +307,29 @@ func (e *TCPEndpoint) Send(m Message) error {
 // writerConn is a peer writer's connection state, owned by its goroutine.
 type writerConn struct {
 	conn      net.Conn
-	needMagic bool          // binary codec: magic not yet written
-	bufw      *bufio.Writer // gob codec only
-	genc      *gob.Encoder  // gob codec only
+	needMagic bool // wireMagic not yet written
 }
 
-// runWriter drains one peer's queue: it takes a message, optionally
-// coalesces whatever else is already queued (up to MaxBatch), and writes
-// the batch with a single flush. It exits when the endpoint closes.
+// runWriter drains one peer's queue: it takes a message, coalesces whatever
+// else is already queued (up to maxBatch), and writes the batch with a
+// single flush. It exits when the endpoint closes.
 func (e *TCPEndpoint) runWriter(w *peerWriter) {
 	defer e.wg.Done()
 	var wc writerConn
 	defer e.dropConn(w.to, &wc)
-	batch := make([]Message, 0, e.opts.MaxBatch)
+	batch := make([]Message, 0, maxBatch)
 	done := e.ctx.Done()
 	for {
 		select {
 		case m := <-w.queue:
 			batch = append(batch[:0], m)
-			if !e.opts.NoCoalesce {
-			drain:
-				for len(batch) < e.opts.MaxBatch {
-					select {
-					case m2 := <-w.queue:
-						batch = append(batch, m2)
-					default:
-						break drain
-					}
+		drain:
+			for len(batch) < maxBatch {
+				select {
+				case m2 := <-w.queue:
+					batch = append(batch, m2)
+				default:
+					break drain
 				}
 			}
 			e.flushBatch(w, &wc, batch)
@@ -367,38 +349,23 @@ func (e *TCPEndpoint) flushBatch(w *peerWriter, wc *writerConn, batch []Message)
 			return
 		}
 	}
-	var err error
-	switch e.opts.Codec {
-	case CodecGob:
-		for _, m := range batch {
-			if err = wc.genc.Encode(m); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = wc.bufw.Flush()
-		}
-	default: // CodecBinary
-		bufp := wireBufPool.Get().(*[]byte)
-		buf := (*bufp)[:0]
-		if wc.needMagic {
-			buf = append(buf, wireMagic[:]...)
-		}
-		for _, m := range batch {
-			buf = appendMessage(buf, m)
-		}
-		_, err = wc.conn.Write(buf)
-		*bufp = buf[:0]
-		wireBufPool.Put(bufp)
-		if err == nil {
-			wc.needMagic = false
-		}
+	bufp := wireBufPool.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	if wc.needMagic {
+		buf = append(buf, wireMagic[:]...)
 	}
+	for _, m := range batch {
+		buf = appendMessage(buf, m)
+	}
+	_, err := wc.conn.Write(buf)
+	*bufp = buf[:0]
+	wireBufPool.Put(bufp)
 	if err != nil {
 		e.dropConn(w.to, wc)
 		e.drops[DropWrite].Add(int64(len(batch)))
 		return
 	}
+	wc.needMagic = false
 	e.batches.Inc()
 	e.batchMsgs.Add(int64(len(batch)))
 	if e.opts.BatchSize != nil {
@@ -422,7 +389,7 @@ func (e *TCPEndpoint) connect(w *peerWriter, wc *writerConn) (DropCause, bool) {
 	e.mu.Unlock()
 
 	e.redials.Inc()
-	d := net.Dialer{Timeout: e.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(e.ctx, "tcp", addr)
 	if err != nil {
 		e.mu.Lock()
@@ -440,13 +407,7 @@ func (e *TCPEndpoint) connect(w *peerWriter, wc *writerConn) (DropCause, bool) {
 	e.conns[w.to] = conn
 	e.mu.Unlock()
 
-	wc.conn = conn
-	if e.opts.Codec == CodecGob {
-		wc.bufw = bufio.NewWriterSize(conn, 64<<10)
-		wc.genc = gob.NewEncoder(wc.bufw)
-	} else {
-		wc.needMagic = true
-	}
+	*wc = writerConn{conn: conn, needMagic: true}
 	return 0, true
 }
 
@@ -538,9 +499,9 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop decodes one inbound connection. The codec is detected from the
-// first bytes: a binary-codec sender opens with wireMagic, anything else is
-// a legacy gob stream, so mixed-codec clusters interoperate.
+// readLoop decodes one inbound connection. A connection that does not open
+// with wireMagic, or that sends a malformed frame, is closed: everything
+// already delivered from it stands, nothing after the bad bytes is read.
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -551,18 +512,10 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	head, err := br.Peek(len(wireMagic))
-	if err != nil {
+	if err != nil || !bytes.Equal(head, wireMagic[:]) {
 		return
 	}
-	if bytes.Equal(head, wireMagic[:]) {
-		br.Discard(len(wireMagic))
-		e.readBinary(br)
-		return
-	}
-	e.readGob(br)
-}
-
-func (e *TCPEndpoint) readBinary(br *bufio.Reader) {
+	br.Discard(len(wireMagic))
 	bufp := wireBufPool.Get().(*[]byte)
 	scratch := *bufp
 	defer func() {
@@ -571,23 +524,8 @@ func (e *TCPEndpoint) readBinary(br *bufio.Reader) {
 	}()
 	for {
 		var m Message
-		var err error
 		m, scratch, err = readWireMessage(br, scratch[:cap(scratch)])
-		if err == errUnknownVersion {
-			continue // frame consumed; a newer sender costs us only its frames
-		}
 		if err != nil {
-			return
-		}
-		e.deliver(m)
-	}
-}
-
-func (e *TCPEndpoint) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
 			return
 		}
 		e.deliver(m)

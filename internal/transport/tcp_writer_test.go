@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"net"
 	"sync"
@@ -194,61 +197,79 @@ func TestTCPCoalescingBatchesQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestTCPNoCoalesceWritesPerMessage: with coalescing disabled every message
-// is its own write, the pre-rewrite baseline the benchmark compares against.
-func TestTCPNoCoalesceWritesPerMessage(t *testing.T) {
-	b, err := ListenTCP(2, "127.0.0.1:0", nil)
+// TestTCPCodecInterop: an endpoint speaks one codec. A connection carrying a
+// gob stream, or a binary frame of an unknown version, delivers nothing and
+// is closed; a binary sender to the same endpoint is still delivered. Only
+// the binary codec can be configured.
+func TestTCPCodecInterop(t *testing.T) {
+	if _, err := ListenTCPOpts(1, "127.0.0.1:0", nil, TCPOptions{Codec: "gob"}); err == nil {
+		t.Fatal("ListenTCPOpts accepted codec \"gob\"")
+	}
+	recv, err := ListenTCP(2, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	a, err := ListenTCPOpts(1, "127.0.0.1:0", map[int]string{2: b.Addr()}, TCPOptions{NoCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	for i := 0; i < 10; i++ {
-		if err := a.Send(Message{To: 2, Kind: "M"}); err != nil {
+	defer recv.Close()
+	want := Message{From: 1, To: 2, Kind: "VOTE-REQ", TxID: "x", Body: []byte("payload")}
+
+	// refused writes raw bytes on a fresh connection and waits for the
+	// receiver to close it. The close happens after its reader returns, so
+	// the inbox depth read afterwards is final for that connection.
+	refused := func(t *testing.T, raw []byte) {
+		conn, err := net.Dial("tcp", recv.Addr())
+		if err != nil {
 			t.Fatal(err)
 		}
-		recvOne(t, b)
+		defer conn.Close()
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("connection was not closed")
+		}
+		if n != 0 || err == nil {
+			t.Fatalf("read %d bytes, err %v: want the connection closed", n, err)
+		}
+		if d := recv.InboxDepth(); d != 0 {
+			t.Fatalf("%d message(s) delivered from a refused connection", d)
+		}
 	}
-	batches, msgs := a.BatchStats()
-	if batches != 10 || msgs != 10 {
-		t.Fatalf("batches=%d msgs=%d, want 10/10 without coalescing", batches, msgs)
-	}
-}
-
-// TestTCPCodecInterop: the receive side auto-detects the codec per
-// connection, so a gob sender and a binary sender both reach the same
-// receiver — mixed-version clusters keep talking.
-func TestTCPCodecInterop(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run(string(codec), func(t *testing.T) {
-			recv, err := ListenTCP(2, "127.0.0.1:0", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer recv.Close()
-			send, err := ListenTCPOpts(1, "127.0.0.1:0", map[int]string{2: recv.Addr()}, TCPOptions{Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer send.Close()
-			want := Message{To: 2, Kind: "VOTE-REQ", TxID: "x", Body: []byte("payload")}
-			if err := send.Send(want); err != nil {
-				t.Fatal(err)
-			}
-			m := recvOne(t, recv)
-			if m.From != 1 || m.Kind != want.Kind || m.TxID != want.TxID || string(m.Body) != "payload" {
-				t.Fatalf("got %+v", m)
-			}
-		})
-	}
+	t.Run("gob", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, buf.Bytes())
+	})
+	t.Run("version2", func(t *testing.T) {
+		frame := appendMessage(nil, want)
+		_, n := binary.Uvarint(frame)
+		frame[n] = 2
+		// A good frame after the bad one must not be read either.
+		raw := append(append([]byte(nil), wireMagic[:]...), frame...)
+		refused(t, appendMessage(raw, want))
+	})
+	t.Run("binary", func(t *testing.T) {
+		send, err := ListenTCPOpts(1, "127.0.0.1:0", map[int]string{2: recv.Addr()}, TCPOptions{Codec: CodecBinary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer send.Close()
+		if err := send.Send(want); err != nil {
+			t.Fatal(err)
+		}
+		m := recvOne(t, recv)
+		if m.From != 1 || m.Kind != want.Kind || m.TxID != want.TxID || string(m.Body) != "payload" {
+			t.Fatalf("got %+v", m)
+		}
+	})
 }
 
 // TestTCPBatchSizeHook: the BatchSize metrics hook observes every written
-// batch.
+// batch. The writer counts a batch after its write returns, which can be
+// after the peer already has the message, so the test waits for the hook.
 func TestTCPBatchSizeHook(t *testing.T) {
 	b, err := ListenTCP(2, "127.0.0.1:0", nil)
 	if err != nil {
@@ -268,10 +289,15 @@ func TestTCPBatchSizeHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvOne(t, b)
+	waitFor(t, "the BatchSize hook", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(observed) > 0
+	})
 	mu.Lock()
 	defer mu.Unlock()
-	if len(observed) == 0 || observed[0] < 1 {
-		t.Fatalf("BatchSize hook observed %v", observed)
+	if observed[0] != 1 {
+		t.Fatalf("BatchSize hook observed %v, want [1]", observed)
 	}
 }
 

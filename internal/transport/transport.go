@@ -17,7 +17,7 @@ import (
 
 // Message is one protocol message. Kind is the protocol-level message name
 // ("VOTE-REQ", "YES", "PREPARE", ...); Body carries any payload the sender
-// wants (typically gob-encoded by the caller).
+// wants, encoded by the caller.
 type Message struct {
 	From int
 	To   int

@@ -9,17 +9,14 @@ import (
 	"sync"
 )
 
-// Binary wire codec (version 1).
+// Binary wire codec (version 1), the only encoding a TCPEndpoint speaks.
 //
 // The commit protocols this repo reproduces are priced in messages and
 // message delays, so the per-message cost of the wire is the unit of account
-// for everything the benchmarks measure. gob charges every connection a type
-// preamble and every message a reflective walk; this codec writes a Message
-// as a handful of varints instead.
+// for everything the benchmarks measure. This codec writes a Message as a
+// handful of varints, with no type preamble and no reflection.
 //
-// A connection carrying the binary codec opens with a 4-byte magic (so a
-// receiver can tell it apart from a legacy gob stream and keep accepting
-// either) followed by a sequence of frames:
+// A connection opens with a 4-byte magic followed by a sequence of frames:
 //
 //	uvarint  frame length (count of bytes that follow)
 //	byte     codec version (wireV1)
@@ -29,14 +26,10 @@ import (
 //	uvarint  len(TxID)  then TxID bytes
 //	uvarint  len(Body)  then Body bytes
 //
-// A frame with an unknown version byte is skipped, not fatal: its length is
-// already known, so a newer sender only costs an older receiver the frames
-// it cannot parse.
+// A connection without the magic, or a frame that does not parse (including
+// one whose version byte is not wireV1), is closed by the receiver.
 
-// wireMagic prefixes every binary-codec connection. The first byte is
-// deliberately >= 0x80: a gob stream opens with the byte count of its first
-// type-definition frame, which for any sane frame is a single byte < 0x80,
-// so a legacy stream cannot alias the magic.
+// wireMagic prefixes every connection.
 var wireMagic = [4]byte{0xFB, 'N', 'B', 'C'}
 
 const (
@@ -48,8 +41,7 @@ const (
 
 var (
 	errFrameLength    = errors.New("transport: wire frame exceeds size bound")
-	errUnknownVersion = errors.New("transport: unknown wire codec version")
-	errTruncatedFrame = errors.New("transport: truncated wire frame")
+	errMalformedFrame = errors.New("transport: malformed wire frame")
 )
 
 // wireBufPool recycles encode buffers across writer flushes and decode
@@ -84,8 +76,6 @@ func appendMessage(buf []byte, m Message) []byte {
 
 // readWireMessage reads one frame from br, reusing scratch for the frame
 // body, and returns the decoded message plus the (possibly grown) scratch.
-// An errUnknownVersion return means the frame was consumed but not decoded;
-// the caller may continue with the next frame.
 func readWireMessage(br *bufio.Reader, scratch []byte) (Message, []byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -112,11 +102,8 @@ func readWireMessage(br *bufio.Reader, scratch []byte) (Message, []byte, error) 
 // prefix). It never panics on garbage: every length is bounds-checked
 // against the remaining payload.
 func decodeWirePayload(p []byte) (Message, error) {
-	if len(p) == 0 {
-		return Message{}, errTruncatedFrame
-	}
-	if p[0] != wireV1 {
-		return Message{}, errUnknownVersion
+	if len(p) == 0 || p[0] != wireV1 {
+		return Message{}, errMalformedFrame
 	}
 	p = p[1:]
 	from, p, err := readWireVarint(p)
@@ -140,7 +127,7 @@ func decodeWirePayload(p []byte) (Message, error) {
 		return Message{}, err
 	}
 	if len(p) != 0 {
-		return Message{}, errTruncatedFrame
+		return Message{}, errMalformedFrame
 	}
 	return Message{From: int(from), To: int(to), Kind: kind, TxID: txid, Body: body}, nil
 }
@@ -148,7 +135,7 @@ func decodeWirePayload(p []byte) (Message, error) {
 func readWireVarint(p []byte) (int64, []byte, error) {
 	v, n := binary.Varint(p)
 	if n <= 0 {
-		return 0, p, errTruncatedFrame
+		return 0, p, errMalformedFrame
 	}
 	return v, p[n:], nil
 }
@@ -156,7 +143,7 @@ func readWireVarint(p []byte) (int64, []byte, error) {
 func readWireUvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, p, errTruncatedFrame
+		return 0, p, errMalformedFrame
 	}
 	return v, p[n:], nil
 }
@@ -164,7 +151,7 @@ func readWireUvarint(p []byte) (uint64, []byte, error) {
 func readWireString(p []byte) (string, []byte, error) {
 	n, p, err := readWireUvarint(p)
 	if err != nil || uint64(len(p)) < n {
-		return "", p, errTruncatedFrame
+		return "", p, errMalformedFrame
 	}
 	return string(p[:n]), p[n:], nil
 }
@@ -175,7 +162,7 @@ func readWireString(p []byte) (string, []byte, error) {
 func readWireBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := readWireUvarint(p)
 	if err != nil || uint64(len(p)) < n {
-		return nil, p, errTruncatedFrame
+		return nil, p, errMalformedFrame
 	}
 	if n == 0 {
 		return nil, p, nil

@@ -71,24 +71,17 @@ func TestWireCoalescedBatchSplitAcrossPartialReads(t *testing.T) {
 	}
 }
 
-// TestWireUnknownVersionIsSkippable: a frame from a newer codec version is
-// consumed whole and reported as errUnknownVersion, leaving the reader
-// positioned at the next frame.
-func TestWireUnknownVersionIsSkippable(t *testing.T) {
-	unknown := []byte{99, 1, 2, 3} // version 99 payload
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(unknown)))
-	buf = append(buf, unknown...)
-	good := Message{From: 1, To: 2, Kind: "OK"}
-	buf = appendMessage(buf, good)
-
-	br := bufio.NewReader(bytes.NewReader(buf))
-	if _, _, err := readWireMessage(br, nil); err != errUnknownVersion {
-		t.Fatalf("first frame: err = %v, want errUnknownVersion", err)
-	}
-	m, _, err := readWireMessage(br, nil)
-	if err != nil || m.Kind != "OK" {
-		t.Fatalf("second frame: %+v, %v", m, err)
+// TestWireUnknownVersionIsRefused: a frame whose version byte is not wireV1
+// is malformed like any other, even when the rest of it would parse.
+func TestWireUnknownVersionIsRefused(t *testing.T) {
+	for _, v := range []byte{0, 2, 99} {
+		buf := appendMessage(nil, Message{From: 1, To: 2, Kind: "OK"})
+		_, n := binary.Uvarint(buf)
+		buf[n] = v
+		br := bufio.NewReader(bytes.NewReader(buf))
+		if _, _, err := readWireMessage(br, nil); err != errMalformedFrame {
+			t.Fatalf("version %d: err = %v, want errMalformedFrame", v, err)
+		}
 	}
 }
 
@@ -122,8 +115,8 @@ func TestWireTrailingJunkRejected(t *testing.T) {
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	br := bufio.NewReader(bytes.NewReader(buf))
-	if _, _, err := readWireMessage(br, nil); err != errTruncatedFrame {
-		t.Fatalf("err = %v, want errTruncatedFrame", err)
+	if _, _, err := readWireMessage(br, nil); err != errMalformedFrame {
+		t.Fatalf("err = %v, want errMalformedFrame", err)
 	}
 }
 
