@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 DST_SEEDS ?= 500
 
-.PHONY: all build vet test race flake fuzz-smoke dst dst-ci dst-regress bench-throughput bench-throughput-smoke bench-readmix-smoke bench-allocs bench-forced bench-transport bench-transport-smoke bench-scaleout bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-sharded smoke-obs
+.PHONY: all build vet test race flake fuzz-smoke dst dst-ci dst-regress bench-allocs bench-forced bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-obs
 
 all: build vet test
 
@@ -63,25 +63,6 @@ dst-ci:
 dst-regress:
 	$(GO) run ./cmd/dst -regress
 
-# Closed-loop commit throughput: 64 clients against a 3-node in-process
-# cluster, 2PC, 3PC and Paxos Commit, group commit on and off, fsync enabled;
-# then the 90/10 read-mix matrix comparing snapshot fast-path reads against
-# protocol-enlisted reads (single-shard snapshot reads must sustain >=5x the
-# protocol-read rate). Emits BENCH_commit_throughput.json.
-bench-throughput:
-	$(GO) run ./cmd/loadgen -clients 64 -duration 5s -read-ratio 0.9 \
-		-out BENCH_commit_throughput.json
-
-# Short smoke for CI: same harness, small load, throwaway output.
-bench-throughput-smoke:
-	$(GO) run ./cmd/loadgen -clients 8 -duration 500ms -warmup 200ms -out /tmp/bench-smoke.json
-
-# Read-mix smoke for CI: small 90/10 zipf-skewed mix, both read paths, all
-# three protocols, with the version-chain GC loop running throughout.
-bench-readmix-smoke:
-	$(GO) run ./cmd/loadgen -clients 8 -duration 500ms -warmup 200ms \
-		-read-ratio 0.9 -zipf 1.2 -keys 500 -out /tmp/readmix-smoke.json
-
 # Allocation regression guard for the engine hot path: a full three-site
 # commit (Begin through coordinator decision, in-memory substrate) must stay
 # within the allocs/op budget. The pre-sharded-core engine measured 74 (2PC)
@@ -113,25 +94,6 @@ bench-forced:
 		/BenchmarkEngineForcedRecords\/Paxos/ { c = metric("coord-forced/op"); p = metric("part-forced/op"); if (c > 5 || p > 4) { print "FAIL: Paxos forced " c "/" p " coord/part records per commit, budget 5/4"; bad = 1 } next } \
 		END { if (bad) exit 1; print "forced-record budgets ok (2PC 1/2, 3PC 3/3, Paxos 5/4, 2PC abort coord 0)" }' /tmp/engine-forced.txt
 
-# Transport microbenchmark: raw message throughput and latency between two
-# TCP endpoints on loopback at 1/8/64-byte bodies. Exits nonzero on zero
-# throughput or corrupted bodies. Emits BENCH_transport.json.
-bench-transport:
-	$(GO) run ./cmd/loadgen -mode transport -duration 3s -bodies 1,8,64 -out BENCH_transport.json
-
-# Short smoke for CI: same sweep at one body size, throwaway output.
-bench-transport-smoke:
-	$(GO) run ./cmd/loadgen -mode transport -duration 300ms -warmup 100ms \
-		-bodies 64 -out /tmp/transport-smoke.json
-
-# Scale-out: keyed (shard-routed) transactions over growing clusters, sweeping
-# the cross-shard ratio, with -clients per site (weak scaling). Single-shard
-# transactions must engage exactly one site; the run fails on zero commits or
-# any consistency violation. Emits BENCH_shard_scaleout.json.
-bench-scaleout:
-	$(GO) run ./cmd/loadgen -mode scaleout -clients 16 -duration 3s \
-		-sites 2,4,8 -cross-shard 0,0.25,1 -out BENCH_shard_scaleout.json
-
 # Hostile-environment matrix: the curated WAN scenario table (symmetric and
 # asymmetric partitions, gray coordinator, coordinator crash after prepare)
 # swept for 2PC, 3PC and Paxos Commit over 25 seeds per cell, measuring
@@ -139,13 +101,15 @@ bench-scaleout:
 # virtual time. Exits nonzero if 2PC or Paxos ever splits a decision, if no
 # scenario shows 2PC blocking while 3PC terminates, or if Paxos loses its
 # ballot-0 two-delay fast path (fault-free WAN p50 must stay below 3PC's).
-# Emits BENCH_chaos.json.
+# Writes BENCH_chaos.json only when the run passes, so a failed run leaves the
+# checked-in file alone.
 bench-chaos:
-	$(GO) run ./cmd/loadgen -mode chaos -chaos-seeds 25 -out BENCH_chaos.json
+	$(GO) run ./cmd/dst -hostile all -seeds 25 > BENCH_chaos.json.tmp || { rm -f BENCH_chaos.json.tmp; exit 1; }
+	mv BENCH_chaos.json.tmp BENCH_chaos.json
 
-# Short smoke for CI: same matrix, 3 seeds per cell, throwaway output.
+# Short smoke for CI: same matrix and gates, 3 seeds per cell, no output file.
 bench-chaos-smoke:
-	$(GO) run ./cmd/loadgen -mode chaos -chaos-seeds 3 -out /tmp/chaos-smoke.json
+	$(GO) run ./cmd/dst -hostile all -seeds 3 > /dev/null
 
 # Observability smoke for CI: starts a kvnode with -obs-addr, commits
 # transactions, scrapes /metrics and asserts the per-phase latency, WAL and
@@ -159,9 +123,3 @@ smoke-obs:
 # remote, nodeapi or kvnode wiring that breaks the mirror fails here.
 bench-e2e-smoke:
 	$(GO) test -count=1 ./bench
-
-# Sharded smoke for CI: 4-node in-process cluster, mixed single/cross-shard
-# keyed workload; exits nonzero on zero commits or consistency violations.
-smoke-sharded:
-	$(GO) run ./cmd/loadgen -mode scaleout -clients 8 -duration 500ms -warmup 200ms \
-		-sites 4 -cross-shard 0.5 -out /tmp/sharded-smoke.json

@@ -4,6 +4,11 @@
 // paper's consistency and nonblocking theorems on every run. Any violation
 // prints a reproducer invocation and exits nonzero.
 //
+// -hostile all sweeps the curated hostile-scenario matrix (matrix.go) over
+// seeds 1..-seeds for 2PC, 3PC and Paxos Commit, writing blocking
+// probability, availability and virtual-time latency per cell as JSON to
+// stdout.
+//
 // Usage:
 //
 //	go run ./cmd/dst                      # enumerate + 500 random seeds, 2PC, 3PC and Paxos
@@ -11,6 +16,7 @@
 //	go run ./cmd/dst -protocol 3pc -seed 113 -trace   # replay one schedule
 //	go run ./cmd/dst -regress                         # replay the pinned-bug seeds
 //	go run ./cmd/dst -hostile coord-crash-prepared -protocol 2pc -seed 4 -trace
+//	go run ./cmd/dst -hostile all -seeds 25 > BENCH_chaos.json
 package main
 
 import (
@@ -30,7 +36,7 @@ func main() {
 		seed     = flag.Int64("seed", -1, "replay a single random schedule instead of sweeping")
 		enum     = flag.Bool("enum", true, "run the exhaustive single-crash-point enumeration")
 		trace    = flag.Bool("trace", false, "print the event trace of every failing (or -seed) run")
-		hostile  = flag.String("hostile", "", "replay one hostile scenario by name (see internal/dst.HostileScenarios)")
+		hostile  = flag.String("hostile", "", "replay one hostile scenario by name (see internal/dst.HostileScenarios), or sweep them all as a JSON matrix with 'all'")
 		regress  = flag.Bool("regress", false, "replay the pinned engine-bug regression seeds and exit")
 	)
 	flag.Parse()
@@ -52,6 +58,17 @@ func main() {
 
 	if *regress {
 		os.Exit(runRegress(*trace))
+	}
+	if *hostile == "all" {
+		if *protocol != "all" {
+			fmt.Fprintln(os.Stderr, "dst: -hostile all sweeps every protocol; -protocol must be all")
+			os.Exit(2)
+		}
+		if err := runChaos(*seeds); err != nil {
+			fmt.Fprintf(os.Stderr, "dst: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
 	if *hostile != "" {
 		os.Exit(runHostileReplay(*hostile, kinds, *seed, *trace))

@@ -3,7 +3,7 @@
 // (per-link delay distributions, loss, reorder), and a schedule DSL of timed
 // events — partitions, heals, gray-outs, crashes, timeout skews — stamped in
 // virtual time. The package only *describes* environments; internal/dst
-// applies the events to a running cluster, and cmd/loadgen -mode chaos turns
+// applies the events to a running cluster, and cmd/dst -hostile all turns
 // the resulting runs into the 2PC-vs-3PC hostility matrix (BENCH_chaos.json).
 //
 // Everything here is deterministic: delays and losses are sampled from the

@@ -11,7 +11,7 @@ import (
 // HostileScenario is one curated hostile environment: a topology, a timed
 // fault schedule, and a timed workload, parameterized only by protocol and
 // seed. The table below is the matrix every commit protocol in this repo is
-// judged by (BENCH_chaos.json).
+// judged by (go run ./cmd/dst -hostile all, checked in as BENCH_chaos.json).
 type HostileScenario struct {
 	Name string
 	Desc string

@@ -115,21 +115,8 @@ type Options struct {
 	// Policy selects the stores' deadlock handling (timeout or wait-die).
 	Policy kv.DeadlockPolicy
 	// Dir, when set, stores each site's WAL in Dir/site<i>.wal instead of
-	// memory.
+	// memory. A file-backed WAL fsyncs every batch, as kvnode's does.
 	Dir string
-	// SyncWAL makes file-backed WALs (Dir set) fsync their batches, so a
-	// commit is durable when reported. Off by default: tests that only
-	// exercise protocol logic skip the fsyncs.
-	SyncWAL bool
-	// NoGroupCommit forces one serialized write+fsync per WAL record
-	// (wal.Synchronous), disabling group commit. This is the baseline the
-	// group-commit speedup is measured against.
-	NoGroupCommit bool
-	// FlushInterval is the group-commit window of file-backed WALs; zero
-	// flushes as soon as the flusher is free (natural batching).
-	FlushInterval time.Duration
-	// WALMetrics receives each site's batch-size and sync-latency samples.
-	WALMetrics wal.Metrics
 	// Registry, when set, instruments every site's commit path into one
 	// shared metrics registry (per-phase latency, commit latency, gauges —
 	// see engine.NewMetrics). Samples from all sites aggregate.
@@ -137,13 +124,6 @@ type Options struct {
 	// ForgetAfter enables the engine's auto-forget of settled transactions
 	// (see engine.Config.ForgetAfter). Zero keeps them forever.
 	ForgetAfter time.Duration
-	// Shards is each site's engine event-loop count (see
-	// engine.Config.Shards). Zero uses the engine default (GOMAXPROCS).
-	Shards int
-	// ShardMap places keys for the keyed transaction API (BeginKeyed,
-	// GetK/PutK/DelK). Nil defaults to the deterministic default map over
-	// the cluster's sites.
-	ShardMap *shard.Map
 }
 
 // Cluster is an in-process set of sites sharing a fault-injectable network.
@@ -179,10 +159,7 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if c.opts.ShardMap == nil {
-		c.opts.ShardMap = shard.Default(c.ids, 4)
-	}
-	c.router = &shard.Router{Map: c.opts.ShardMap}
+	c.router = &shard.Router{Map: shard.Default(c.ids, 4)}
 	return c, nil
 }
 
@@ -205,16 +182,9 @@ func (c *Cluster) newLog(id int, prior wal.Log) (wal.Log, error) {
 		}
 		return wal.NewMemoryLog(), nil
 	}
-	fl, err := wal.OpenFileLog(filepath.Join(c.opts.Dir, fmt.Sprintf("site%d.wal", id)), wal.FileLogOptions{
-		NoSync:        !c.opts.SyncWAL,
-		FlushInterval: c.opts.FlushInterval,
-		Metrics:       c.opts.WALMetrics,
-	})
+	fl, err := wal.OpenFileLog(filepath.Join(c.opts.Dir, fmt.Sprintf("site%d.wal", id)), wal.FileLogOptions{})
 	if err != nil {
 		return nil, err
-	}
-	if c.opts.NoGroupCommit {
-		return wal.Synchronous(fl), nil
 	}
 	return fl, nil
 }
@@ -235,7 +205,6 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 		Protocol:    c.opts.Protocol,
 		Timeout:     c.opts.Timeout,
 		ForgetAfter: c.opts.ForgetAfter,
-		Shards:      c.opts.Shards,
 		// StoreResource's redo image is exactly the encoded write set, so an
 		// empty image genuinely means "no writes at this site" — the
 		// condition the read-only participant optimization needs.

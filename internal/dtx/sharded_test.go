@@ -2,6 +2,8 @@ package dtx
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,4 +168,117 @@ func TestKeyedRoutingAgreesAcrossClusters(t *testing.T) {
 			t.Fatalf("clusters disagree on owner of %q: %d vs %d", k, a.Router().Site(k), b.Router().Site(k))
 		}
 	}
+}
+
+// TestKeyedConcurrentMixAudit drives concurrent keyed clients, half of whose
+// transactions span two owner sites, then audits the stores: a single-shard
+// transaction enlists exactly one site, and every key whose last commit
+// resolved holds that commit's value at its owner. Client keyspaces are
+// disjoint, so each client's record is authoritative for its keys.
+func TestKeyedConcurrentMixAudit(t *testing.T) {
+	const (
+		sites        = 4
+		clients      = 8
+		txnsEach     = 40
+		keysPerOwner = 8
+	)
+	c, err := NewCluster(sites, Options{Protocol: engine.ThreePhase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	router := c.Router()
+
+	type clientLog struct {
+		commits  int
+		expected map[string]string // key -> last committed value
+		pending  map[string]bool   // keys whose last commit left no outcome
+		errs     []string
+	}
+	logs := make([]*clientLog, clients)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		// Pre-bucket this client's keyspace by owner site, so a transaction
+		// can pick single-shard or cross-shard keys directly.
+		buckets := map[int][]string{}
+		for i, full := 0, 0; full < sites; i++ {
+			k := fmt.Sprintf("c%d-k%d", cl, i)
+			owner := router.Site(k)
+			if len(buckets[owner]) == keysPerOwner {
+				continue
+			}
+			if buckets[owner] = append(buckets[owner], k); len(buckets[owner]) == keysPerOwner {
+				full++
+			}
+		}
+		lg := &clientLog{expected: map[string]string{}, pending: map[string]bool{}}
+		logs[cl] = lg
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(cl)))
+			pick := func(owner int) string { return buckets[owner][rng.Intn(keysPerOwner)] }
+			for i := 0; i < txnsEach; i++ {
+				cross := i%2 == 1
+				a := 1 + rng.Intn(sites)
+				keys := []string{pick(a), pick(a)}
+				if cross {
+					b := 1 + rng.Intn(sites-1)
+					if b >= a {
+						b++
+					}
+					keys[1] = pick(b)
+				}
+				val := fmt.Sprintf("v%d-%d", cl, i)
+				tx := c.BeginKeyed()
+				ok := true
+				for _, k := range keys {
+					if err := tx.PutK(k, val); err != nil {
+						ok = false
+						break
+					}
+				}
+				if !ok {
+					_ = tx.Abort()
+					continue
+				}
+				if n := len(tx.Participants()); !cross && n != 1 {
+					lg.errs = append(lg.errs, fmt.Sprintf("single-shard %s enlisted %d sites", tx.ID, n))
+				}
+				switch o, err := tx.Commit(10 * time.Second); {
+				case err != nil || o == engine.OutcomePending:
+					for _, k := range keys {
+						lg.pending[k] = true
+					}
+				case o == engine.OutcomeCommitted:
+					lg.commits++
+					for _, k := range keys {
+						lg.expected[k] = val
+						delete(lg.pending, k)
+					}
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+
+	commits := 0
+	for _, lg := range logs {
+		commits += lg.commits
+		for _, e := range lg.errs {
+			t.Error(e)
+		}
+		for k, want := range lg.expected {
+			if lg.pending[k] {
+				continue
+			}
+			if got, ok := c.Node(router.Site(k)).Store.Read(k); !ok || got != want {
+				t.Errorf("key %s at owner %d = %q (present %v), last commit wrote %q", k, router.Site(k), got, ok, want)
+			}
+		}
+	}
+	if commits == 0 {
+		t.Fatal("no transaction committed")
+	}
+	t.Logf("%d of %d transactions committed", commits, clients*txnsEach)
 }

@@ -67,9 +67,8 @@ func (k ProtocolKind) String() string {
 
 // ParseProtocol maps a protocol name to its ProtocolKind. It accepts the
 // canonical flag spellings ("2pc", "3pc", "paxos") and the String() forms,
-// case-insensitively — the single parse table shared by kvnode, loadgen,
-// dst and every other protocol flag, so adding a protocol family is one
-// entry here.
+// case-insensitively — the single parse table shared by kvnode, dst and
+// every other protocol flag, so adding a protocol family is one entry here.
 func ParseProtocol(name string) (ProtocolKind, error) {
 	switch strings.ToLower(name) {
 	case "2pc", "two-phase", "twophase":

@@ -69,7 +69,7 @@ func NewMetrics(reg *metrics.Registry, kind ProtocolKind) *Metrics {
 }
 
 // ForcedPerCommit returns the forced-records histogram for a role/outcome
-// pair, for report generators (cmd/loadgen's forced-record accounting).
+// pair; the engine observes each settled transaction's forced count into it.
 func (m *Metrics) ForcedPerCommit(coordinator, committed bool) *metrics.Histogram {
 	ri, oi := 0, 0
 	if coordinator {
@@ -81,8 +81,8 @@ func (m *Metrics) ForcedPerCommit(coordinator, committed bool) *metrics.Histogra
 	return m.forced[ri][oi]
 }
 
-// Phases returns the per-phase latency histograms keyed by phase name, for
-// report generators (cmd/loadgen's phase breakdown).
+// Phases returns the per-phase latency histograms keyed by phase name, so a
+// caller holding the registry can read the commit-path breakdown directly.
 func (m *Metrics) Phases() map[string]*metrics.Histogram {
 	return map[string]*metrics.Histogram{
 		"votes":     m.votes,

@@ -8,7 +8,7 @@ import (
 )
 
 // ParseProtocol is the single parse table behind every protocol flag
-// (kvnode, loadgen, dst); String() feeds benchmark row keys and log lines.
+// (kvnode, dst, bench); String() feeds report keys and log lines.
 // The two must round-trip for each protocol family, and the canonical flag
 // spellings must keep parsing.
 func TestParseProtocolRoundTrip(t *testing.T) {

@@ -28,7 +28,7 @@ func reservedAddr(t *testing.T) string {
 // waitFor polls cond until it holds or the deadline passes. Sends are now an
 // asynchronous enqueue, so drop and dial accounting settles a writer
 // goroutine later, not synchronously inside Send.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,5 +366,81 @@ func TestTCPConcurrentSendAddPeerSetBackoffClose(t *testing.T) {
 	wg.Wait()
 	if err := a.Send(Message{To: 2}); err != ErrClosed {
 		t.Fatalf("send after close: %v", err)
+	}
+}
+
+// BenchmarkTCPThroughput measures one-way message throughput between two
+// loopback endpoints at 1, 8 and 64 B bodies. At most window messages are in
+// flight, fewer than either the send queue or the receive inbox holds, so
+// nothing is dropped and every message is awaited; each body is checked byte
+// for byte on arrival. msgs/write is the writer's mean coalescing factor over
+// the timed messages.
+func BenchmarkTCPThroughput(b *testing.B) {
+	const window = 256
+	for _, size := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			recv, err := ListenTCP(2, "127.0.0.1:0", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer recv.Close()
+			snd, err := ListenTCP(1, "127.0.0.1:0", map[int]string{2: recv.Addr()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer snd.Close()
+			body := make([]byte, size)
+			for i := range body {
+				body[i] = byte(i*7 + 11)
+			}
+
+			// Dial outside the timed loop.
+			if err := snd.Send(Message{To: 2, Kind: "WARM"}); err != nil {
+				b.Fatal(err)
+			}
+			recvOne(b, recv)
+			waitFor(b, "the warm-up write", func() bool { _, msgs := snd.BatchStats(); return msgs == 1 })
+			writes0, msgs0 := snd.BatchStats()
+
+			credits := make(chan struct{}, window)
+			var corrupt atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < b.N; i++ {
+					m, ok := <-recv.Recv()
+					if !ok {
+						return
+					}
+					if m.Kind != "BENCH" || !bytes.Equal(m.Body, body) {
+						corrupt.Add(1)
+					}
+					<-credits
+				}
+			}()
+
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				credits <- struct{}{}
+				if err := snd.Send(Message{To: 2, Kind: "BENCH", Body: body}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				b.Fatalf("receiver stalled: %d sent, %d dropped", b.N, snd.Dropped()+recv.Dropped())
+			}
+			b.StopTimer()
+			if n := corrupt.Load(); n > 0 {
+				b.Fatalf("%d of %d messages arrived with a wrong kind or body", n, b.N)
+			}
+			// The writer counts a batch after its write returns, which can be
+			// after the receiver already has the messages.
+			waitFor(b, "the batch counters", func() bool { _, msgs := snd.BatchStats(); return msgs == msgs0+int64(b.N) })
+			writes, msgs := snd.BatchStats()
+			b.ReportMetric(float64(msgs-msgs0)/float64(writes-writes0), "msgs/write")
+		})
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func recvOne(t *testing.T, ep Endpoint) Message {
+func recvOne(t testing.TB, ep Endpoint) Message {
 	t.Helper()
 	select {
 	case m, ok := <-ep.Recv():

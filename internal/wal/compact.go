@@ -106,9 +106,6 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 	if _, err := seekEnd(out); err != nil {
 		return kept, dropped, fmt.Errorf("wal: compact seek: %w", err)
 	}
-	if l.metrics.Compaction != nil {
-		l.metrics.Compaction(kept, dropped)
-	}
 	return kept, dropped, nil
 }
 

@@ -273,34 +273,3 @@ func TestFileLogOnlineCompact(t *testing.T) {
 		t.Fatalf("found %d concurrent appends, want %d", news, appended.Load())
 	}
 }
-
-// TestSynchronousWrapper: the baseline wrapper serializes appends and hides
-// the StagedLog capability.
-func TestSynchronousWrapper(t *testing.T) {
-	inner, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), FileLogOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := Synchronous(inner)
-	if _, ok := l.(StagedLog); ok {
-		t.Fatal("Synchronous wrapper must not expose AppendStaged")
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := l.Append(Record{Type: RecBegin, TxID: fmt.Sprintf("tx%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := l.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Fatalf("got %d records, want 10", len(recs))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(Record{Type: RecBegin, TxID: "late"}); err != ErrClosed {
-		t.Fatalf("append after close: %v, want ErrClosed", err)
-	}
-}

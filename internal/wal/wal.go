@@ -197,8 +197,7 @@ func (l *MemoryLog) Reopen() {
 }
 
 // Metrics receives observations from a FileLog. Nil fields are skipped; the
-// hooks are called on the observing goroutine (the callback runner for batch
-// hooks, the compacting goroutine for Compaction) and must be fast.
+// hooks are called on the callback runner goroutine and must be fast.
 type Metrics struct {
 	// BatchRecords observes the number of records in each flushed batch.
 	BatchRecords func(n int)
@@ -207,14 +206,6 @@ type Metrics struct {
 	// BatchBytes observes the bytes written per flushed batch; summing it
 	// gives the total log bytes written.
 	BatchBytes func(n int)
-	// BatchLazyRecords observes how many of each flushed batch's records
-	// were lazy riders (staged with AppendLazy, forcing nothing themselves).
-	// Together with BatchRecords it gives the forced-vs-lazy composition of
-	// the log traffic.
-	BatchLazyRecords func(n int)
-	// Compaction observes each successful Compact: how many records the
-	// rewrite kept and dropped.
-	Compaction func(kept, dropped int)
 }
 
 // FileLog is a disk-backed StagedLog with group commit. Records are
@@ -266,10 +257,9 @@ type FileLog struct {
 }
 
 type stagedRec struct {
-	lsn  uint64
-	buf  []byte // header + body, ready to write
-	fn   func(lsn uint64, err error)
-	lazy bool // staged by AppendLazy: rides the batch, forces nothing
+	lsn uint64
+	buf []byte                      // header + body, ready to write
+	fn  func(lsn uint64, err error) // nil for a lazy record
 }
 
 // cbBatch is one flushed batch awaiting callback delivery.
@@ -455,7 +445,7 @@ func (l *FileLog) AppendLazy(rec Record) error {
 	}
 	lsn := l.next
 	l.next++
-	l.staged = append(l.staged, stagedRec{lsn: lsn, buf: buf, fn: nil, lazy: true})
+	l.staged = append(l.staged, stagedRec{lsn: lsn, buf: buf})
 	l.stagedBytes += len(buf)
 	full := l.stagedBytes >= l.maxBatch
 	l.mu.Unlock()
@@ -620,15 +610,6 @@ func (l *FileLog) drainCallbacks() {
 		if l.metrics.BatchBytes != nil {
 			l.metrics.BatchBytes(b.nbytes)
 		}
-		if l.metrics.BatchLazyRecords != nil {
-			lazy := 0
-			for _, r := range b.recs {
-				if r.lazy {
-					lazy++
-				}
-			}
-			l.metrics.BatchLazyRecords(lazy)
-		}
 		for _, r := range b.recs {
 			if r.fn != nil {
 				r.fn(r.lsn, b.err)
@@ -714,37 +695,3 @@ func (l *FileLog) Close() error {
 
 // Path returns the log file's path.
 func (l *FileLog) Path() string { return l.path }
-
-// Synchronous wraps a log so that each Append completes before the next may
-// start: with a FileLog underneath this restores the one-write-one-fsync
-// discipline that group commit replaces. It also hides any StagedLog
-// capability, making the engine fall back to synchronous logging. Used as
-// the baseline in benchmarks and available as a conservative mode.
-func Synchronous(inner Log) Log { return &syncLog{inner: inner} }
-
-type syncLog struct {
-	mu    sync.Mutex
-	inner Log
-}
-
-func (s *syncLog) Append(rec Record) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Append(rec)
-}
-
-func (s *syncLog) Records() ([]Record, error) { return s.inner.Records() }
-func (s *syncLog) Close() error               { return s.inner.Close() }
-
-// AppendLazy implements LazyLog when the wrapped log does: even in the
-// one-fsync-per-record baseline a lazy record must not pay a forced sync of
-// its own, so it is handed straight to the inner log's lazy staging.
-func (s *syncLog) AppendLazy(rec Record) error {
-	if lz, ok := s.inner.(LazyLog); ok {
-		return lz.AppendLazy(rec)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.inner.Append(rec)
-	return err
-}
