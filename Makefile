@@ -83,16 +83,20 @@ bench-allocs:
 # (the decision record; begin and end are lazy), at most 2 participant-side
 # (vote + decision), and an abort forces nothing at the coordinator — the
 # no-trace presumption IS the abort record. 3PC and Paxos Commit force their
-# extra rounds but share the lazy begin/end treatment.
+# extra rounds but share the lazy begin/end treatment. A cohort of one (the
+# 1PC rows) commits in one phase under every family: 1 force per commit, 0
+# per abort.
 bench-forced:
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineForcedRecords$$' -benchtime 1000x ./internal/engine | tee /tmp/engine-forced.txt
 	@awk ' \
 		function metric(name,   i) { for (i = 1; i <= NF; i++) if ($$i == name) return $$(i-1) + 0; return -1 } \
+		/BenchmarkEngineForcedRecords\/1PC-.*-abort/ { c = metric("coord-forced/op"); if (c > 0) { print "FAIL: one-phase abort forced " c " records/op, budget 0"; bad = 1 } next } \
+		/BenchmarkEngineForcedRecords\/1PC-/ { c = metric("coord-forced/op"); if (c > 1) { print "FAIL: one-phase commit forced " c " records/op, budget 1"; bad = 1 } next } \
 		/BenchmarkEngineForcedRecords\/2PC-abort/ { c = metric("coord-forced/op"); if (c > 0) { print "FAIL: 2PC abort forced " c " coordinator records/op, budget 0"; bad = 1 } next } \
 		/BenchmarkEngineForcedRecords\/2PC/ { c = metric("coord-forced/op"); p = metric("part-forced/op"); if (c > 1 || p > 2) { print "FAIL: 2PC forced " c "/" p " coord/part records per commit, budget 1/2"; bad = 1 } next } \
 		/BenchmarkEngineForcedRecords\/3PC/ { c = metric("coord-forced/op"); p = metric("part-forced/op"); if (c > 3 || p > 3) { print "FAIL: 3PC forced " c "/" p " coord/part records per commit, budget 3/3"; bad = 1 } next } \
 		/BenchmarkEngineForcedRecords\/Paxos/ { c = metric("coord-forced/op"); p = metric("part-forced/op"); if (c > 5 || p > 4) { print "FAIL: Paxos forced " c "/" p " coord/part records per commit, budget 5/4"; bad = 1 } next } \
-		END { if (bad) exit 1; print "forced-record budgets ok (2PC 1/2, 3PC 3/3, Paxos 5/4, 2PC abort coord 0)" }' /tmp/engine-forced.txt
+		END { if (bad) exit 1; print "forced-record budgets ok (2PC 1/2, 3PC 3/3, Paxos 5/4, 2PC abort coord 0, one-phase 1/0)" }' /tmp/engine-forced.txt
 
 # Hostile-environment matrix: the curated WAN scenario table (symmetric and
 # asymmetric partitions, gray coordinator, coordinator crash after prepare)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -32,51 +30,30 @@ func httpGet(t *testing.T, url string) string {
 	}
 }
 
-// TestObsEndpoints starts a single-node kvnode with -obs-addr, commits a
-// transaction through the client API, and scrapes /metrics, /healthz and
-// /debug/trace — the CI smoke test for the observability layer.
+// TestObsEndpoints starts a two-node cluster with -obs-addr on node 1,
+// commits transactions across both sites through node 1's client API, and
+// scrapes /metrics, /healthz and /debug/trace — the CI smoke test for the
+// observability layer. The transactions span two sites because a cohort of
+// one commits in one phase and runs no vote round.
 func TestObsEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "kvnode")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	ports := freePorts(t, 3)
-	clientAddr := fmt.Sprintf("127.0.0.1:%d", ports[1])
-	obsAddr := fmt.Sprintf("127.0.0.1:%d", ports[2])
-	cmd := exec.Command(bin,
-		"-id", "1",
-		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[0]),
+	bin, dir := buildNode(t)
+	addrs := localAddrs(freePorts(t, 4))
+	cluster, clientAddr, obsAddr := addrs[:2], addrs[2], addrs[3]
+	startNode(t, bin, nodeArgs(1, cluster, dir,
 		"-client", clientAddr,
 		"-obs-addr", obsAddr,
-		"-wal", filepath.Join(dir, "n1.wal"),
-		"-timeout", "300ms",
 		"-forget-after", "100ms",
-	)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
+	)...)
+	startNode(t, bin, nodeArgs(2, cluster, dir, "-forget-after", "100ms")...)
 
 	cl := dialAPI(t, clientAddr)
 	defer cl.conn.Close()
+	waitListening(t, cluster[1])
 	for i := 0; i < 3; i++ {
-		if got := cl.send(t, "BEGIN"); !strings.HasPrefix(got, "OK") {
-			t.Fatalf("BEGIN = %q", got)
-		}
-		if got := cl.send(t, fmt.Sprintf("PUT 1 k%d v%d", i, i)); got != "OK" {
-			t.Fatalf("PUT = %q", got)
-		}
-		if got := cl.send(t, "COMMIT"); got != "COMMITTED" {
-			t.Fatalf("COMMIT = %q", got)
-		}
+		commitAt(t, cl, fmt.Sprintf("k%d", i), "v", 1, 2)
 	}
 
 	// The votes phase is observed at decision time; DEC-ACK settlement may

@@ -14,7 +14,8 @@ import (
 // decision.
 //
 // The coordinator votes too (the paper's parenthesized (yes1)/(no1)): its
-// own Resource.Prepare must succeed for the transaction to commit.
+// own Resource.Prepare must succeed for the transaction to commit. A cohort
+// of this site alone commits in one phase (commitOnePhase).
 func (s *Site) Begin(txid string, participants []int) error {
 	cohort := normalizeCohort(s.id, participants)
 	if len(cohort) > maxCohort {
@@ -37,6 +38,11 @@ func (s *Site) Begin(txid string, participants []int) error {
 	t.meta = meta
 	if s.metrics != nil {
 		t.begunAt = s.clk.Now()
+	}
+	if t.onePhase() {
+		sh.mu.Unlock()
+		sh.commitOnePhase(t, sh.prepare(txid))
+		return nil
 	}
 	// One encoding serves both the begin record and every VOTE-REQ body.
 	body := encodeMeta(meta)
@@ -65,11 +71,28 @@ func (s *Site) Begin(txid string, participants []int) error {
 	}
 	sh.mu.Unlock()
 
-	// The coordinator's own vote, off the event loop so a slow local
-	// prepare doesn't stall message processing (inline in deterministic
-	// mode).
-	sh.castVote(txid, true, false)
+	// The coordinator's own vote: prepared here, on the caller's goroutine,
+	// and handled on the event loop in order with the cohort's votes.
+	sh.enqueue(event{kind: evVote, vote: sh.prepare(txid)})
 	return nil
+}
+
+// commitOnePhase finishes a transaction whose cohort is this site alone.
+// The site is its own only participant, free to abort unilaterally until it
+// decides, so the paper's objection to one-phase commit does not arise and
+// the site's local recovery is the whole protocol: no begin, vote or
+// prepared record, one forced RecCommitted carrying the redo image, and
+// nothing at all for an abort (no trace already means abort to recovery).
+func (s *shard) commitOnePhase(t *txState, v voteResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v.err != nil {
+		s.record("vote-no", t.id, v.err.Error())
+		s.resolve(t, OutcomeAborted)
+		return
+	}
+	t.redo = v.redo
+	s.resolve(t, OutcomeCommitted)
 }
 
 // normalizeCohort sorts, deduplicates, and ensures self is present.
@@ -95,7 +118,6 @@ func (s *shard) onVote(m transport.Message) {
 		return
 	}
 	if m.Kind == KindNo {
-		t.noVote = true
 		s.decideAbort(t)
 		return
 	}
@@ -124,7 +146,6 @@ func (s *shard) onOwnVote(v voteResult) {
 		// Unilateral abort is safe under every family — for Paxos Commit
 		// because the coordinator is its own instance's only ballot-0
 		// proposer and never proposed 'y', so commit is unreachable.
-		t.noVote = true
 		s.decideAbort(t)
 		return
 	}

@@ -28,6 +28,9 @@ func (s *Site) BeginPeer(txid string, participants []int) error {
 		return fmt.Errorf("engine: site %d: Paxos Commit has no decentralized variant", s.id)
 	}
 	cohort := normalizeCohort(s.id, participants)
+	if len(cohort) == 1 {
+		return s.Begin(txid, cohort) // no peers to exchange rounds with: one phase
+	}
 	if len(cohort) > maxCohort {
 		return fmt.Errorf("engine: cohort of %d exceeds the %d-site limit", len(cohort), maxCohort)
 	}
@@ -76,7 +79,7 @@ func (s *shard) onDXact(m transport.Message) {
 	}
 	s.mu.Unlock()
 
-	s.castVote(m.TxID, false, true)
+	s.onPeerVoteResult(s.prepare(m.TxID))
 }
 
 // onPeerVoteResult completes the peer's local vote and broadcasts it.

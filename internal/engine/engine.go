@@ -124,6 +124,10 @@ const maxCohort = 64
 // The redo image returned by Prepare is forced to the WAL and handed back on
 // Commit. ApplyRedo replays a committed redo image during recovery, when the
 // resource no longer holds the live transaction.
+//
+// Prepare must not block: it runs on the shard's event loop (or on Begin's
+// caller), so any waiting, such as for locks, belongs in the operations that
+// stage the transaction's changes before the commit starts.
 type Resource interface {
 	Prepare(txid string) (redo []byte, err error)
 	Commit(txid string, redo []byte) error
@@ -284,7 +288,6 @@ type txState struct {
 	decAcks     cohortSet // coordinator: DEC-ACKs received (auto-forget)
 	readonly    cohortSet // coordinator: read-only voters, out of phase 2
 	ownYes      bool      // coordinator: local prepare succeeded
-	noVote      bool      // coordinator: some participant voted NO
 	forced      uint32    // WAL records forced for this transaction here
 
 	noTrace cohortSet // recovering: cohort members that answered "no trace"
@@ -331,6 +334,12 @@ type txState struct {
 
 func (t *txState) resolved() bool {
 	return t.phase == phaseCommitted || t.phase == phaseAborted
+}
+
+// onePhase reports whether t is a cohort of one coordinated here, which
+// commits in one phase (commitOnePhase).
+func (t *txState) onePhase() bool {
+	return t.coordinator && len(t.meta.Participants) == 1
 }
 
 // cohortIdx maps a site ID to its position in the cohort, or -1. The cohort
@@ -392,12 +401,11 @@ type Config struct {
 	// a virtual clock so timeouts fire only when the simulation advances it.
 	Clock clock.Clock
 	// Deterministic disables the engine's internal concurrency for
-	// simulation testing: no event-loop goroutines are started,
-	// Resource.Prepare runs inline, and every message, timer callback and
-	// crash report is processed synchronously on the goroutine that injects
-	// it. The simulation driver feeds messages in via Site.Deliver and must
-	// use a Clock whose callbacks fire on the driver's goroutine (a virtual
-	// clock). Real deployments leave this false.
+	// simulation testing: no event-loop goroutines are started, and every
+	// message, timer callback and crash report is processed synchronously on
+	// the goroutine that injects it. The simulation driver feeds messages in
+	// via Site.Deliver and must use a Clock whose callbacks fire on the
+	// driver's goroutine (a virtual clock). Real deployments leave this false.
 	Deterministic bool
 	// Unhandled, when set, receives every message whose kind the engine
 	// does not recognize — heartbeats, application data-plane traffic, and
@@ -492,7 +500,7 @@ const (
 	evMsg     evKind = iota + 1 // a protocol message arrived
 	evTimeout                   // a transaction's wheel timer fired
 	evCrash                     // the detector reported a site crash
-	evVote                      // a Resource.Prepare finished
+	evVote                      // Begin's own Resource.Prepare finished
 	evDurable                   // a staged WAL record's batch became durable
 )
 
@@ -537,13 +545,11 @@ type arrival struct {
 	refs int
 }
 
-// voteResult carries a Resource.Prepare outcome back onto the event loop.
+// voteResult is a Resource.Prepare outcome: this site's vote.
 type voteResult struct {
 	txid string
 	redo []byte
 	err  error
-	own  bool // the coordinator's local vote rather than a participant's
-	peer bool // a decentralized peer's local vote
 }
 
 // votePayload is the durable image a participant forces with its YES vote:
@@ -844,20 +850,12 @@ func (s *Site) turnAway(m transport.Message) bool {
 	return true
 }
 
-// castVote runs Resource.Prepare and feeds the result back as an event —
-// asynchronously in normal operation (Prepare may wait on locks and must not
-// stall the event loop), inline in deterministic mode.
-func (s *shard) castVote(txid string, own, peer bool) {
-	if s.determin {
-		s.castVoteNow(txid, own, peer)
-		return
-	}
-	go s.castVoteNow(txid, own, peer)
-}
-
-func (s *shard) castVoteNow(txid string, own, peer bool) {
+// prepare runs Resource.Prepare for this site's vote. Prepare does not
+// block, so it runs on whichever goroutine casts the vote: the event loop
+// for a participant, the caller for Begin. Call it without s.mu held.
+func (s *shard) prepare(txid string) voteResult {
 	redo, err := s.res.Prepare(txid)
-	s.enqueue(event{kind: evVote, vote: voteResult{txid: txid, redo: redo, err: err, own: own, peer: peer}})
+	return voteResult{txid: txid, redo: redo, err: err}
 }
 
 // Stop shuts the site down gracefully. In-flight transactions stay
@@ -955,14 +953,7 @@ func (s *shard) handleEvent(ev event) {
 	case evDurable:
 		s.onDurable(ev.durable)
 	case evVote:
-		switch {
-		case ev.vote.own:
-			s.onOwnVote(ev.vote)
-		case ev.vote.peer:
-			s.onPeerVoteResult(ev.vote)
-		default:
-			s.onPrepareResult(ev.vote)
-		}
+		s.onOwnVote(ev.vote)
 	}
 }
 
@@ -1345,11 +1336,12 @@ func (s *shard) resolve(t *txState, o Outcome) {
 	} else {
 		s.record("abort", t.id, "")
 		switch {
-		case s.presumedAbort(t) && t.coordinator:
+		case s.presumedAbort(t) && t.coordinator, t.onePhase():
 			// Presumed abort: the coordinator writes nothing for an aborted
 			// transaction. Recovery finding no trace presumes abort, and any
 			// in-doubt participant that asks is answered with the no-trace
-			// status ('n'), which from the coordinator means abort.
+			// status ('n'), which from the coordinator means abort. A cohort
+			// of one has nobody to ask and leaves no trace under any family.
 		case s.presumedAbort(t):
 			// Participant abort records are only an inquiry shortcut under
 			// the presumption; losing one re-runs the (cheap) inquiry.

@@ -30,26 +30,35 @@ func (l *countingLog) Records() ([]wal.Record, error)  { return l.inner.Records(
 func (l *countingLog) Close() error                    { return l.inner.Close() }
 
 // BenchmarkEngineForcedRecords measures WAL records forced per transaction,
-// by role, for each protocol family plus the 2PC abort path. The counts are
-// the protocol's forced-write cost model, independent of device speed, and
-// the bench smoke gates them: presumed-abort 2PC must hold participants to
-// <=2 forces per commit and the coordinator to 0 per abort.
+// by role, for each protocol family plus the 2PC abort path, over a cohort
+// of three and (the 1PC rows) a cohort of one. The counts are the
+// protocol's forced-write cost model, independent of device speed, and the
+// bench smoke gates them: presumed-abort 2PC must hold participants to <=2
+// forces per commit and the coordinator to 0 per abort, and a cohort of one
+// forces 1 record per commit and 0 per abort under every family.
 func BenchmarkEngineForcedRecords(b *testing.B) {
 	cases := []struct {
-		name  string
-		kind  engine.ProtocolKind
-		abort bool
+		name   string
+		kind   engine.ProtocolKind
+		cohort int // sites 1..cohort
+		refuse int // the site that votes NO, or 0
 	}{
-		{"2PC", engine.TwoPhase, false},
-		{"3PC", engine.ThreePhase, false},
-		{"Paxos", engine.PaxosCommit, false},
-		{"2PC-abort", engine.TwoPhase, true},
+		{"2PC", engine.TwoPhase, 3, 0},
+		{"3PC", engine.ThreePhase, 3, 0},
+		{"Paxos", engine.PaxosCommit, 3, 0},
+		{"2PC-abort", engine.TwoPhase, 3, 2},
+		{"1PC-2PC", engine.TwoPhase, 1, 0},
+		{"1PC-2PC-abort", engine.TwoPhase, 1, 1},
+		{"1PC-3PC", engine.ThreePhase, 1, 0},
+		{"1PC-3PC-abort", engine.ThreePhase, 1, 1},
+		{"1PC-Paxos", engine.PaxosCommit, 1, 0},
+		{"1PC-Paxos-abort", engine.PaxosCommit, 1, 1},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			net := transport.NewNetwork()
 			det := failure.NewOracle(net)
-			const n = 3
+			n := tc.cohort
 			sites := make(map[int]*engine.Site, n)
 			logs := make(map[int]*countingLog, n)
 			resources := make(map[int]*testResource, n)
@@ -79,14 +88,14 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 				}
 			}()
 			want := engine.OutcomeCommitted
-			if tc.abort {
+			if tc.refuse != 0 {
 				want = engine.OutcomeAborted
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				txid := fmt.Sprintf("forced-%d", i)
-				if tc.abort {
-					resources[2].refuse(txid)
+				if tc.refuse != 0 {
+					resources[tc.refuse].refuse(txid)
 				}
 				if err := sites[1].Begin(txid, ids); err != nil {
 					b.Fatal(err)

@@ -115,10 +115,13 @@ func (s *shard) onDecAck(m transport.Message) {
 // record (so recovery — and WAL compaction — skip the transaction entirely)
 // and drops the in-memory state. The end record is lazy, never forced:
 // losing it in a crash merely makes recovery re-read the transaction's
-// records and re-run idempotent garbage collection. Requires s.mu held and
-// t resolved.
+// records and re-run idempotent garbage collection. A one-phase abort wrote
+// nothing, so it gets no end record either. Requires s.mu held and t
+// resolved.
 func (s *shard) forgetLocked(t *txState) {
-	s.mustLogLazy(wal.Record{Type: wal.RecEnd, TxID: t.id})
+	if !(t.onePhase() && t.phase == phaseAborted) {
+		s.mustLogLazy(wal.Record{Type: wal.RecEnd, TxID: t.id})
+	}
 	s.stopTimer(t)
 	delete(s.txns, t.id)
 }

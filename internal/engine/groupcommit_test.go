@@ -348,6 +348,94 @@ func TestGroupCommitPresumedAbortBeginIsLazy(t *testing.T) {
 	c.gated.release()
 }
 
+// TestOnePhaseCrashWindow: a cohort of one commits in one phase under every
+// family, staging exactly one forced record, RecCommitted with the redo
+// image. A crash while it is staged but not durable recovers with no trace
+// of the transaction, and WaitOutcome never said committed. A crash after
+// it is durable recovers the transaction committed, with the redo applied.
+func TestOnePhaseCrashWindow(t *testing.T) {
+	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", kind, durable), func(t *testing.T) {
+				c := newGatedCluster(t, kind, wal.RecCommitted)
+				waited := make(chan engine.Outcome, 1)
+				if err := c.sites[1].Begin("t1", []int{1}); err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					o, _ := c.sites[1].WaitOutcome("t1", 5*time.Second)
+					waited <- o
+				}()
+				c.waitPhase(1, "t1", "c") // decided in volatile state only
+				select {
+				case o := <-waited:
+					t.Fatalf("WaitOutcome returned %s before the commit record was durable", o)
+				case <-time.After(50 * time.Millisecond):
+				}
+				if c.res[1].didCommit("t1") {
+					t.Fatal("resource committed before the record was durable")
+				}
+				if durable {
+					c.gated.release()
+					if o := <-waited; o != engine.OutcomeCommitted {
+						t.Fatalf("WaitOutcome = %s after the record was durable", o)
+					}
+				} else {
+					c.gated.discard()
+				}
+				c.net.Crash(1)
+				c.sites[1].Stop()
+				if !durable {
+					if o := <-waited; o == engine.OutcomeCommitted {
+						t.Fatal("WaitOutcome reported a commit whose record was lost")
+					}
+				}
+
+				recs, err := c.gated.inner.Records()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := "[]"
+				if durable {
+					want = "[committed t1 redo:t1]"
+				}
+				var got []string
+				for _, r := range recs {
+					got = append(got, fmt.Sprintf("%s %s %s", r.Type, r.TxID, r.Payload))
+				}
+				if fmt.Sprint(got) != want {
+					t.Fatalf("log holds %v, want %s", got, want)
+				}
+
+				c.res[1] = newTestResource()
+				s, err := engine.Recover(engine.Config{
+					ID:       1,
+					Endpoint: c.net.Endpoint(1),
+					Log:      c.logs[1],
+					Resource: c.res[1],
+					Detector: c.det,
+					Protocol: kind,
+					Timeout:  testTimeout,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.sites[1] = s
+				if !durable {
+					if ph := s.Phase("t1"); ph != "?" {
+						t.Fatalf("recovered site knows t1 (phase %s) though nothing reached the log", ph)
+					}
+					return
+				}
+				c.expect("t1", engine.OutcomeCommitted, 1)
+				if !c.res[1].didCommit("t1") {
+					t.Fatal("recovery did not apply the redo image")
+				}
+			})
+		}
+	}
+}
+
 // TestEnginePipelinesOverFileLog runs many concurrent transactions over a
 // real group-committing file log with sync enabled: all must commit, and
 // the per-site logs must show coalesced batches (more than one record per

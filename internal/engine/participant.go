@@ -24,8 +24,7 @@ func (s *shard) onVoteReq(m transport.Message) {
 	t.voting = true
 	s.mu.Unlock()
 
-	// Vote off the event loop: Prepare may wait on locks.
-	s.castVote(m.TxID, false, false)
+	s.onPrepareResult(s.prepare(m.TxID))
 }
 
 // onPrepareResult finishes the participant's vote once the local prepare

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -20,14 +19,15 @@ var syncDir = func(dir string) error {
 	return d.Sync()
 }
 
-// seekEnd positions a file at its end. A package variable so tests can fail
-// the post-rename seek and check the log survives.
-var seekEnd = func(f *os.File) (int64, error) { return f.Seek(0, io.SeekEnd) }
-
-// Compact rewrites the log in place, dropping every record of transactions
-// whose replayed status is StatusEnded (fully applied and garbage-collected
-// by the engine via Forget). Recovery time is proportional to log length,
-// so long-running sites should compact periodically.
+// Compact rewrites the log in place, shrinking what recovery must read for
+// transactions whose replayed status is StatusEnded (fully applied and
+// garbage-collected by the engine via Forget). An ended aborted transaction
+// loses every record. An ended committed one keeps its RecCommitted, whose
+// payload is the redo image recovery rebuilds the resource from, and its
+// last RecEnd, and loses the rest. Redo replayed from the compacted log therefore
+// rebuilds the same state as from the original. Recovery time is
+// proportional to log length, so long-running sites should compact
+// periodically.
 //
 // The log stays open and usable throughout: staged records are flushed
 // first, the surviving records are written to path+".compact", synced, and
@@ -55,11 +55,10 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	ended := map[string]bool{}
-	for tx, img := range Replay(recs) {
-		if img.Status == StatusEnded {
-			ended[tx] = true
-		}
+	images := Replay(recs)
+	committed := map[string]bool{}
+	for _, r := range recs {
+		committed[r.TxID] = committed[r.TxID] || r.Type == RecCommitted
 	}
 
 	tmpPath := l.path + ".compact"
@@ -68,16 +67,21 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: compact open: %w", err)
 	}
+	var size int64
 	for _, r := range recs {
-		if ended[r.TxID] {
+		// An ended transaction's last record is its RecEnd.
+		if img := images[r.TxID]; img != nil && img.Status == StatusEnded &&
+			!(committed[r.TxID] && (r.Type == RecCommitted || r.LSN == img.LastLSN)) {
 			dropped++
 			continue
 		}
-		if _, err := out.Write(frame(r)); err != nil {
+		n, err := out.Write(frame(r))
+		if err != nil {
 			out.Close()
 			os.Remove(tmpPath)
 			return 0, 0, fmt.Errorf("wal: compact rewrite: %w", err)
 		}
+		size += int64(n)
 		kept++
 	}
 	if err := out.Sync(); err != nil {
@@ -92,26 +96,22 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 	}
 	// The rename succeeded, so out IS the log now: swap the handle before
 	// anything below can fail, or a later append would land on the old,
-	// renamed-away inode and silently vanish. out's write position is
-	// already at end-of-file (the rewrite loop left it there), so the log
-	// stays appendable even if the defensive seek below fails.
+	// renamed-away inode and silently vanish. The new file holds exactly
+	// the rewritten records and no reserved space; the next batch reserves.
 	old := l.f
-	l.f = out
+	l.f, l.end, l.reserved = out, size, size
 	old.Close()
 	// Make the rename itself durable: fsync the parent directory, or a
 	// crash right here can lose the compacted file on some filesystems.
 	if err := syncDir(filepath.Dir(l.path)); err != nil {
 		return kept, dropped, fmt.Errorf("wal: compact dir sync: %w", err)
 	}
-	if _, err := seekEnd(out); err != nil {
-		return kept, dropped, fmt.Errorf("wal: compact seek: %w", err)
-	}
 	return kept, dropped, nil
 }
 
-// Compact rewrites a closed file log at path, dropping ended transactions.
-// It is the offline variant of (*FileLog).Compact, used before a node opens
-// its log for serving.
+// Compact rewrites a closed file log at path, dropping what ended
+// transactions no longer need. It is the offline variant of
+// (*FileLog).Compact, used before a node opens its log for serving.
 func Compact(path string) (kept, dropped int, err error) {
 	l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
 	if err != nil {

@@ -3,15 +3,17 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// seedLog writes a log where tx-end-* are fully ended (compaction drops
-// them) and tx-live-* are committed but not ended (compaction keeps them).
+// seedLog writes a log where tx-end-* are committed and ended (compaction
+// drops their votes) and tx-live-* are committed but not ended (compaction
+// keeps them whole).
 func seedLog(t *testing.T, path string, ended, live int) {
 	t.Helper()
 	l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
@@ -106,24 +108,28 @@ func TestCompactDirSyncFailureReported(t *testing.T) {
 }
 
 // TestCompactSeekFailureKeepsNewHandle is the regression test for the
-// handle-swap bug: when the post-rename seek fails, the log must already be
-// on the new file — the old code left l.f pointing at the renamed-away
-// inode, so every later append went to an unlinked file and silently
-// vanished across restart.
+// handle-swap bug: when a step after the rename fails, the log must already
+// be on the new file at the new file's end. Leaving the handle on the
+// renamed-away inode sends every later append to an unlinked file, where
+// it silently vanishes across restart; a stale end offset leaves a hole or
+// overwrites kept records. The end offset once came from a seek after the
+// rename; it is now tracked while the records are rewritten, and the
+// directory sync is the one step left that can fail past the rename.
 func TestCompactSeekFailureKeepsNewHandle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.wal")
 	seedLog(t, path, 2, 1)
 
-	boom := errors.New("injected seek failure")
-	origSeek := seekEnd
-	seekEnd = func(*os.File) (int64, error) { return 0, boom }
-	defer func() { seekEnd = origSeek }()
+	boom := errors.New("injected failure past the rename")
+	orig := syncDir
+	syncDir = func(string) error { return boom }
+	defer func() { syncDir = orig }()
 
 	l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Compact(); !errors.Is(err, boom) {
+	kept, _, err := l.Compact()
+	if !errors.Is(err, boom) {
 		t.Fatalf("Compact err = %v, want wrapped %v", err, boom)
 	}
 	if _, err := l.Append(Record{Type: RecCommitted, TxID: "post-seek", Payload: []byte("x")}); err != nil {
@@ -131,7 +137,8 @@ func TestCompactSeekFailureKeepsNewHandle(t *testing.T) {
 	}
 	l.Close()
 
-	// The append must survive reopen from the on-disk path.
+	// The append, and every record the compaction kept, must survive reopen
+	// from the on-disk path.
 	l2, err := OpenFileLog(path, FileLogOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +148,15 @@ func TestCompactSeekFailureKeepsNewHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img := Replay(recs); img["post-seek"].Status != StatusCommitted {
-		t.Fatalf("append after failed seek lost across reopen: %+v", img)
+	if len(recs) != kept+1 {
+		t.Fatalf("reopened log holds %d records, want %d kept + 1 appended", len(recs), kept)
+	}
+	img := Replay(recs)
+	if img["post-seek"] == nil || img["post-seek"].Status != StatusCommitted {
+		t.Fatalf("append after failure past the rename lost across reopen: %+v", img)
+	}
+	if img["tx-live-0"] == nil || img["tx-live-0"].Status != StatusCommitted {
+		t.Fatalf("kept record lost across reopen: %+v", img)
 	}
 }
 
@@ -159,8 +173,94 @@ func TestCompactMetricsMatchReturn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 2 || dropped != 9 {
-		t.Fatalf("kept=%d dropped=%d, want 2/9", kept, dropped)
+	// Each ended transaction keeps its commit and end records and drops
+	// its vote; the two live ones keep everything.
+	if kept != 8 || dropped != 3 {
+		t.Fatalf("kept=%d dropped=%d, want 8/3", kept, dropped)
+	}
+}
+
+// redoState is what recovery rebuilds from a log: the payload of every
+// RecCommitted, applied in log order. Payloads here are "key=value" writes.
+func redoState(recs []Record) map[string]string {
+	st := map[string]string{}
+	for _, r := range recs {
+		if r.Type == RecCommitted && len(r.Payload) > 0 {
+			k, v, _ := strings.Cut(string(r.Payload), "=")
+			st[k] = v
+		}
+	}
+	return st
+}
+
+// TestCompactPreservesRedo is a seeded property test over generated logs:
+// redo applied to an empty store gives the same store before and after
+// Compact. Transactions interleave, commit or abort, may be ended, may be
+// ended twice (a restarted site forgets a recovered transaction again), and
+// write overlapping keys so the order of kept redo records matters.
+func TestCompactPreservesRedo(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	dir := t.TempDir()
+	for trial := 0; trial < 30; trial++ {
+		type tx struct {
+			id    string
+			steps []Record
+		}
+		var live []*tx
+		for i := 0; i < 1+rng.Intn(20); i++ {
+			id := fmt.Sprintf("t%d", i)
+			steps := []Record{{Type: RecBegin, TxID: id}, {Type: RecVoteYes, TxID: id}}
+			if rng.Intn(2) == 0 {
+				steps = append(steps, Record{Type: RecPrepared, TxID: id})
+			}
+			if rng.Intn(3) > 0 {
+				redo := fmt.Sprintf("k%d=%s", rng.Intn(4), id)
+				steps = append(steps, Record{Type: RecCommitted, TxID: id, Payload: []byte(redo)})
+			} else {
+				steps = append(steps, Record{Type: RecAborted, TxID: id})
+			}
+			for e := rng.Intn(3); e > 0; e-- {
+				steps = append(steps, Record{Type: RecEnd, TxID: id})
+			}
+			live = append(live, &tx{id: id, steps: steps[:1+rng.Intn(len(steps))]})
+		}
+		path := filepath.Join(dir, fmt.Sprintf("p%d.wal", trial))
+		l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(live) > 0 {
+			i := rng.Intn(len(live))
+			if _, err := l.Append(live[i].steps[0]); err != nil {
+				t.Fatal(err)
+			}
+			if live[i].steps = live[i].steps[1:]; len(live[i].steps) == 0 {
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		before, err := l.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := l.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if want, got := redoState(before), redoState(after); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: redo before compaction %v, after %v", trial, want, got)
+		}
+		bi, ai := Replay(before), Replay(after)
+		for id, img := range bi {
+			if img.Status != StatusEnded {
+				if ai[id] == nil || ai[id].Status != img.Status {
+					t.Fatalf("trial %d: live %s changed status across compaction", trial, id)
+				}
+			}
+		}
 	}
 }
 

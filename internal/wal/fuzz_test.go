@@ -10,7 +10,8 @@ import (
 // never error (corrupt tails are silently discarded), and whatever it
 // recovers must survive a rewrite + rescan round trip.
 func FuzzScan(f *testing.F) {
-	// Seed corpus: a valid log, a truncated one, and garbage.
+	// Seed corpus: a valid log, a truncated one, garbage, and a valid log
+	// followed by reserved space a crash left behind.
 	valid := func() []byte {
 		dir := f.TempDir()
 		path := filepath.Join(dir, "seed.wal")
@@ -29,6 +30,7 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage garbage garbage"))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	f.Add(append(valid[:len(valid):len(valid)], make([]byte, 64<<10)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

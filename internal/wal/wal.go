@@ -15,12 +15,13 @@
 //
 // Group commit: FileLog.AppendStaged stages a record and returns
 // immediately; a background flusher coalesces everything staged into one
-// write+fsync and then reports durability through per-record callbacks.
-// Concurrent blocking Appends batch the same way (each is a staged append
-// that waits for its callback), so N goroutines appending concurrently
-// share fsyncs instead of serializing on them. The force-before-act
-// discipline is preserved by the caller: it must not act on a state change
-// until the callback fires.
+// write and one sync, then runs the batch's per-record durability callbacks
+// itself, in batch order. Concurrent blocking Appends batch the same way
+// (each is a staged append that waits for its callback), so N goroutines
+// appending concurrently share syncs instead of serializing on them. The
+// force-before-act discipline is preserved by the caller: it must not act
+// on a state change until the callback fires. Each force is one fdatasync
+// into space reserved ahead of the log (see FileLog).
 package wal
 
 import (
@@ -29,7 +30,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 )
@@ -110,12 +113,14 @@ type Log interface {
 
 // StagedLog is a Log supporting asynchronous, group-committed appends. A
 // staged record becomes durable together with its batch; the callback fires
-// exactly once, after the batch's write+fsync completed (or with the error
-// that prevented it). Callbacks for different records fire in LSN order.
+// exactly once, after the batch's write and sync completed (or with the
+// error that prevented it). Callbacks for different records fire in LSN
+// order.
 type StagedLog interface {
 	Log
 	// AppendStaged stages rec for the next batch. fn must not call back
-	// into the log; it runs on an internal goroutine.
+	// into the log: it runs on the goroutine that flushes the batch, while
+	// the log holds its write lock.
 	AppendStaged(rec Record, fn func(lsn uint64, err error))
 }
 
@@ -197,16 +202,22 @@ func (l *MemoryLog) Reopen() {
 }
 
 // Metrics receives observations from a FileLog. Nil fields are skipped; the
-// hooks are called on the callback runner goroutine and must be fast.
+// hooks are called by the goroutine that flushes a batch, under the log's
+// write lock, and must be fast.
 type Metrics struct {
 	// BatchRecords observes the number of records in each flushed batch.
 	BatchRecords func(n int)
-	// SyncLatency observes the write+fsync duration of each batch.
+	// SyncLatency observes the write+sync duration of each batch.
 	SyncLatency func(d time.Duration)
 	// BatchBytes observes the bytes written per flushed batch; summing it
 	// gives the total log bytes written.
 	BatchBytes func(n int)
 }
+
+const (
+	maxBatchBytes = 1 << 20  // a batch splits here; one oversized record flushes alone
+	reserveStep   = 16 << 20 // a FileLog reserves log space this far ahead at a time
+)
 
 // FileLog is a disk-backed StagedLog with group commit. Records are
 // length-prefixed and protected by CRC-32; a torn or corrupt tail is
@@ -214,6 +225,12 @@ type Metrics struct {
 // mid-batch leaves a clean prefix: every record whose durability callback
 // fired is on disk, and no record is ever missing in front of one that
 // survived.
+//
+// Batches go into space fallocate reserved past the written end, so forcing
+// one changes no file size and fdatasync suffices; the batch that grows the
+// file pays a full fsync. Reserved space reads as zeros, and an all-zero
+// header ends the scan (its empty body passes the CRC and fails to decode),
+// so after a crash the reservation is a torn tail like any other.
 //
 // On-disk record layout (little endian):
 //
@@ -224,7 +241,6 @@ type FileLog struct {
 	path     string
 	syncOn   bool
 	interval time.Duration
-	maxBatch int
 	metrics  Metrics
 
 	// mu guards staging state: records not yet handed to the flusher, the
@@ -235,25 +251,20 @@ type FileLog struct {
 	next        uint64
 	closed      bool
 
-	// wmu guards all file I/O (the handle itself, writes, syncs, scans,
-	// compaction). Batches are written in the order wmu is acquired.
-	wmu sync.Mutex
-	f   *os.File
-
-	// Durability callbacks run on a dedicated goroutine so the flusher can
-	// start the next batch's write+fsync while the previous batch's
-	// callbacks are still in flight. flush enqueues under cbMu while wmu
-	// is still held, so queue order is batch (LSN) order and a later batch
-	// can never report before an earlier one.
-	cbMu sync.Mutex
-	cbq  []cbBatch
+	// wmu guards all file I/O (the handle itself, the offsets below, writes,
+	// syncs, scans, compaction) and the delivery of durability callbacks.
+	// Batches are written, and their callbacks run, in the order wmu is
+	// acquired.
+	wmu        sync.Mutex
+	f          *os.File
+	end        int64 // written end: the next batch is written here
+	reserved   int64 // end of the space fallocate has reserved
+	noPrealloc bool  // the filesystem refused fallocate: append and fsync
+	sizeDirty  bool  // the file size changed since the last full fsync
 
 	wake        chan struct{}
 	quit        chan struct{}
 	flusherDone chan struct{}
-	cbWake      chan struct{}
-	cbQuit      chan struct{}
-	cbDone      chan struct{}
 }
 
 type stagedRec struct {
@@ -262,34 +273,24 @@ type stagedRec struct {
 	fn  func(lsn uint64, err error) // nil for a lazy record
 }
 
-// cbBatch is one flushed batch awaiting callback delivery.
-type cbBatch struct {
-	recs    []stagedRec
-	err     error
-	nbytes  int
-	elapsed time.Duration
-}
-
 // FileLogOptions configures a FileLog.
 type FileLogOptions struct {
-	// NoSync disables fsync after each batch. Faster, but a crash of the
+	// NoSync disables the sync after each batch. Faster, but a crash of the
 	// host (not just the process) may lose the tail of the log.
 	NoSync bool
 	// FlushInterval bounds how long the flusher gathers a batch after the
 	// first record is staged. Zero flushes as soon as the flusher is free:
-	// batching then arises naturally while a previous batch's fsync is in
+	// batching then arises naturally while a previous batch's sync is in
 	// progress, adding no latency under light load.
 	FlushInterval time.Duration
-	// MaxBatchBytes splits batches larger than this (a single oversized
-	// record still flushes alone). Zero means 1 MiB.
-	MaxBatchBytes int
 	// Metrics receives batch-size and sync-latency observations.
 	Metrics Metrics
 }
 
 // OpenFileLog opens or creates a file-backed log, replaying any existing
-// records and truncating a torn tail.
+// records, truncating a torn tail and reserving space past the end.
 func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
+	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
@@ -303,32 +304,67 @@ func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	maxBatch := opts.MaxBatchBytes
-	if maxBatch <= 0 {
-		maxBatch = 1 << 20
+	if errors.Is(statErr, fs.ErrNotExist) {
+		// The new file's directory entry must be durable before any record
+		// inside it can be.
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: sync directory of %s: %w", path, err)
+		}
 	}
 	l := &FileLog{
 		path:        path,
 		syncOn:      !opts.NoSync,
 		interval:    opts.FlushInterval,
-		maxBatch:    maxBatch,
 		metrics:     opts.Metrics,
 		f:           f,
+		end:         validLen,
+		reserved:    validLen,
 		next:        uint64(len(recs) + 1),
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		flusherDone: make(chan struct{}),
-		cbWake:      make(chan struct{}, 1),
-		cbQuit:      make(chan struct{}),
-		cbDone:      make(chan struct{}),
 	}
+	l.reserve(validLen + reserveStep)
 	go l.flusher()
-	go l.cbRunner()
 	return l, nil
+}
+
+// reserve extends the reserved space to cover need, in reserveStep steps.
+// Where fallocate is refused the log falls back to appending, and every
+// batch then grows the file. Requires wmu held (or sole ownership of l).
+func (l *FileLog) reserve(need int64) {
+	l.sizeDirty = true
+	if l.noPrealloc {
+		return
+	}
+	to := l.reserved + reserveStep*((need-l.reserved+reserveStep-1)/reserveStep)
+	if err := fallocate(l.f, l.reserved, to-l.reserved); err != nil {
+		l.noPrealloc = true
+		return
+	}
+	l.reserved = to
+}
+
+// write puts one batch at the written end and forces it: with fdatasync,
+// or with a full fsync after the file size changed. Requires wmu held.
+func (l *FileLog) write(buf []byte) error {
+	if need := l.end + int64(len(buf)); need > l.reserved {
+		l.reserve(need)
+	}
+	if _, err := l.f.WriteAt(buf, l.end); err != nil {
+		return err
+	}
+	l.end += int64(len(buf))
+	switch {
+	case !l.syncOn:
+		return nil
+	case l.sizeDirty:
+		err := l.f.Sync()
+		l.sizeDirty = err != nil
+		return err
+	}
+	return fdatasync(l.f)
 }
 
 // scan reads records from the start of f, returning the byte length of the
@@ -447,11 +483,11 @@ func (l *FileLog) AppendLazy(rec Record) error {
 	l.next++
 	l.staged = append(l.staged, stagedRec{lsn: lsn, buf: buf})
 	l.stagedBytes += len(buf)
-	full := l.stagedBytes >= l.maxBatch
+	full := l.stagedBytes >= maxBatchBytes
 	l.mu.Unlock()
-	// No signal: lazy records add no fsync of their own. The flush-interval
-	// gather, the next forced append, Records, SyncNow, or Close will carry
-	// them. Only a full batch forces a flush, bounding staged memory.
+	// No signal: lazy records add no sync of their own. The flush-interval
+	// gather, the next forced append, Records, or Close will carry them.
+	// Only a full batch forces a flush, bounding staged memory.
 	if full {
 		l.signal()
 	}
@@ -484,8 +520,7 @@ func (l *FileLog) flusher() {
 	for {
 		select {
 		case <-l.quit:
-			l.flush() // drain whatever was staged before Close
-			return
+			return // Close drains whatever is still staged
 		case <-l.wake:
 		}
 		if l.interval > 0 {
@@ -508,7 +543,7 @@ func (l *FileLog) gather() {
 			return
 		case <-l.wake:
 			l.mu.Lock()
-			full := l.stagedBytes >= l.maxBatch
+			full := l.stagedBytes >= maxBatchBytes
 			l.mu.Unlock()
 			if full {
 				return
@@ -517,16 +552,16 @@ func (l *FileLog) gather() {
 	}
 }
 
-// flush writes one batch: everything currently staged, up to MaxBatchBytes.
-// Any goroutine may call it (the flusher, Records, SyncNow, Close); wmu
-// orders the writes, and enqueueing to the callback runner under cbMu while
-// wmu is still held orders the callbacks. flush returns once the batch is
-// durable — its callbacks may still be running on the callback goroutine.
+// flush writes one batch, everything currently staged up to maxBatchBytes,
+// then runs its durability callbacks in LSN order. Any goroutine may call it
+// (the flusher, Records, Compact, Close); holding wmu from the write to the
+// last callback orders both the writes and the callbacks by batch.
 func (l *FileLog) flush() {
 	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
 	n, nbytes := 0, 0
-	for n < len(l.staged) && (n == 0 || nbytes+len(l.staged[n].buf) <= l.maxBatch) {
+	for n < len(l.staged) && (n == 0 || nbytes+len(l.staged[n].buf) <= maxBatchBytes) {
 		nbytes += len(l.staged[n].buf)
 		n++
 	}
@@ -539,7 +574,6 @@ func (l *FileLog) flush() {
 	remaining := len(l.staged) > 0
 	l.mu.Unlock()
 	if len(batch) == 0 {
-		l.wmu.Unlock()
 		return
 	}
 
@@ -548,97 +582,41 @@ func (l *FileLog) flush() {
 		buf = append(buf, r.buf...)
 	}
 	start := time.Now()
-	_, err := l.f.Write(buf)
-	if err == nil && l.syncOn {
-		err = l.f.Sync()
-	}
+	err := l.write(buf)
 	elapsed := time.Since(start)
 	if err != nil {
 		err = fmt.Errorf("wal: append batch: %w", err)
 	}
-
-	l.cbMu.Lock()
-	l.cbq = append(l.cbq, cbBatch{recs: batch, err: err, nbytes: nbytes, elapsed: elapsed})
-	l.cbMu.Unlock()
-	l.wmu.Unlock()
-	select {
-	case l.cbWake <- struct{}{}:
-	default:
+	if l.metrics.BatchRecords != nil {
+		l.metrics.BatchRecords(len(batch))
 	}
-
+	if l.metrics.SyncLatency != nil {
+		l.metrics.SyncLatency(elapsed)
+	}
+	if l.metrics.BatchBytes != nil {
+		l.metrics.BatchBytes(nbytes)
+	}
+	for _, r := range batch {
+		if r.fn != nil {
+			r.fn(r.lsn, err)
+		}
+	}
 	if remaining {
 		l.signal()
 	}
 }
 
-// cbRunner delivers durability callbacks in batch order, off the flusher's
-// critical path: while it runs batch N's callbacks the flusher is already
-// writing and syncing batch N+1.
-func (l *FileLog) cbRunner() {
-	defer close(l.cbDone)
-	for {
-		select {
-		case <-l.cbWake:
-			l.drainCallbacks()
-		case <-l.cbQuit:
-			// Close flushes the last batch before signalling cbQuit, so
-			// one final drain empties the queue.
-			l.drainCallbacks()
-			return
-		}
-	}
-}
-
-func (l *FileLog) drainCallbacks() {
-	for {
-		l.cbMu.Lock()
-		if len(l.cbq) == 0 {
-			l.cbq = nil // release the drained backing array
-			l.cbMu.Unlock()
-			return
-		}
-		b := l.cbq[0]
-		l.cbq[0] = cbBatch{}
-		l.cbq = l.cbq[1:]
-		l.cbMu.Unlock()
-		if l.metrics.BatchRecords != nil {
-			l.metrics.BatchRecords(len(b.recs))
-		}
-		if l.metrics.SyncLatency != nil {
-			l.metrics.SyncLatency(b.elapsed)
-		}
-		if l.metrics.BatchBytes != nil {
-			l.metrics.BatchBytes(b.nbytes)
-		}
-		for _, r := range b.recs {
-			if r.fn != nil {
-				r.fn(r.lsn, b.err)
-			}
-		}
-	}
-}
-
-// SyncNow flushes every staged record and forces the file to disk,
-// regardless of the NoSync option.
-func (l *FileLog) SyncNow() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	l.mu.Unlock()
+// drain flushes batches until nothing is staged.
+func (l *FileLog) drain() {
 	for {
 		l.flush()
 		l.mu.Lock()
-		drained := len(l.staged) == 0
+		empty := len(l.staged) == 0
 		l.mu.Unlock()
-		if drained {
-			break
+		if empty {
+			return
 		}
 	}
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	return l.f.Sync()
 }
 
 // Records implements Log by scanning the file, so a long-running log holds
@@ -652,29 +630,16 @@ func (l *FileLog) Records() ([]Record, error) {
 		return nil, ErrClosed
 	}
 	l.mu.Unlock()
-	for {
-		l.flush()
-		l.mu.Lock()
-		drained := len(l.staged) == 0
-		l.mu.Unlock()
-		if drained {
-			break
-		}
-	}
+	l.drain()
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	_, recs, err := scan(l.f)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return recs, err
 }
 
 // Close implements Log. Staged records are flushed (and their callbacks
-// run) before the file closes; closing twice is a no-op.
+// run) and the reserved space past the written end is released before the
+// file closes; closing twice is a no-op.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -685,12 +650,14 @@ func (l *FileLog) Close() error {
 	l.mu.Unlock()
 	close(l.quit)
 	<-l.flusherDone
-	l.flush() // defensive: the flusher's final drain already emptied staging
-	close(l.cbQuit)
-	<-l.cbDone
+	l.drain()
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return l.f.Close()
+	err := l.f.Truncate(l.end)
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Path returns the log file's path.

@@ -384,8 +384,8 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 3 || dropped != 3 {
-		t.Fatalf("kept=%d dropped=%d, want 3/3", kept, dropped)
+	if kept != 5 || dropped != 1 {
+		t.Fatalf("kept=%d dropped=%d, want 5/1", kept, dropped)
 	}
 
 	l2, err := OpenFileLog(path, FileLogOptions{NoSync: true})
@@ -395,8 +395,9 @@ func TestCompact(t *testing.T) {
 	defer l2.Close()
 	recs, _ := l2.Records()
 	img := Replay(recs)
-	if _, has := img["tx1"]; has {
-		t.Fatal("ended transaction survived compaction")
+	// tx1 ended committed: its vote goes, its commit (the redo) and end stay.
+	if img["tx1"] == nil || img["tx1"].Status != StatusEnded {
+		t.Fatalf("tx1 image = %+v", img["tx1"])
 	}
 	if img["tx2"].Status != StatusCommitted || string(img["tx2"].Last) != "redo2" {
 		t.Fatalf("tx2 image = %+v", img["tx2"])
