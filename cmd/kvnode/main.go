@@ -210,8 +210,9 @@ func main() {
 		// StoreResource's redo image is the encoded write set: empty means
 		// read-only at this site, so the read-only vote is sound.
 		ReadOnlyVotes: true,
-		// Called on the endpoint's receive path, never from behind a protocol
-		// shard's queue: a heartbeat or a reply is handled where it arrives.
+		// Called on the endpoint's receive path, never from behind the
+		// engine's event queue: a heartbeat or a reply is handled where it
+		// arrives.
 		Unhandled: func(m transport.Message) {
 			switch m.Kind {
 			case failure.HeartbeatKind:

@@ -45,9 +45,6 @@ type Config struct {
 	// SiteTimeouts overrides Timeout per site — hostile topologies use it
 	// to skew one site's failure suspicion relative to its peers.
 	SiteTimeouts map[int]time.Duration
-	// Shards is the engine shard count per site (0 = engine default). The
-	// determinism tests vary it to prove traces are shard-count-invariant.
-	Shards int
 	// Horizon bounds the virtual time a run may consume. Default 60s.
 	Horizon time.Duration
 	// MaxSteps bounds scheduler steps per run. Default 50000.
@@ -241,12 +238,12 @@ func (l *crashLog) Close() error { return l.inner.Close() }
 // a SimNetwork and a shared virtual clock, plus the fault bookkeeping the
 // scheduler needs.
 type cluster struct {
-	cfg   Config
-	net   *transport.SimNetwork
-	clk   *clock.Virtual
-	sites map[int]*engine.Site
-	logs  map[int]*crashLog
-	res   map[int]*resource
+	cfg    Config
+	net    *transport.SimNetwork
+	clk    *clock.Virtual
+	sites  map[int]*engine.Site
+	logs   map[int]*crashLog
+	res    map[int]*resource
 	kres   map[int]engine.Resource // cfg.mkResource-built resources, if any
 	ids    []int
 	txids  []string
@@ -328,7 +325,6 @@ func (c *cluster) startSite(id int) {
 		Detector:      c.net,
 		Protocol:      c.cfg.Protocol,
 		Timeout:       c.timeoutFor(id),
-		Shards:        c.cfg.Shards,
 		Clock:         c.clk,
 		Deterministic: true,
 		ReadOnlyVotes: c.cfg.readOnlyVotes,
@@ -420,7 +416,6 @@ func (c *cluster) recoverSite(site int) {
 		Detector:      c.net,
 		Protocol:      c.cfg.Protocol,
 		Timeout:       c.timeoutFor(site),
-		Shards:        c.cfg.Shards,
 		Clock:         c.clk,
 		Deterministic: true,
 		ReadOnlyVotes: c.cfg.readOnlyVotes,

@@ -23,42 +23,41 @@ func (s *Site) Begin(txid string, participants []int) error {
 	}
 	meta := TxMeta{Coordinator: s.id, Participants: cohort}
 
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.stopped.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return ErrStopped
 	}
-	if _, ok := sh.txns[txid]; ok {
-		sh.mu.Unlock()
+	if _, ok := s.txns[txid]; ok {
+		s.mu.Unlock()
 		return fmt.Errorf("engine: site %d already has transaction %s", s.id, txid)
 	}
-	t := sh.tx(txid)
+	t := s.tx(txid)
 	t.coordinator = true
 	t.meta = meta
 	if s.metrics != nil {
 		t.begunAt = s.clk.Now()
 	}
 	if t.onePhase() {
-		sh.mu.Unlock()
-		sh.commitOnePhase(t, sh.prepare(txid))
+		s.mu.Unlock()
+		s.commitOnePhase(t, s.prepare(txid))
 		return nil
 	}
 	// One encoding serves both the begin record and every VOTE-REQ body.
 	body := encodeMeta(meta)
-	if sh.presumedAbort(t) {
+	if s.presumedAbort(t) {
 		// Presumed-abort 2PC: the begin record need not be forced. A
 		// recovered coordinator with no trace answers in-doubt inquiries
 		// with 'n' (no trace), which participants read as abort — exactly
 		// the outcome a pre-commit coordinator crash produces anyway.
-		sh.mustLogLazy(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
+		s.mustLogLazy(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
 	} else {
-		sh.mustLog(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
+		s.mustLog(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
 	}
-	sh.armTimer(t, sh.protoTimeout())
+	s.armTimer(t, s.protoTimeout())
 
 	// First phase: distribute the transaction ("Start Xact" / VOTE-REQ).
-	// Still under sh.mu so (when the begin record is forced) the sends
+	// Still under s.mu so (when the begin record is forced) the sends
 	// defer behind its durability: were a VOTE-REQ to outrun it and the
 	// coordinator to crash, the recovered coordinator would not even know
 	// the transaction it asked the cohort to vote on. Under presumed abort
@@ -66,14 +65,14 @@ func (s *Site) Begin(txid string, participants []int) error {
 	// "abort" are the same answer.
 	for _, p := range cohort {
 		if p != s.id {
-			sh.send(p, KindVoteReq, txid, body)
+			s.send(p, KindVoteReq, txid, body)
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	// The coordinator's own vote: prepared here, on the caller's goroutine,
 	// and handled on the event loop in order with the cohort's votes.
-	sh.enqueue(event{kind: evVote, vote: sh.prepare(txid)})
+	s.enqueue(event{kind: evVote, vote: s.prepare(txid)})
 	return nil
 }
 
@@ -83,7 +82,7 @@ func (s *Site) Begin(txid string, participants []int) error {
 // the site's local recovery is the whole protocol: no begin, vote or
 // prepared record, one forced RecCommitted carrying the redo image, and
 // nothing at all for an abort (no trace already means abort to recovery).
-func (s *shard) commitOnePhase(t *txState, v voteResult) {
+func (s *Site) commitOnePhase(t *txState, v voteResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v.err != nil {
@@ -110,7 +109,7 @@ func normalizeCohort(self int, participants []int) []int {
 }
 
 // onVote handles YES/NO/READ-ONLY from a participant (coordinator role).
-func (s *shard) onVote(m transport.Message) {
+func (s *Site) onVote(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -135,7 +134,7 @@ func (s *shard) onVote(m transport.Message) {
 }
 
 // onOwnVote handles the coordinator's local prepare result.
-func (s *shard) onOwnVote(v voteResult) {
+func (s *Site) onOwnVote(v voteResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[v.txid]
@@ -160,7 +159,7 @@ func (s *shard) onOwnVote(v voteResult) {
 
 // maybeAllVotes advances when the coordinator holds a YES from every other
 // participant plus its own. Requires s.mu held.
-func (s *shard) maybeAllVotes(t *txState) {
+func (s *Site) maybeAllVotes(t *txState) {
 	if t.phase != phaseInit || !t.ownYes || s.kind == PaxosCommit {
 		return // Paxos decides from 2b tallies, never from YES counting
 	}
@@ -191,7 +190,7 @@ func (s *shard) maybeAllVotes(t *txState) {
 }
 
 // onAck handles a participant's PREPARE acknowledgement. Requires 3PC.
-func (s *shard) onAck(m transport.Message) {
+func (s *Site) onAck(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -206,7 +205,7 @@ func (s *shard) onAck(m transport.Message) {
 // the prepare. Crashed participants are waived: they voted YES, so their
 // recovery protocol will learn the commit from the cohort. Requires s.mu
 // held.
-func (s *shard) maybeAllAcks(t *txState) {
+func (s *Site) maybeAllAcks(t *txState) {
 	if t.phase != phasePrepared || !t.coordinator {
 		return
 	}
@@ -228,7 +227,7 @@ func (s *shard) maybeAllAcks(t *txState) {
 // survivors merely acknowledged the corpse and forgot after the grace
 // period, the coordinator's eventual recovery would find a cohort with no
 // memory of the outcome.
-func (s *shard) decideCommit(t *txState) {
+func (s *Site) decideCommit(t *txState) {
 	t.coordinator = true
 	s.resolve(t, OutcomeCommitted)
 	for i, p := range t.meta.Participants {
@@ -240,7 +239,7 @@ func (s *shard) decideCommit(t *txState) {
 
 // decideAbort records and broadcasts the abort decision, claiming the
 // settlement collection point like decideCommit. Requires s.mu held.
-func (s *shard) decideAbort(t *txState) {
+func (s *Site) decideAbort(t *txState) {
 	t.coordinator = true
 	s.resolve(t, OutcomeAborted)
 	for i, p := range t.meta.Participants {
@@ -252,7 +251,7 @@ func (s *shard) decideAbort(t *txState) {
 
 // coordinatorTimeout fires when vote or ack collection stalls. Requires
 // s.mu held.
-func (s *shard) coordinatorTimeout(t *txState) {
+func (s *Site) coordinatorTimeout(t *txState) {
 	if s.kind == PaxosCommit {
 		// The Paxos coordinator must NOT unilaterally abort on a stall:
 		// every instance may already be chosen 'y' at the acceptors with
@@ -286,7 +285,7 @@ func (s *shard) coordinatorTimeout(t *txState) {
 
 // coordinatorCrashCheck re-evaluates a coordinator transaction after a
 // participant crash. Requires s.mu held.
-func (s *shard) coordinatorCrashCheck(t *txState, crashed int) {
+func (s *Site) coordinatorCrashCheck(t *txState, crashed int) {
 	if t.resolved() {
 		return
 	}

@@ -1,8 +1,8 @@
 package engine_test
 
-// Tests for the sharded event-driven core: configuration validation,
-// dropped-event accounting across shutdown, and a -race stress run driving
-// every shard concurrently.
+// Tests for the event-driven core: configuration validation, dropped-event
+// accounting across shutdown, and a -race stress run with concurrent
+// coordinators on every site.
 
 import (
 	"fmt"
@@ -81,10 +81,10 @@ func TestShutdownDropAccounting(t *testing.T) {
 	}
 }
 
-// TestShardedStress drives every shard of a multi-shard cluster from many
-// goroutines at once — concurrent Begins, waiters, duplicate deliveries and
-// crash reports — and is meant to run under -race.
-func TestShardedStress(t *testing.T) {
+// TestConcurrentCoordinatorsStress runs concurrent coordinators on every
+// site of a cluster from many goroutines at once — Begins, waiters and the
+// event loops that serve them all — and is meant to run under -race.
+func TestConcurrentCoordinatorsStress(t *testing.T) {
 	net := transport.NewNetwork()
 	det := failure.NewOracle(net)
 	const n = 3
@@ -103,7 +103,6 @@ func TestShardedStress(t *testing.T) {
 			Protocol:    engine.ThreePhase,
 			Timeout:     100 * time.Millisecond,
 			ForgetAfter: 50 * time.Millisecond,
-			Shards:      4, // force multiple shards even on one core
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,31 +36,30 @@ func (s *Site) BeginPeer(txid string, participants []int) error {
 	}
 	meta := TxMeta{Coordinator: 0, Participants: cohort}
 
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.stopped.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return ErrStopped
 	}
-	if _, ok := sh.txns[txid]; ok {
-		sh.mu.Unlock()
+	if _, ok := s.txns[txid]; ok {
+		s.mu.Unlock()
 		return fmt.Errorf("engine: site %d already has transaction %s", s.id, txid)
 	}
 	body := encodeMeta(meta)
 	for _, p := range cohort {
 		if p != s.id {
-			sh.send(p, KindDXact, txid, body)
+			s.send(p, KindDXact, txid, body)
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	// Deliver our own copy directly.
-	sh.onDXact(transport.Message{From: s.id, To: s.id, Kind: KindDXact, TxID: txid, Body: body})
+	s.onDXact(transport.Message{From: s.id, To: s.id, Kind: KindDXact, TxID: txid, Body: body})
 	return nil
 }
 
 // onDXact receives the transaction at a peer and casts the local vote.
-func (s *shard) onDXact(m transport.Message) {
+func (s *Site) onDXact(m transport.Message) {
 	meta, err := decodeMeta(m.Body)
 	if err != nil {
 		return
@@ -83,7 +82,7 @@ func (s *shard) onDXact(m transport.Message) {
 }
 
 // onPeerVoteResult completes the peer's local vote and broadcasts it.
-func (s *shard) onPeerVoteResult(v voteResult) {
+func (s *Site) onPeerVoteResult(v voteResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[v.txid]
@@ -118,7 +117,7 @@ func (s *shard) onPeerVoteResult(v voteResult) {
 // onDVote records a peer's vote. A site that has already resolved the
 // transaction (e.g. it voted NO and aborted, and its NO was lost) answers a
 // retransmitted vote with the outcome instead.
-func (s *shard) onDVote(m transport.Message) {
+func (s *Site) onDVote(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -155,7 +154,7 @@ func (s *shard) onDVote(m transport.Message) {
 // from a crashed peer is NOT waived — its vote may have reached other sites
 // that already advanced, so only the termination protocol may resolve the
 // gap. Requires s.mu held.
-func (s *shard) maybePeerVotesDone(t *txState) {
+func (s *Site) maybePeerVotesDone(t *txState) {
 	if t.phase != phaseWait || !t.peer {
 		return
 	}
@@ -195,7 +194,7 @@ func (s *shard) maybePeerVotesDone(t *txState) {
 
 // onDPrepare records a peer's prepare broadcast, answering with the outcome
 // when already resolved.
-func (s *shard) onDPrepare(m transport.Message) {
+func (s *Site) onDPrepare(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -222,7 +221,7 @@ func (s *shard) onDPrepare(m transport.Message) {
 
 // maybePeerPreparesDone commits once every peer has prepared. Requires s.mu
 // held.
-func (s *shard) maybePeerPreparesDone(t *txState) {
+func (s *Site) maybePeerPreparesDone(t *txState) {
 	if t.phase != phasePrepared || !t.peer {
 		return
 	}
@@ -237,7 +236,7 @@ func (s *shard) maybePeerPreparesDone(t *txState) {
 // peerTimeout drives a stuck decentralized transaction: retransmit to
 // laggards while the whole cohort is operational, run the termination
 // protocol once somebody has crashed. Requires s.mu held.
-func (s *shard) peerTimeout(t *txState) {
+func (s *Site) peerTimeout(t *txState) {
 	if t.resolved() || (t.phase != phaseWait && t.phase != phasePrepared) {
 		return
 	}

@@ -11,20 +11,19 @@
 // canonical q → w → (p) → c / a of the paper's FSAs; the wal records are
 // their durable images.
 //
-// A site's runtime is a set of shards, each an independent event loop owning
-// a txid-hash partition of the transaction table: messages, timer fires,
-// vote results and durability notifications for a transaction all serialize
-// onto its shard, so per-transaction state needs no cross-shard
-// coordination. Timers multiplex onto one hierarchical timer wheel per site
-// (clock.Wheel), with a generation token per arm so a stale fire that was
-// already in flight when the timer was re-armed is rejected.
+// A site runs one event loop, the paper's one automaton per site: messages,
+// timer fires, vote results and durability notifications all serialize onto
+// it, so each transition reads its messages, writes its messages and moves
+// to the next local state atomically. Timers multiplex onto one hierarchical
+// timer wheel per site (clock.Wheel), with a generation token per arm so a
+// stale fire that was already in flight when the timer was re-armed is
+// rejected.
 package engine
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -125,7 +124,7 @@ const maxCohort = 64
 // Commit. ApplyRedo replays a committed redo image during recovery, when the
 // resource no longer holds the live transaction.
 //
-// Prepare must not block: it runs on the shard's event loop (or on Begin's
+// Prepare must not block: it runs on the site's event loop (or on Begin's
 // caller), so any waiting, such as for locks, belongs in the operations that
 // stage the transaction's changes before the commit starts.
 type Resource interface {
@@ -391,11 +390,6 @@ type Config struct {
 	// default: only enable it for resources where an empty redo image
 	// genuinely means "this site has nothing at stake in the outcome".
 	ReadOnlyVotes bool
-	// Shards is the number of event-loop workers, each owning a txid-hash
-	// partition of the transaction table (rounded up to a power of two).
-	// Zero means GOMAXPROCS — or one in deterministic mode, where shards
-	// share the injector's goroutine anyway.
-	Shards int
 	// Clock supplies time to every protocol path (timers, deadlines). Nil
 	// means the wall clock; deterministic simulation (internal/dst) injects
 	// a virtual clock so timeouts fire only when the simulation advances it.
@@ -409,11 +403,12 @@ type Config struct {
 	Deterministic bool
 	// Unhandled, when set, receives every message whose kind the engine
 	// does not recognize — heartbeats, application data-plane traffic, and
-	// anything else multiplexed onto the site's endpoint. It is called
-	// straight from the goroutine that reads the endpoint (the injector's in
-	// deterministic mode), never from behind a shard's event queue, so such
-	// traffic neither waits for protocol events nor delays them. Keep it
-	// fast: hand anything that can block to a goroutine of its own.
+	// anything else multiplexed onto the site's endpoint. It is called on
+	// the goroutine that reads the endpoint: the site's event loop, between
+	// batches of protocol events (the injector's goroutine in deterministic
+	// mode). Such traffic is never queued behind protocol events, but the
+	// loop handles none while Unhandled runs, so keep it fast: hand anything
+	// that can block to a goroutine of its own.
 	Unhandled func(transport.Message)
 	// Trace, when set, records the site's protocol events (votes, state
 	// transitions, termination and recovery milestones). Production nodes
@@ -427,41 +422,9 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Site executes commit protocols for one node. Create with New, start with
-// Start, and stop with Stop (graceful) or Crash (fault injection). Protocol
-// state lives in the site's shards; the Site itself holds only what is
-// shared across them.
+// Site executes commit protocols for one node, as one event loop over one
+// transaction table. Create with New, start with Start, and stop with Stop.
 type Site struct {
-	id        int
-	ep        transport.Endpoint
-	det       failure.Detector
-	clk       clock.Clock
-	kind      ProtocolKind
-	timeoutNs atomic.Int64 // protocol timeout; read via protoTimeout
-	forget    time.Duration
-	determin  bool
-	metrics   *Metrics
-	unhandled func(transport.Message)
-
-	shards    []*shard
-	shardMask uint32
-	wheel     *clock.Wheel // all shards' transaction timers, one per site
-
-	live    atomic.Bool   // Start has run; staged logging may be used
-	stopped atomic.Bool   // Stop has run; new events are dropped
-	dropped atomic.Uint64 // events discarded after Stop (observability)
-
-	quit chan struct{}
-	wg   sync.WaitGroup
-}
-
-// shard owns one txid-hash partition of a site's transaction table and the
-// event loop that serializes all activity on it. The site's dependencies
-// are duplicated onto every shard so handlers never indirect through the
-// Site on the hot path.
-type shard struct {
-	site *Site
-
 	id          int
 	ep          transport.Endpoint
 	log         wal.Log
@@ -469,26 +432,33 @@ type shard struct {
 	lazy        wal.LazyLog   // non-nil: lazy (non-forced) appends are supported
 	res         Resource
 	det         failure.Detector
-	kind        ProtocolKind
-	forgetAfter time.Duration
 	clk         clock.Clock
+	kind        ProtocolKind
+	timeoutNs   atomic.Int64 // protocol timeout; read via protoTimeout
+	forgetAfter time.Duration
 	determin    bool
 	roVotes     bool
 	trace       *trace.Recorder
 	metrics     *Metrics
+	unhandled   func(transport.Message)
+
+	wheel *clock.Wheel // every transaction's timer
 
 	mu       sync.Mutex
 	txns     map[string]*txState
 	pending  []*actGroup // actions deferred behind staged WAL records (FIFO)
 	arrivals map[string]*arrival
 
-	events chan event
-	// recv, set only on single-shard sites, lets the one event loop select
-	// on the endpoint directly instead of paying a demux hop per message.
-	recv <-chan transport.Message
-
+	events  chan event
 	groups  []*actGroup // recycled actGroups, capped
 	release []*actGroup // onDurable scratch (event-loop-owned)
+
+	live    atomic.Bool   // Start has run; staged logging may be used
+	stopped atomic.Bool   // Stop has run; new events are dropped
+	dropped atomic.Uint64 // events discarded after Stop (observability)
+
+	quit chan struct{}
+	wg   sync.WaitGroup
 }
 
 // evKind tags an event with what it carries; the explicit discriminant is
@@ -504,7 +474,7 @@ const (
 	evDurable                   // a staged WAL record's batch became durable
 )
 
-// event is an internal occurrence handled on a shard's event loop. It is a
+// event is an internal occurrence handled on the site's event loop. It is a
 // value type: events move through channels and handlers by copy, so the hot
 // path never allocates one.
 type event struct {
@@ -600,36 +570,6 @@ func New(cfg Config) (*Site, error) {
 	if clk == nil {
 		clk = clock.Wall
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		if cfg.Deterministic {
-			n = 1
-		} else {
-			n = runtime.GOMAXPROCS(0)
-		}
-	}
-	n = ceilPow2(n)
-	s := &Site{
-		id:        cfg.ID,
-		ep:        cfg.Endpoint,
-		det:       cfg.Detector,
-		clk:       clk,
-		kind:      cfg.Protocol,
-		forget:    cfg.ForgetAfter,
-		determin:  cfg.Deterministic,
-		metrics:   cfg.Metrics,
-		unhandled: cfg.Unhandled,
-		shardMask: uint32(n - 1),
-		quit:      make(chan struct{}),
-	}
-	s.timeoutNs.Store(int64(to))
-	// The wheel's tick only sets bucketing granularity (fires are exact):
-	// a fraction of the protocol timeout keeps cascades rare.
-	tick := to / 16
-	if tick > 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	s.wheel = clock.NewWheel(clk, tick, s.onTimerFire)
 	// Group commit needs real concurrency: the deterministic simulator
 	// processes everything on one goroutine and must observe each append
 	// synchronously, so staging is only used outside deterministic mode.
@@ -640,45 +580,39 @@ func New(cfg Config) (*Site, error) {
 	// Lazy appends need no callback, so they are usable in deterministic mode
 	// too (the simulator's log models the staged-but-unflushed crash window).
 	lazy, _ := cfg.Log.(wal.LazyLog)
-	s.shards = make([]*shard, n)
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			site:        s,
-			id:          cfg.ID,
-			ep:          cfg.Endpoint,
-			log:         cfg.Log,
-			slog:        slog,
-			lazy:        lazy,
-			res:         cfg.Resource,
-			det:         cfg.Detector,
-			kind:        cfg.Protocol,
-			forgetAfter: cfg.ForgetAfter,
-			clk:         clk,
-			determin:    cfg.Deterministic,
-			roVotes:     cfg.ReadOnlyVotes,
-			trace:       cfg.Trace,
-			metrics:     cfg.Metrics,
-			txns:        map[string]*txState{},
-			arrivals:    map[string]*arrival{},
-			events:      make(chan event, 1024),
-		}
+	s := &Site{
+		id:          cfg.ID,
+		ep:          cfg.Endpoint,
+		log:         cfg.Log,
+		slog:        slog,
+		lazy:        lazy,
+		res:         cfg.Resource,
+		det:         cfg.Detector,
+		clk:         clk,
+		kind:        cfg.Protocol,
+		forgetAfter: cfg.ForgetAfter,
+		determin:    cfg.Deterministic,
+		roVotes:     cfg.ReadOnlyVotes,
+		trace:       cfg.Trace,
+		metrics:     cfg.Metrics,
+		unhandled:   cfg.Unhandled,
+		txns:        map[string]*txState{},
+		arrivals:    map[string]*arrival{},
+		events:      make(chan event, 1024),
+		quit:        make(chan struct{}),
 	}
-	if n == 1 && !cfg.Deterministic {
-		s.shards[0].recv = cfg.Endpoint.Recv()
+	s.timeoutNs.Store(int64(to))
+	// The wheel's tick only sets bucketing granularity (fires are exact):
+	// a fraction of the protocol timeout keeps cascades rare.
+	tick := to / 16
+	if tick > 50*time.Millisecond {
+		tick = 50 * time.Millisecond
 	}
+	s.wheel = clock.NewWheel(clk, tick, s.onTimerFire)
 	if s.metrics != nil {
 		s.metrics.registerSiteGauges(s)
 	}
 	return s, nil
-}
-
-// ceilPow2 rounds n up to the next power of two (for the shard mask).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // ID returns the site's identifier.
@@ -686,32 +620,18 @@ func (s *Site) ID() int { return s.id }
 
 // ResourceVersion reports the resource's newest applied commit timestamp and
 // its in-doubt watermark when the resource is multi-version; ok is false for
-// plain resources. Every shard shares the one configured resource, so the
-// first shard's view is the site's view.
+// plain resources.
 func (s *Site) ResourceVersion() (commitTS, watermark uint64, ok bool) {
-	vr, ok := s.shards[0].res.(VersionedResource)
+	vr, ok := s.res.(VersionedResource)
 	if !ok {
 		return 0, 0, false
 	}
 	return vr.CommitTS(), vr.Watermark(), true
 }
 
-// shardFor routes a transaction ID to its owning shard (FNV-1a).
-func (s *Site) shardFor(txid string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(txid); i++ {
-		h ^= uint32(txid[i])
-		h *= 16777619
-	}
-	return s.shards[h&s.shardMask]
-}
-
 // protoTimeout returns the current protocol timeout.
-func (s *shard) protoTimeout() time.Duration {
-	return time.Duration(s.site.timeoutNs.Load())
+func (s *Site) protoTimeout() time.Duration {
+	return time.Duration(s.timeoutNs.Load())
 }
 
 // SetTimeout changes the protocol timeout used for every timer armed from
@@ -731,8 +651,8 @@ func (s *Site) SetTimeout(d time.Duration) {
 // sheds events.
 func (s *Site) DroppedEvents() uint64 { return s.dropped.Load() }
 
-// Start launches the shard event loops and subscribes to crash reports. In
-// deterministic mode no goroutines are started: events are processed
+// Start launches the site's event loop and subscribes to crash reports. In
+// deterministic mode no goroutine is started: events are processed
 // synchronously as the simulation driver injects them.
 func (s *Site) Start() {
 	s.live.Store(true)
@@ -740,64 +660,22 @@ func (s *Site) Start() {
 	if s.determin {
 		return
 	}
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go sh.loop()
-	}
-	if len(s.shards) > 1 {
-		s.wg.Add(1)
-		go s.recvLoop()
-	}
+	s.wg.Add(1)
+	go s.loop()
 }
 
-// onCrashReport reacts to a failure report from the detector. In
-// deterministic mode the whole site handles it synchronously, visiting
-// transactions in globally sorted ID order — the shard-count-invariant
-// order the simulation's reproducibility (and its traces) depend on. In
-// concurrent mode every shard is told and scans its own partition.
+// onCrashReport reacts to a failure report from the detector.
 func (s *Site) onCrashReport(site int) {
-	if s.determin {
-		if s.stopped.Load() {
-			s.dropped.Add(1)
-			return
-		}
-		s.handleCrashAll(site)
-		return
-	}
-	for _, sh := range s.shards {
-		sh.enqueue(event{kind: evCrash, site: site})
-	}
+	s.enqueue(event{kind: evCrash, site: site})
 }
 
-// handleCrashAll applies a crash report to every transaction of every shard
-// in one globally sorted pass (deterministic mode only).
-func (s *Site) handleCrashAll(site int) {
-	var ids []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id := range sh.txns {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		if t, ok := sh.txns[id]; ok {
-			sh.crashCheckTx(t, site)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// onTimerFire is the site wheel's expiry callback: route the timeout to the
-// transaction's shard, generation token attached.
+// onTimerFire is the site wheel's expiry callback: queue the timeout,
+// generation token attached.
 func (s *Site) onTimerFire(txid string, gen uint64) {
-	s.shardFor(txid).enqueue(event{kind: evTimeout, txid: txid, gen: gen})
+	s.enqueue(event{kind: evTimeout, txid: txid, gen: gen})
 }
 
-// enqueue routes an event to the shard's event loop — or, in deterministic
+// enqueue hands an event to the site's event loop — or, in deterministic
 // mode, processes it synchronously on the caller's goroutine (protocol state
 // is mutex-protected, and the single-threaded simulation driver is the only
 // injector, so handlers never run concurrently). Once the site has stopped,
@@ -807,9 +685,9 @@ func (s *Site) onTimerFire(txid string, gen uint64) {
 // could otherwise win and leave the event in a queue nobody drains again.
 // An enqueue already past the check when Stop runs can still do that, and
 // that event goes uncounted.
-func (s *shard) enqueue(ev event) {
-	if s.site.stopped.Load() {
-		s.site.dropped.Add(1)
+func (s *Site) enqueue(ev event) {
+	if s.stopped.Load() {
+		s.dropped.Add(1)
 		return
 	}
 	if s.determin {
@@ -818,8 +696,8 @@ func (s *shard) enqueue(ev event) {
 	}
 	select {
 	case s.events <- ev:
-	case <-s.site.quit:
-		s.site.dropped.Add(1)
+	case <-s.quit:
+		s.dropped.Add(1)
 	}
 }
 
@@ -827,19 +705,15 @@ func (s *shard) enqueue(ev event) {
 // goroutine. It is the injection point used by deterministic simulation
 // (Config.Deterministic); sites wired to a live transport receive messages
 // through their endpoint instead.
-func (s *Site) Deliver(m transport.Message) { s.route(m) }
-
-// route hands an inbound message to whoever owns its kind: a protocol
-// message to its transaction's shard, anything else to Unhandled.
-func (s *Site) route(m transport.Message) {
+func (s *Site) Deliver(m transport.Message) {
 	if !s.turnAway(m) {
-		s.shardFor(m.TxID).enqueue(event{kind: evMsg, msg: m})
+		s.enqueue(event{kind: evMsg, msg: m})
 	}
 }
 
 // turnAway reports whether m is of a kind the engine does not own, having
 // handed it to Unhandled on the calling goroutine if so. Heartbeats and
-// data-plane RPCs therefore never sit in a shard's event queue.
+// data-plane RPCs therefore never sit in the event queue.
 func (s *Site) turnAway(m transport.Message) bool {
 	if handlerFor(m.Kind) != nil {
 		return false
@@ -853,13 +727,13 @@ func (s *Site) turnAway(m transport.Message) bool {
 // prepare runs Resource.Prepare for this site's vote. Prepare does not
 // block, so it runs on whichever goroutine casts the vote: the event loop
 // for a participant, the caller for Begin. Call it without s.mu held.
-func (s *shard) prepare(txid string) voteResult {
+func (s *Site) prepare(txid string) voteResult {
 	redo, err := s.res.Prepare(txid)
 	return voteResult{txid: txid, redo: redo, err: err}
 }
 
 // Stop shuts the site down gracefully. In-flight transactions stay
-// unresolved locally; events still queued when the loops exit are counted
+// unresolved locally; events still queued when the loop exits are counted
 // as dropped.
 func (s *Site) Stop() {
 	if !s.stopped.CompareAndSwap(false, true) {
@@ -868,56 +742,39 @@ func (s *Site) Stop() {
 	s.wheel.Stop()
 	close(s.quit)
 	s.wg.Wait()
-	for _, sh := range s.shards {
-		for {
-			select {
-			case <-sh.events:
-				s.dropped.Add(1)
-				continue
-			default:
-			}
-			break
-		}
-	}
-}
-
-// recvLoop demultiplexes the endpoint onto the shards (multi-shard sites
-// only; a single-shard site's loop reads the endpoint directly).
-func (s *Site) recvLoop() {
-	defer s.wg.Done()
 	for {
 		select {
-		case <-s.quit:
-			return
-		case m, ok := <-s.ep.Recv():
-			if !ok {
-				// Endpoint closed under us: the site crashed.
-				return
-			}
-			s.route(m)
+		case <-s.events:
+			s.dropped.Add(1)
+			continue
+		default:
 		}
+		break
 	}
 }
 
-// loop is a shard's event loop; all state changes of the shard's
-// transactions happen here. Events are dequeued in batches: once the loop
-// wakes it drains whatever else is already queued before going back to
-// sleep, amortizing the channel synchronization.
-func (sh *shard) loop() {
-	defer sh.site.wg.Done()
+// loop is the site's event loop; every state change of every transaction
+// happens here. It reads the endpoint and the event queue, turning away
+// kinds the engine does not own before they are queued. Events are
+// dequeued in batches: once the loop wakes it drains whatever else is
+// already queued before going back to sleep, amortizing the channel
+// synchronization.
+func (s *Site) loop() {
+	defer s.wg.Done()
+	recv := s.ep.Recv()
 	var batch [64]event
 	for {
 		var ev event
 		select {
-		case <-sh.site.quit:
+		case <-s.quit:
 			return
-		case ev = <-sh.events:
-		case m, ok := <-sh.recv:
+		case ev = <-s.events:
+		case m, ok := <-recv:
 			if !ok {
 				// Endpoint closed under us: the site crashed.
 				return
 			}
-			if sh.site.turnAway(m) {
+			if s.turnAway(m) {
 				continue
 			}
 			ev = event{kind: evMsg, msg: m}
@@ -927,7 +784,7 @@ func (sh *shard) loop() {
 		n++
 		for n < len(batch) {
 			select {
-			case ev := <-sh.events:
+			case ev := <-s.events:
 				batch[n] = ev
 				n++
 				continue
@@ -936,13 +793,13 @@ func (sh *shard) loop() {
 			break
 		}
 		for i := 0; i < n; i++ {
-			sh.handleEvent(batch[i])
+			s.handleEvent(batch[i])
 			batch[i] = event{} // drop payload references until the next use
 		}
 	}
 }
 
-func (s *shard) handleEvent(ev event) {
+func (s *Site) handleEvent(ev event) {
 	switch ev.kind {
 	case evMsg:
 		s.handleMessage(ev.msg)
@@ -959,7 +816,7 @@ func (s *shard) handleEvent(ev event) {
 
 // handleMessage dispatches a protocol message by kind. Kinds the engine does
 // not own never get this far: they are turned away before they are queued.
-func (s *shard) handleMessage(m transport.Message) {
+func (s *Site) handleMessage(m transport.Message) {
 	if h := handlerFor(m.Kind); h != nil {
 		h(s, m)
 	}
@@ -967,50 +824,50 @@ func (s *shard) handleMessage(m transport.Message) {
 
 // handlerFor returns the handler of a protocol message kind, or nil for a
 // kind the engine does not own. It is the one list of what the engine owns.
-func handlerFor(kind string) func(*shard, transport.Message) {
+func handlerFor(kind string) func(*Site, transport.Message) {
 	switch kind {
 	case KindVoteReq:
-		return (*shard).onVoteReq
+		return (*Site).onVoteReq
 	case KindYes, KindNo, KindReadOnly:
-		return (*shard).onVote
+		return (*Site).onVote
 	case KindPrepare:
-		return (*shard).onPrepareMsg
+		return (*Site).onPrepareMsg
 	case KindAck:
-		return (*shard).onAck
+		return (*Site).onAck
 	case KindCommit:
-		return func(s *shard, m transport.Message) { s.onDecision(m, OutcomeCommitted) }
+		return func(s *Site, m transport.Message) { s.onDecision(m, OutcomeCommitted) }
 	case KindAbort:
-		return func(s *shard, m transport.Message) { s.onDecision(m, OutcomeAborted) }
+		return func(s *Site, m transport.Message) { s.onDecision(m, OutcomeAborted) }
 	case KindTermState:
-		return (*shard).onTermState
+		return (*Site).onTermState
 	case KindTermAck:
-		return (*shard).onTermAck
+		return (*Site).onTermAck
 	case KindStatusReq:
-		return (*shard).onStatusReq
+		return (*Site).onStatusReq
 	case KindStatusRes:
-		return (*shard).onStatusRes
+		return (*Site).onStatusRes
 	case KindDecideReq:
-		return (*shard).onDecideReq
+		return (*Site).onDecideReq
 	case KindDecideRes:
-		return (*shard).onDecideRes
+		return (*Site).onDecideRes
 	case KindDecAck:
-		return (*shard).onDecAck
+		return (*Site).onDecAck
 	case KindPx1a:
-		return (*shard).onPx1a
+		return (*Site).onPx1a
 	case KindPx1b:
-		return (*shard).onPx1b
+		return (*Site).onPx1b
 	case KindPx2a:
-		return (*shard).onPx2a
+		return (*Site).onPx2a
 	case KindPx2b:
-		return (*shard).onPx2b
+		return (*Site).onPx2b
 	case KindPxNudge:
-		return (*shard).onPxNudge
+		return (*Site).onPxNudge
 	case KindDXact:
-		return (*shard).onDXact
+		return (*Site).onDXact
 	case KindDYes, KindDNo:
-		return (*shard).onDVote
+		return (*Site).onDVote
 	case KindDPrepare:
-		return (*shard).onDPrepare
+		return (*Site).onDPrepare
 	}
 	return nil
 }
@@ -1020,7 +877,7 @@ func handlerFor(kind string) func(*shard, transport.Message) {
 // staged WAL record is awaiting durability the message is deferred behind
 // it: what we say to other sites must never outrun what we have forced to
 // stable storage. Requires s.mu held.
-func (s *shard) send(to int, kind, txid string, body []byte) {
+func (s *Site) send(to int, kind, txid string, body []byte) {
 	m := transport.Message{To: to, Kind: kind, TxID: txid, Body: body}
 	if n := len(s.pending); n > 0 {
 		g := s.pending[n-1]
@@ -1034,7 +891,7 @@ func (s *shard) send(to int, kind, txid string, body []byte) {
 // attaches it to the newest staged WAL record so it runs — on the event
 // loop, in order — once that record's batch is durable. fn must not take
 // s.mu. Requires s.mu held.
-func (s *shard) act(fn func()) {
+func (s *Site) act(fn func()) {
 	if n := len(s.pending); n > 0 {
 		g := s.pending[n-1]
 		g.acts = append(g.acts, action{fn: fn})
@@ -1046,7 +903,7 @@ func (s *shard) act(fn func()) {
 // onDurable runs on the event loop when a staged record's batch became
 // durable; it releases the deferred actions of every group up to the
 // newest durable one, preserving FIFO order, and recycles the spent groups.
-func (s *shard) onDurable(g *actGroup) {
+func (s *Site) onDurable(g *actGroup) {
 	if g.err != nil {
 		panic(fmt.Sprintf("engine: site %d cannot write WAL: %v", s.id, g.err))
 	}
@@ -1083,9 +940,9 @@ func (s *shard) onDurable(g *actGroup) {
 	s.mu.Unlock()
 }
 
-// newGroup takes an actGroup from the shard's freelist (or allocates one).
+// newGroup takes an actGroup from the site's freelist (or allocates one).
 // Requires s.mu held.
-func (s *shard) newGroup() *actGroup {
+func (s *Site) newGroup() *actGroup {
 	if n := len(s.groups); n > 0 {
 		g := s.groups[n-1]
 		s.groups = s.groups[:n-1]
@@ -1095,7 +952,7 @@ func (s *shard) newGroup() *actGroup {
 }
 
 // record emits a trace event if tracing is enabled.
-func (s *shard) record(kind, txid, note string) {
+func (s *Site) record(kind, txid, note string) {
 	if s.trace != nil {
 		s.trace.Add(s.id, kind, txid, note)
 	}
@@ -1112,11 +969,11 @@ func (s *shard) record(kind, txid, note string) {
 // staging further records into the same batch — while the fsync runs.
 // Before Start (recovery) and in deterministic mode the append is
 // synchronous. Requires s.mu held.
-func (s *shard) mustLog(rec wal.Record) {
+func (s *Site) mustLog(rec wal.Record) {
 	if t, ok := s.txns[rec.TxID]; ok {
 		t.forced++
 	}
-	if s.slog != nil && s.site.live.Load() {
+	if s.slog != nil && s.live.Load() {
 		g := s.newGroup()
 		s.pending = append(s.pending, g)
 		var stagedAt time.Time
@@ -1152,7 +1009,7 @@ func (s *shard) mustLog(rec wal.Record) {
 // records, whose loss merely re-runs idempotent garbage collection. A closed
 // log is tolerated (shutdown race): the record was best-effort by contract.
 // Requires s.mu held.
-func (s *shard) mustLogLazy(rec wal.Record) {
+func (s *Site) mustLogLazy(rec wal.Record) {
 	if s.lazy != nil {
 		if err := s.lazy.AppendLazy(rec); err != nil && !errors.Is(err, wal.ErrClosed) {
 			panic(fmt.Sprintf("engine: site %d cannot write WAL: %v", s.id, err))
@@ -1172,22 +1029,22 @@ func (s *shard) mustLogLazy(rec wal.Record) {
 // no committed record means abort — makes every abort-path force redundant:
 // the coordinator keeps no trace of aborted transactions at all, and
 // participants append their abort records lazily. Requires s.mu held.
-func (s *shard) presumedAbort(t *txState) bool {
+func (s *Site) presumedAbort(t *txState) bool {
 	return s.kind == TwoPhase && !t.peer
 }
 
 // armTimer (re)starts the transaction's protocol timer. The new arm's
 // generation invalidates any timeout event from a previous arm that is
 // still in flight. Requires s.mu held.
-func (s *shard) armTimer(t *txState, d time.Duration) {
+func (s *Site) armTimer(t *txState, d time.Duration) {
 	t.timer.Stop()
 	t.gen++
-	t.timer = s.site.wheel.Schedule(d, t.id, t.gen)
+	t.timer = s.wheel.Schedule(d, t.id, t.gen)
 }
 
 // stopTimer cancels the transaction's timer and invalidates in-flight
 // fires. Requires s.mu held.
-func (s *shard) stopTimer(t *txState) {
+func (s *Site) stopTimer(t *txState) {
 	t.timer.Stop()
 	t.timer = clock.WheelTimer{}
 	t.gen++
@@ -1197,10 +1054,9 @@ func (s *shard) stopTimer(t *txState) {
 // ErrBlocked is returned while a 2PC participant sits in the uncertainty
 // window with no way to decide.
 func (s *Site) Outcome(txid string) (Outcome, error) {
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.txns[txid]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.txns[txid]
 	if !ok {
 		return OutcomePending, fmt.Errorf("engine: site %d does not know transaction %s", s.id, txid)
 	}
@@ -1233,21 +1089,20 @@ func (s *Site) WaitOutcome(txid string, timeout time.Duration) (Outcome, error) 
 	timedOut := make(chan struct{})
 	tm := s.clk.AfterFunc(timeout, func() { close(timedOut) })
 	defer tm.Stop()
-	sh := s.shardFor(txid)
 	for {
-		sh.mu.Lock()
-		t, ok := sh.txns[txid]
+		s.mu.Lock()
+		t, ok := s.txns[txid]
 		if ok {
 			done := t.done
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			select {
 			case <-done:
 			case <-timedOut:
 			case <-s.quit:
 				return OutcomePending, ErrStopped
 			}
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
+			s.mu.Lock()
+			defer s.mu.Unlock()
 			switch t.phase {
 			case phaseCommitted:
 				return OutcomeCommitted, nil
@@ -1260,21 +1115,21 @@ func (s *Site) WaitOutcome(txid string, timeout time.Duration) (Outcome, error) 
 				return OutcomePending, nil
 			}
 		}
-		a := sh.arrivals[txid]
+		a := s.arrivals[txid]
 		if a == nil {
 			a = &arrival{ch: make(chan struct{})}
-			sh.arrivals[txid] = a
+			s.arrivals[txid] = a
 		}
 		a.refs++
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		select {
 		case <-a.ch:
-			sh.releaseArrival(txid, a)
+			s.releaseArrival(txid, a)
 		case <-timedOut:
-			sh.releaseArrival(txid, a)
+			s.releaseArrival(txid, a)
 			return OutcomePending, fmt.Errorf("engine: site %d does not know transaction %s", s.id, txid)
 		case <-s.quit:
-			sh.releaseArrival(txid, a)
+			s.releaseArrival(txid, a)
 			return OutcomePending, ErrStopped
 		}
 	}
@@ -1283,7 +1138,7 @@ func (s *Site) WaitOutcome(txid string, timeout time.Duration) (Outcome, error) 
 // releaseArrival drops one waiter's interest in a transaction's arrival,
 // removing the notification entry with the last reference so unknown
 // transaction IDs cannot accumulate.
-func (s *shard) releaseArrival(txid string, a *arrival) {
+func (s *Site) releaseArrival(txid string, a *arrival) {
 	s.mu.Lock()
 	a.refs--
 	if a.refs == 0 && s.arrivals[txid] == a {
@@ -1296,10 +1151,9 @@ func (s *shard) releaseArrival(txid string, a *arrival) {
 // transaction at this site, or "?" if unknown. Exposed for tests and the
 // termination protocol's observers.
 func (s *Site) Phase(txid string) string {
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t, ok := sh.txns[txid]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.txns[txid]; ok {
 		return t.phase.String()
 	}
 	return "?"
@@ -1310,7 +1164,7 @@ func (s *Site) Phase(txid string) string {
 // behind the record's durability when the log group-commits, because they
 // are externally visible (a woken client may immediately read the data).
 // Requires s.mu held.
-func (s *shard) resolve(t *txState, o Outcome) {
+func (s *Site) resolve(t *txState, o Outcome) {
 	if t.resolved() {
 		return
 	}
@@ -1365,7 +1219,7 @@ func (s *shard) resolve(t *txState, o Outcome) {
 // observeResolve records resolution metrics for a transaction about to be
 // resolved: outcome counters at every role, and — at the coordinator —
 // begin→decision latency plus the 3PC ack-round phase. Requires s.mu held.
-func (s *shard) observeResolve(t *txState, o Outcome) {
+func (s *Site) observeResolve(t *txState, o Outcome) {
 	if s.metrics == nil {
 		return
 	}
@@ -1394,7 +1248,7 @@ func (s *shard) observeResolve(t *txState, o Outcome) {
 // counts). The histogram abuses the duration-valued Histogram as a plain
 // integer distribution: one "nanosecond" is one forced record. Requires
 // s.mu held and t.phase final.
-func (s *shard) observeForced(t *txState, o Outcome) {
+func (s *Site) observeForced(t *txState, o Outcome) {
 	if s.metrics == nil {
 		return
 	}
@@ -1404,7 +1258,7 @@ func (s *shard) observeForced(t *txState, o Outcome) {
 // observeSettle records decision→full-DEC-ACK latency once per coordinated
 // transaction, when the last participant's acknowledgement arrives.
 // Requires s.mu held.
-func (s *shard) observeSettle(t *txState) {
+func (s *Site) observeSettle(t *txState) {
 	if s.metrics == nil || t.settled || t.decidedAt.IsZero() {
 		return
 	}
@@ -1414,7 +1268,7 @@ func (s *shard) observeSettle(t *txState) {
 
 // tx returns (creating if needed) the transaction record. Requires s.mu
 // held.
-func (s *shard) tx(txid string) *txState {
+func (s *Site) tx(txid string) *txState {
 	t, ok := s.txns[txid]
 	if !ok {
 		t = &txState{id: txid, phase: phaseInit, done: make(chan struct{})}
@@ -1432,10 +1286,9 @@ func (s *shard) tx(txid string) *txState {
 // state. Forgetting an unresolved transaction is an error — its protocol
 // state is still load-bearing.
 func (s *Site) Forget(txid string) error {
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.txns[txid]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.txns[txid]
 	if !ok {
 		return nil // already forgotten
 	}
@@ -1443,7 +1296,7 @@ func (s *Site) Forget(txid string) error {
 		return fmt.Errorf("engine: site %d cannot forget unresolved transaction %s (phase %s)",
 			s.id, txid, t.phase)
 	}
-	sh.forgetLocked(t)
+	s.forgetLocked(t)
 	return nil
 }
 
@@ -1452,10 +1305,9 @@ func (s *Site) Forget(txid string) error {
 // Exposed for observability and for tests asserting cohort sizes — e.g.
 // that a single-shard transaction engaged exactly one site.
 func (s *Site) Participants(txid string) []int {
-	sh := s.shardFor(txid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.txns[txid]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.txns[txid]
 	if !ok {
 		return nil
 	}
@@ -1466,13 +1318,11 @@ func (s *Site) Participants(txid string) []int {
 // tracks, for observability and tests.
 func (s *Site) Transactions() []string {
 	var out []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id := range sh.txns {
-			out = append(out, id)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for id := range s.txns {
+		out = append(out, id)
 	}
+	s.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

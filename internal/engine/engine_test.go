@@ -458,6 +458,9 @@ func TestParticipantRecoveryLearnsCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.waitPhase(3, "t1", "w")
+	// PREPARE goes out only once every vote is in, so site 2 in p proves
+	// the coordinator counted site 3's YES before the crash.
+	c.waitPhase(2, "t1", "p")
 	c.crash(3)
 	c.net.SetDropFunc(nil)
 	c.expect("t1", engine.OutcomeCommitted, 1, 2)
@@ -488,6 +491,59 @@ func TestParticipantRecoveryLearnsAbort(t *testing.T) {
 	c.expect("t1", engine.OutcomeAborted, 3)
 	if c.res[3].didCommit("t1") {
 		t.Fatal("recovered site committed an aborted transaction")
+	}
+}
+
+// TestParticipantCrashBeforeVoteDeliveredAborts is the other interleaving
+// of TestParticipantRecoveryLearnsCommit: site 3 reaches w, but its YES never reaches the
+// coordinator before site 3 crashes. The coordinator cannot commit without
+// that vote, so every site, site 3 after recovery included, learns abort.
+func TestParticipantCrashBeforeVoteDeliveredAborts(t *testing.T) {
+	c := newCluster(t, engine.ThreePhase, 3)
+	c.net.SetDropFunc(func(m transport.Message) bool {
+		return m.From == 3 && m.Kind == engine.KindYes
+	})
+	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+		t.Fatal(err)
+	}
+	c.waitPhase(3, "t1", "w")
+	c.crash(3)
+	c.net.SetDropFunc(nil)
+	c.expect("t1", engine.OutcomeAborted, 1, 2)
+
+	c.recoverSite(3)
+	c.expect("t1", engine.OutcomeAborted, 3)
+	if c.res[3].didCommit("t1") {
+		t.Fatal("recovered site committed an aborted transaction")
+	}
+}
+
+// TestEndedAbortRecoversAsAbort: under presumed-abort 2PC an aborted
+// transaction leaves only a lazy begin record and, once forgotten, an end
+// record at the coordinator. A coordinator recovering from that uncompacted
+// log must still know the outcome was abort: an in-doubt participant that
+// asks it must learn abort, not commit.
+func TestEndedAbortRecoversAsAbort(t *testing.T) {
+	c := newCluster(t, engine.TwoPhase, 2)
+	// Site 2 is cut off once it has the VOTE-REQ: its YES, the coordinator's
+	// ABORT and its own inquiries are all lost.
+	c.net.SetDropFunc(func(m transport.Message) bool {
+		return m.Kind != engine.KindVoteReq
+	})
+	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+		t.Fatal(err)
+	}
+	c.waitPhase(2, "t1", "w")
+	c.expect("t1", engine.OutcomeAborted, 1)
+	if err := c.sites[1].Forget("t1"); err != nil {
+		t.Fatal(err)
+	}
+	c.crash(1)
+	c.recoverSite(1)
+	c.net.SetDropFunc(nil)
+	c.expect("t1", engine.OutcomeAborted, 2, 1)
+	if c.res[2].didCommit("t1") {
+		t.Fatal("participant committed a transaction its coordinator aborted")
 	}
 }
 

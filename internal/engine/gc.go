@@ -25,7 +25,7 @@ import (
 // Called from resolve, so the DEC-ACK defers behind the outcome record's
 // durability like any other send — the ack must not outrun the record it
 // acknowledges. Requires s.mu held.
-func (s *shard) scheduleGC(t *txState) {
+func (s *Site) scheduleGC(t *txState) {
 	if s.forgetAfter <= 0 || t.peer {
 		return
 	}
@@ -54,7 +54,7 @@ func (s *shard) scheduleGC(t *txState) {
 // participant's grace period expired (forget), or the coordinator re-offers
 // the decision to participants that have not acknowledged it yet. Requires
 // s.mu held.
-func (s *shard) gcTimeout(t *txState) {
+func (s *Site) gcTimeout(t *txState) {
 	if s.forgetAfter <= 0 || t.peer {
 		return
 	}
@@ -82,7 +82,7 @@ func (s *shard) gcTimeout(t *txState) {
 // the decision. Crashed participants are NOT waived: they re-acknowledge
 // after recovery, and until then the coordinator must keep the outcome.
 // Requires s.mu held.
-func (s *shard) decAcksComplete(t *txState) bool {
+func (s *Site) decAcksComplete(t *txState) bool {
 	for i, p := range t.meta.Participants {
 		if p != s.id && !t.decAcks.has(i) && !t.readonly.has(i) {
 			return false
@@ -94,7 +94,7 @@ func (s *shard) decAcksComplete(t *txState) bool {
 // onDecAck collects a participant's decision acknowledgement at the
 // coordinator; once the whole cohort has acknowledged, nobody will ever ask
 // about this transaction again and it can be forgotten.
-func (s *shard) onDecAck(m transport.Message) {
+func (s *Site) onDecAck(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -118,7 +118,7 @@ func (s *shard) onDecAck(m transport.Message) {
 // records and re-run idempotent garbage collection. A one-phase abort wrote
 // nothing, so it gets no end record either. Requires s.mu held and t
 // resolved.
-func (s *shard) forgetLocked(t *txState) {
+func (s *Site) forgetLocked(t *txState) {
 	if !(t.onePhase() && t.phase == phaseAborted) {
 		s.mustLogLazy(wal.Record{Type: wal.RecEnd, TxID: t.id})
 	}

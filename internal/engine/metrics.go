@@ -103,13 +103,9 @@ func (m *Metrics) registerSiteGauges(s *Site) {
 	site := fmt.Sprint(s.id)
 	m.reg.Help("engine_transactions_tracked", "Transactions currently in the site's transaction table.")
 	m.reg.GaugeFunc("engine_transactions_tracked", func() float64 {
-		n := 0
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			n += len(sh.txns)
-			sh.mu.Unlock()
-		}
-		return float64(n)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(len(s.txns))
 	}, "site", site)
 	m.reg.Help("engine_timers_active", "Transactions with an armed protocol or GC timer.")
 	m.reg.GaugeFunc("engine_timers_active", func() float64 {
@@ -119,7 +115,7 @@ func (m *Metrics) registerSiteGauges(s *Site) {
 	m.reg.CounterFunc("engine_events_dropped_total", func() float64 {
 		return float64(s.dropped.Load())
 	}, "site", site)
-	if vr, ok := s.shards[0].res.(VersionedResource); ok {
+	if vr, ok := s.res.(VersionedResource); ok {
 		m.reg.Help("engine_resource_commit_ts", "Newest commit timestamp applied at the site's multi-version resource.")
 		m.reg.GaugeFunc("engine_resource_commit_ts", func() float64 {
 			return float64(vr.CommitTS())

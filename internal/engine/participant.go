@@ -9,7 +9,7 @@ import (
 
 // onVoteReq handles the coordinator's transaction distribution: the
 // participant decides its vote by preparing the local resource.
-func (s *shard) onVoteReq(m transport.Message) {
+func (s *Site) onVoteReq(m transport.Message) {
 	meta, err := decodeMeta(m.Body)
 	if err != nil {
 		return // malformed; the coordinator will time out and abort
@@ -29,7 +29,7 @@ func (s *shard) onVoteReq(m transport.Message) {
 
 // onPrepareResult finishes the participant's vote once the local prepare
 // resolves.
-func (s *shard) onPrepareResult(v voteResult) {
+func (s *Site) onPrepareResult(v voteResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[v.txid]
@@ -85,7 +85,7 @@ func (s *shard) onPrepareResult(v voteResult) {
 }
 
 // onPrepareMsg moves a participant into the buffer state p (3PC).
-func (s *shard) onPrepareMsg(m transport.Message) {
+func (s *Site) onPrepareMsg(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -109,7 +109,7 @@ func (s *shard) onPrepareMsg(m transport.Message) {
 
 // onDecision applies a COMMIT/ABORT from the coordinator (or a backup
 // coordinator, or a recovered site re-broadcasting).
-func (s *shard) onDecision(m transport.Message, o Outcome) {
+func (s *Site) onDecision(m transport.Message, o Outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -163,7 +163,7 @@ func (s *shard) onDecision(m transport.Message, o Outcome) {
 // the arm generation the fire was collected with: a fire that was already
 // in flight when the transaction re-armed (or stopped) its timer carries a
 // stale generation and must not drive the new wait.
-func (s *shard) handleTimeout(txid string, gen uint64) {
+func (s *Site) handleTimeout(txid string, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[txid]
@@ -187,7 +187,7 @@ func (s *shard) handleTimeout(txid string, gen uint64) {
 
 // participantTimeout fires for a participant stuck in w or p (or re-fires
 // while blocked/recovering). Requires s.mu held.
-func (s *shard) participantTimeout(t *txState) {
+func (s *Site) participantTimeout(t *txState) {
 	if t.phase != phaseWait && t.phase != phasePrepared {
 		// A detached site in q only ever arms its timer when a termination
 		// attempt touched it (TERM-STATE) or it was engaged as a Paxos
@@ -230,10 +230,10 @@ func inCohort(t *txState, site int) bool {
 	return t.cohortIdx(site) >= 0
 }
 
-// handleCrash reacts to a failure report from the detector, scanning this
-// shard's partition. Transactions are visited in sorted ID order so that
+// handleCrash reacts to a failure report from the detector, scanning the
+// transaction table. Transactions are visited in sorted ID order so that
 // the reactions (and the messages they emit) are reproducible.
-func (s *shard) handleCrash(site int) {
+func (s *Site) handleCrash(site int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.txns))
@@ -242,13 +242,15 @@ func (s *shard) handleCrash(site int) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		s.crashCheckTx(s.txns[id], site)
+		if t, ok := s.txns[id]; ok {
+			s.crashCheckTx(t, site)
+		}
 	}
 }
 
 // crashCheckTx applies a crash report to one transaction. Requires s.mu
 // held.
-func (s *shard) crashCheckTx(t *txState, site int) {
+func (s *Site) crashCheckTx(t *txState, site int) {
 	if t.resolved() {
 		return
 	}

@@ -82,7 +82,7 @@ type paxosTx struct {
 
 // ensurePaxos attaches (creating if needed) the transaction's Paxos state.
 // The cohort must be known. Requires s.mu held.
-func (s *shard) ensurePaxos(t *txState) *paxosTx {
+func (s *Site) ensurePaxos(t *txState) *paxosTx {
 	if t.px == nil {
 		n := len(t.meta.Participants)
 		t.px = &paxosTx{
@@ -97,7 +97,7 @@ func (s *shard) ensurePaxos(t *txState) *paxosTx {
 // paxosLeaderOf resolves a ballot's leader site: ballot 0 belongs to the
 // coordinator (each participant proposes only its own instance under it);
 // higher ballots carry the leader's cohort index.
-func (s *shard) paxosLeaderOf(t *txState, bal paxos.Ballot) int {
+func (s *Site) paxosLeaderOf(t *txState, bal paxos.Ballot) int {
 	if bal == 0 {
 		return t.meta.Coordinator
 	}
@@ -128,7 +128,7 @@ func adoptPaxosMeta(t *txState, metaBytes []byte) bool {
 // of the coordinator's own instance, the instance is proposed to the other
 // acceptors, and the coordinator starts tallying 2b messages as the
 // ballot-0 leader. Requires s.mu held.
-func (s *shard) paxosOwnVote(t *txState, redo []byte) {
+func (s *Site) paxosOwnVote(t *txState, redo []byte) {
 	px := s.ensurePaxos(t)
 	t.redo = redo
 	t.ownYes = true
@@ -159,7 +159,7 @@ func (s *shard) paxosOwnVote(t *txState, redo []byte) {
 // force the vote-yes record (the ballot-0 self-accept of this site's own
 // instance), send the co-located acceptor's 2b to the ballot-0 leader, and
 // propose the instance to the remaining acceptors. Requires s.mu held.
-func (s *shard) paxosVoteYes(t *txState, redo []byte) {
+func (s *Site) paxosVoteYes(t *txState, redo []byte) {
 	px := s.ensurePaxos(t)
 	// The resource holds this transaction prepared from here on; the
 	// eventual decision must reach it even if this site was first engaged
@@ -195,7 +195,7 @@ func (s *shard) paxosVoteYes(t *txState, redo []byte) {
 // onPx1a answers a recovery leader's phase-1a at this site's acceptor:
 // promise the ballot (forced to the WAL before the reply leaves) and report
 // everything accepted so far.
-func (s *shard) onPx1a(m transport.Message) {
+func (s *Site) onPx1a(m transport.Message) {
 	bal, metaBytes, err := paxos.DecodeP1a(m.Body)
 	if err != nil {
 		return
@@ -223,7 +223,7 @@ func (s *shard) onPx1a(m transport.Message) {
 
 // onPx1b folds an acceptor's phase-1b into this leader's merge; a majority
 // of promises starts phase 2.
-func (s *shard) onPx1b(m transport.Message) {
+func (s *Site) onPx1b(m transport.Message) {
 	promised, accepts, err := paxos.DecodeP1b(m.Body)
 	if err != nil {
 		return
@@ -261,7 +261,7 @@ func (s *shard) onPx1b(m transport.Message) {
 // re-propose the merged value where one survives, 'n' where the instance is
 // free (its ballot-0 'y' can no longer reach a majority once our promise
 // quorum saw it free). Requires s.mu held.
-func (s *shard) paxosPropose(t *txState) {
+func (s *Site) paxosPropose(t *txState) {
 	px := t.px
 	px.proposed = true
 	meta := encodeMeta(t.meta)
@@ -296,7 +296,7 @@ func (s *shard) paxosPropose(t *txState) {
 
 // onPx2a accepts (or rejects) a proposed instance value at this site's
 // acceptor, forcing the accept record before the 2b reply leaves.
-func (s *shard) onPx2a(m transport.Message) {
+func (s *Site) onPx2a(m transport.Message) {
 	bal, inst, val, metaBytes, err := paxos.DecodeP2a(m.Body)
 	if err != nil {
 		return
@@ -333,7 +333,7 @@ func (s *shard) onPx2a(m transport.Message) {
 }
 
 // onPx2b tallies an acceptor's 2b at the ballot leader.
-func (s *shard) onPx2b(m transport.Message) {
+func (s *Site) onPx2b(m transport.Message) {
 	bal, inst, val, err := paxos.DecodeP2b(m.Body)
 	if err != nil {
 		return
@@ -351,7 +351,7 @@ func (s *shard) onPx2b(m transport.Message) {
 // paxos2b folds one acceptor's 2b (possibly this site's own, delivered
 // inline) into the tallies; a majority chooses the instance's value, and
 // chosen values decide the transaction. Requires s.mu held.
-func (s *shard) paxos2b(t *txState, bal paxos.Ballot, inst int, val byte, from int) {
+func (s *Site) paxos2b(t *txState, bal paxos.Ballot, inst int, val byte, from int) {
 	px := t.px
 	if px == nil || t.resolved() || inst >= len(px.tallies) {
 		return
@@ -391,7 +391,7 @@ func (s *shard) paxos2b(t *txState, bal paxos.Ballot, inst int, val byte, from i
 // abort the moment any instance chooses 'n' (consensus forecloses 'y' for
 // it, so commit is unreachable), commit when every instance chose 'y'.
 // Requires s.mu held.
-func (s *shard) maybeDecidePaxos(t *txState) {
+func (s *Site) maybeDecidePaxos(t *txState) {
 	px := t.px
 	all := true
 	for i := range t.meta.Participants {
@@ -413,7 +413,7 @@ func (s *shard) maybeDecidePaxos(t *txState) {
 // startPaxosBallot makes this site the leader at ballot b: promise b at the
 // co-located acceptor (forced), fold its own accepts into the merge, and
 // run phase 1a against the rest of the cohort. Requires s.mu held.
-func (s *shard) startPaxosBallot(t *txState, b paxos.Ballot) {
+func (s *Site) startPaxosBallot(t *txState, b paxos.Ballot) {
 	if t.resolved() {
 		return
 	}
@@ -451,7 +451,7 @@ func (s *shard) startPaxosBallot(t *txState, b paxos.Ballot) {
 
 // paxosEscalate starts (or restarts) leadership above every ballot this
 // site has seen. Requires s.mu held.
-func (s *shard) paxosEscalate(t *txState) {
+func (s *Site) paxosEscalate(t *txState) {
 	px := s.ensurePaxos(t)
 	high := px.maxSeen
 	if px.acc.Promised > high {
@@ -469,7 +469,7 @@ func (s *shard) paxosEscalate(t *txState) {
 // any F = (N-1)/2 crashes); otherwise its ballot-0 self-accept may be
 // stranded in its log, so escalate and learn what the surviving acceptors
 // hold. Requires s.mu held.
-func (s *shard) paxosLeaderCrashCheck(t *txState, idx int) {
+func (s *Site) paxosLeaderCrashCheck(t *txState, idx int) {
 	if t.px != nil && idx < len(t.px.chosen) && t.px.chosen[idx] != paxos.ValNone {
 		return
 	}
@@ -481,7 +481,7 @@ func (s *shard) paxosLeaderCrashCheck(t *txState, idx int) {
 // nudges it and supervises. This replaces the cohort termination protocol —
 // no TERM-STATE/TERM-ACK round ever runs under Paxos Commit. Requires s.mu
 // held.
-func (s *shard) paxosTakeover(t *txState) {
+func (s *Site) paxosTakeover(t *txState) {
 	if t.resolved() || t.recovering {
 		return
 	}
@@ -500,7 +500,7 @@ func (s *shard) paxosTakeover(t *txState) {
 
 // onPxNudge wakes the elected takeover site: a peer observed the
 // coordinator dead and this site is its choice of leader.
-func (s *shard) onPxNudge(m transport.Message) {
+func (s *Site) onPxNudge(m transport.Message) {
 	meta, err := decodeMeta(m.Body)
 	if err != nil {
 		return
@@ -535,7 +535,7 @@ func (s *shard) onPxNudge(m transport.Message) {
 // a non-coordinator site: an active leader escalates its ballot; otherwise
 // a live coordinator is nudged for the decision, and a dead one triggers
 // takeover. Requires s.mu held.
-func (s *shard) paxosParticipantTimeout(t *txState) {
+func (s *Site) paxosParticipantTimeout(t *txState) {
 	if t.px != nil && t.px.leading {
 		s.paxosEscalate(t)
 		return

@@ -32,8 +32,7 @@ func Recover(cfg Config) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := s.shards[0].log
-	recs, err := log.Records()
+	recs, err := s.log.Records()
 	if err != nil {
 		return nil, fmt.Errorf("engine: recovery cannot read WAL: %w", err)
 	}
@@ -41,7 +40,7 @@ func Recover(cfg Config) (*Site, error) {
 	// Redo committed effects in log order.
 	for _, r := range recs {
 		if r.Type == wal.RecCommitted && len(r.Payload) > 0 {
-			if err := s.shards[0].res.ApplyRedo(r.Payload); err != nil {
+			if err := s.res.ApplyRedo(r.Payload); err != nil {
 				return nil, fmt.Errorf("engine: recovery redo of %s: %w", r.TxID, err)
 			}
 		}
@@ -60,9 +59,8 @@ func Recover(cfg Config) (*Site, error) {
 
 	for _, id := range ids {
 		img := images[id]
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		t := sh.tx(id)
+		s.mu.Lock()
+		t := s.tx(id)
 		t.detached = true
 		t.coordinator = img.Coordinator
 		if img.Coordinator && len(img.Begin) > 0 {
@@ -71,21 +69,26 @@ func Recover(cfg Config) (*Site, error) {
 			}
 		}
 		switch img.Status {
-		case wal.StatusCommitted, wal.StatusEnded:
+		case wal.StatusEnded:
+			// Already garbage-collected before the crash: the cohort
+			// acknowledged the decision, so do not resume the coordinator's
+			// re-send duty for it. Only a commit record makes it a commit.
+			t.phase = phaseAborted
+			if img.Committed {
+				t.phase = phaseCommitted
+			}
+			close(t.done)
+			t.coordinator = false
+		case wal.StatusCommitted:
 			t.phase = phaseCommitted
 			close(t.done)
-			if img.Status == wal.StatusEnded {
-				// Already garbage-collected before the crash: the cohort
-				// acknowledged the decision, so do not resume the
-				// coordinator's re-send duty for it.
-				t.coordinator = false
-			} else if img.Coordinator {
+			if img.Coordinator {
 				pending = append(pending, t)
 			}
 		case wal.StatusAborted, wal.StatusVotedNo:
 			if img.Status == wal.StatusVotedNo {
 				// Crashed between logging the NO vote and the abort record.
-				sh.mustLog(wal.Record{Type: wal.RecAborted, TxID: id})
+				s.mustLog(wal.Record{Type: wal.RecAborted, TxID: id})
 			}
 			t.phase = phaseAborted
 			close(t.done)
@@ -99,7 +102,7 @@ func Recover(cfg Config) (*Site, error) {
 			// ask are answered with 'n'. Other families force the decision
 			// so their re-broadcast duty survives a second crash.
 			if !(cfg.Protocol == TwoPhase && img.Coordinator) {
-				sh.mustLog(wal.Record{Type: wal.RecAborted, TxID: id})
+				s.mustLog(wal.Record{Type: wal.RecAborted, TxID: id})
 			}
 			t.phase = phaseAborted
 			close(t.done)
@@ -107,7 +110,7 @@ func Recover(cfg Config) (*Site, error) {
 		case wal.StatusVotedYes, wal.StatusPrepared:
 			vp, err := decodeVotePayload(img.Last)
 			if err != nil {
-				sh.mu.Unlock()
+				s.mu.Unlock()
 				return nil, fmt.Errorf("engine: recovery cannot decode vote payload of %s: %w", id, err)
 			}
 			t.meta = vp.Meta
@@ -127,7 +130,7 @@ func Recover(cfg Config) (*Site, error) {
 			t.recovering = true
 			inDoubt = append(inDoubt, t)
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
 
 	// Rebuild Paxos acceptor state by replaying the consensus records in
@@ -143,9 +146,8 @@ func Recover(cfg Config) (*Site, error) {
 		if !isPaxos && !(r.Type == wal.RecVoteYes && cfg.Protocol == PaxosCommit) {
 			continue
 		}
-		sh := s.shardFor(r.TxID)
-		sh.mu.Lock()
-		t := sh.tx(r.TxID)
+		s.mu.Lock()
+		t := s.tx(r.TxID)
 		known := len(t.meta.Participants) > 0
 		switch r.Type {
 		case wal.RecPaxosPromise:
@@ -154,7 +156,7 @@ func Recover(cfg Config) (*Site, error) {
 					known = adoptPaxosMeta(t, mb)
 				}
 				if known {
-					sh.ensurePaxos(t).acc.Promise(bal)
+					s.ensurePaxos(t).acc.Promise(bal)
 				}
 			}
 		case wal.RecPaxosAccept:
@@ -163,35 +165,32 @@ func Recover(cfg Config) (*Site, error) {
 					known = adoptPaxosMeta(t, mb)
 				}
 				if known {
-					sh.ensurePaxos(t).acc.Accept(bal, inst, val)
+					s.ensurePaxos(t).acc.Accept(bal, inst, val)
 				}
 			}
 		case wal.RecVoteYes:
 			if me := t.cohortIdx(s.id); known && me >= 0 {
-				sh.ensurePaxos(t).acc.Accept(0, me, paxos.ValYes)
+				s.ensurePaxos(t).acc.Accept(0, me, paxos.ValYes)
 			}
 		}
 		if t.px != nil && !t.resolved() && !t.recovering {
 			chase[r.TxID] = true
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
 
 	s.Start()
 
-	// Post-start actions go through the normal send path, each under its
-	// transaction's owning shard.
+	// Post-start actions go through the normal send path.
 	for _, t := range pending {
-		sh := s.shardFor(t.id)
-		sh.mu.Lock()
-		sh.broadcastOutcome(t)
-		sh.mu.Unlock()
+		s.mu.Lock()
+		s.broadcastOutcome(t)
+		s.mu.Unlock()
 	}
 	for _, t := range inDoubt {
-		sh := s.shardFor(t.id)
-		sh.mu.Lock()
-		sh.queryOutcome(t)
-		sh.mu.Unlock()
+		s.mu.Lock()
+		s.queryOutcome(t)
+		s.mu.Unlock()
 	}
 	if len(chase) > 0 {
 		cids := make([]string, 0, len(chase))
@@ -200,34 +199,32 @@ func Recover(cfg Config) (*Site, error) {
 		}
 		sort.Strings(cids)
 		for _, id := range cids {
-			sh := s.shardFor(id)
-			sh.mu.Lock()
-			if t, ok := sh.txns[id]; ok && !t.resolved() && !t.recovering {
-				sh.armTimer(t, sh.protoTimeout())
+			s.mu.Lock()
+			if t, ok := s.txns[id]; ok && !t.resolved() && !t.recovering {
+				s.armTimer(t, s.protoTimeout())
 			}
-			sh.mu.Unlock()
+			s.mu.Unlock()
 		}
 	}
-	if s.forget > 0 {
+	if s.forgetAfter > 0 {
 		// Resume garbage collection for resolved transactions that survived
 		// the crash: coordinators re-collect DEC-ACKs, participants forget
 		// after the grace period. Decentralized transactions (known cohort,
 		// no coordinator) stay: with no collection point, forgetting could
 		// strand a recovering peer with nobody who remembers the outcome.
 		for _, id := range ids {
-			sh := s.shardFor(id)
-			sh.mu.Lock()
-			t, ok := sh.txns[id]
+			s.mu.Lock()
+			t, ok := s.txns[id]
 			if !ok || !t.resolved() {
-				sh.mu.Unlock()
+				s.mu.Unlock()
 				continue
 			}
 			if t.meta.Coordinator == 0 && !t.coordinator && len(t.meta.Participants) > 0 {
-				sh.mu.Unlock()
+				s.mu.Unlock()
 				continue
 			}
-			sh.armTimer(t, s.forget)
-			sh.mu.Unlock()
+			s.armTimer(t, s.forgetAfter)
+			s.mu.Unlock()
 		}
 	}
 	return s, nil
@@ -235,7 +232,7 @@ func Recover(cfg Config) (*Site, error) {
 
 // queryOutcome asks every operational cohort member for the transaction's
 // outcome. Requires s.mu held.
-func (s *shard) queryOutcome(t *txState) {
+func (s *Site) queryOutcome(t *txState) {
 	for _, p := range t.meta.Participants {
 		if p != s.id && s.det.Alive(p) {
 			s.send(p, KindDecideReq, t.id, nil)
@@ -246,13 +243,13 @@ func (s *shard) queryOutcome(t *txState) {
 
 // retryRecovery re-queries the cohort for an in-doubt transaction. Requires
 // s.mu held.
-func (s *shard) retryRecovery(t *txState) {
+func (s *Site) retryRecovery(t *txState) {
 	s.queryOutcome(t)
 }
 
 // onDecideReq answers an outcome query: from a recovering site, a blocked
 // participant nudging its coordinator, or anyone else.
-func (s *shard) onDecideReq(m transport.Message) {
+func (s *Site) onDecideReq(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -282,7 +279,7 @@ func (s *shard) onDecideReq(m transport.Message) {
 
 // onDecideRes resolves an in-doubt transaction when a peer knows the
 // outcome.
-func (s *shard) onDecideRes(m transport.Message) {
+func (s *Site) onDecideRes(m transport.Message) {
 	if len(m.Body) < 1 || m.Body[0] == '?' {
 		return
 	}
@@ -375,15 +372,13 @@ func (s *shard) onDecideRes(m transport.Message) {
 // recovery, sorted by ID.
 func (s *Site) InDoubt() []string {
 	var out []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, t := range sh.txns {
-			if t.recovering && !t.resolved() {
-				out = append(out, id)
-			}
+	s.mu.Lock()
+	for id, t := range s.txns {
+		if t.recovering && !t.resolved() {
+			out = append(out, id)
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -56,46 +56,45 @@ func TestStaleTimerGenerationRejected(t *testing.T) {
 	// armed (generation G).
 	meta := TxMeta{Coordinator: 1, Participants: []int{1, 2}}
 	s.Deliver(transport.Message{From: 1, To: 2, Kind: KindVoteReq, TxID: "tx1", Body: encodeMeta(meta)})
-	sh := s.shardFor("tx1")
-	sh.mu.Lock()
-	tx := sh.txns["tx1"]
+	s.mu.Lock()
+	tx := s.txns["tx1"]
 	staleGen := tx.gen
 	if tx.phase != phaseWait || staleGen == 0 {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		t.Fatalf("setup: phase=%v gen=%d, want w with armed timer", tx.phase, staleGen)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	// Phase transition w -> p re-arms the timer: the pending fire for
 	// generation G is now stale.
 	s.Deliver(transport.Message{From: 1, To: 2, Kind: KindPrepare, TxID: "tx1"})
-	sh.mu.Lock()
+	s.mu.Lock()
 	if tx.phase != phasePrepared {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		t.Fatalf("setup: phase=%v, want p after PREPARE", tx.phase)
 	}
 	if tx.gen == staleGen {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		t.Fatal("phase transition did not advance the timer generation")
 	}
 	liveGen := tx.gen
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	// The stale fire arrives late. The coordinator is reported dead, so a
 	// timeout taken at face value would run the termination protocol and —
 	// this site being the only operational cohort member in p — commit the
 	// transaction on the spot. The generation check must make it a no-op.
-	sh.handleTimeout("tx1", staleGen)
-	sh.mu.Lock()
+	s.handleTimeout("tx1", staleGen)
+	s.mu.Lock()
 	phase := tx.phase
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if phase != phasePrepared {
 		t.Fatalf("stale timeout moved the transaction: phase=%v, want p", phase)
 	}
 
 	// The current generation's fire is honored: termination runs and, from
 	// the buffer state with every peer dead, decides commit.
-	sh.handleTimeout("tx1", liveGen)
+	s.handleTimeout("tx1", liveGen)
 	if o, _ := s.Outcome("tx1"); o != OutcomeCommitted {
 		t.Fatalf("live timeout ignored: outcome=%v, want committed", o)
 	}
@@ -127,11 +126,10 @@ func TestStaleTimerAfterResolve(t *testing.T) {
 
 	meta := TxMeta{Coordinator: 1, Participants: []int{1, 2}}
 	s.Deliver(transport.Message{From: 1, To: 2, Kind: KindVoteReq, TxID: "tx2", Body: encodeMeta(meta)})
-	sh := s.shardFor("tx2")
-	sh.mu.Lock()
-	tx := sh.txns["tx2"]
+	s.mu.Lock()
+	tx := s.txns["tx2"]
 	staleGen := tx.gen
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	// The decision lands; resolve stops the protocol timer and arms the GC
 	// grace timer under a new generation.
@@ -139,10 +137,10 @@ func TestStaleTimerAfterResolve(t *testing.T) {
 
 	// A stale protocol-timeout fire must not run gcTimeout: forgetting now
 	// would cut the grace period the participant owes late queriers.
-	sh.handleTimeout("tx2", staleGen)
-	sh.mu.Lock()
-	_, known := sh.txns["tx2"]
-	sh.mu.Unlock()
+	s.handleTimeout("tx2", staleGen)
+	s.mu.Lock()
+	_, known := s.txns["tx2"]
+	s.mu.Unlock()
 	if !known {
 		t.Fatal("stale timeout garbage-collected the transaction early")
 	}

@@ -26,7 +26,7 @@ const (
 // execute the 2-phase backup protocol. For 2PC it is cooperative
 // termination, which blocks when every operational site is uncertain.
 // Requires s.mu held.
-func (s *shard) startTermination(t *txState) {
+func (s *Site) startTermination(t *txState) {
 	if t.resolved() || t.recovering {
 		return
 	}
@@ -63,7 +63,7 @@ func (s *shard) startTermination(t *txState) {
 // non-recovering cohort member, excluding the failed coordinator. Under the
 // paper's reliable failure reporting every operational site computes the
 // same site. Requires s.mu held.
-func (s *shard) electBackup(t *txState) (int, bool) {
+func (s *Site) electBackup(t *txState) (int, bool) {
 	var candidates []int
 	for _, p := range t.meta.Participants {
 		if p != t.meta.Coordinator && !t.excluded[p] {
@@ -74,7 +74,7 @@ func (s *shard) electBackup(t *txState) (int, bool) {
 }
 
 // runBackup makes this site the backup coordinator. Requires s.mu held.
-func (s *shard) runBackup(t *txState) {
+func (s *Site) runBackup(t *txState) {
 	s.record("backup", t.id, "state "+t.phase.String())
 	t.termActive = true
 	if t.resolved() {
@@ -123,7 +123,7 @@ func (p phase) letter() byte {
 
 // onTermState handles phase 1 of the backup protocol at a participant:
 // adopt the backup coordinator's local state and acknowledge.
-func (s *shard) onTermState(m transport.Message) {
+func (s *Site) onTermState(m transport.Message) {
 	if len(m.Body) < 1 {
 		return
 	}
@@ -165,7 +165,7 @@ func (s *shard) onTermState(m transport.Message) {
 }
 
 // onTermAck collects phase-1 acknowledgements at the backup coordinator.
-func (s *shard) onTermAck(m transport.Message) {
+func (s *Site) onTermAck(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
@@ -179,7 +179,7 @@ func (s *shard) onTermAck(m transport.Message) {
 // maybeTermPhase2 fires phase 2 of the backup protocol once every
 // operational cohort site has acknowledged phase 1 (crashed sites are
 // waived: they resolve via the recovery protocol). Requires s.mu held.
-func (s *shard) maybeTermPhase2(t *txState) {
+func (s *Site) maybeTermPhase2(t *txState) {
 	if t.resolved() || !t.termActive {
 		return
 	}
@@ -212,7 +212,7 @@ func (s *shard) maybeTermPhase2(t *txState) {
 
 // broadcastOutcome sends the resolved decision to every other cohort member.
 // Requires s.mu held and t resolved.
-func (s *shard) broadcastOutcome(t *txState) {
+func (s *Site) broadcastOutcome(t *txState) {
 	for _, p := range t.meta.Participants {
 		if p != s.id {
 			s.sendOutcome(p, t)
@@ -221,7 +221,7 @@ func (s *shard) broadcastOutcome(t *txState) {
 }
 
 // sendOutcome transmits t's decision to one site. Requires t resolved.
-func (s *shard) sendOutcome(to int, t *txState) {
+func (s *Site) sendOutcome(to int, t *txState) {
 	kind := KindAbort
 	if t.phase == phaseCommitted {
 		kind = KindCommit
@@ -234,7 +234,7 @@ func (s *shard) sendOutcome(to int, t *txState) {
 // startCooperative begins (or retries) the 2PC termination attempt: query
 // every operational cohort member's state and decide if any response breaks
 // the uncertainty. Requires s.mu held.
-func (s *shard) startCooperative(t *txState) {
+func (s *Site) startCooperative(t *txState) {
 	t.queried = true
 	t.statuses = map[int]byte{}
 	for _, p := range t.meta.Participants {
@@ -247,7 +247,7 @@ func (s *shard) startCooperative(t *txState) {
 
 // onStatusReq answers a state query (2PC cooperative termination) or a
 // backup nudge (3PC: the chosen backup may not know the transaction yet).
-func (s *shard) onStatusReq(m transport.Message) {
+func (s *Site) onStatusReq(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.txns[m.TxID]; !ok && s.roVotes {
@@ -307,7 +307,7 @@ func (s *shard) onStatusReq(m transport.Message) {
 // onStatusRes folds a cohort member's state into the 2PC cooperative
 // decision (or, for 3PC, handles a "recovering" refusal of the backup
 // role).
-func (s *shard) onStatusRes(m transport.Message) {
+func (s *Site) onStatusRes(m transport.Message) {
 	if len(m.Body) < 1 {
 		return
 	}
@@ -366,7 +366,7 @@ func (s *shard) onStatusRes(m transport.Message) {
 // the end of a collection window (timer expiry): if every operational site
 // has answered and all are uncertain, the transaction is blocked. Requires
 // s.mu held.
-func (s *shard) evaluateCooperative(t *txState, final bool) {
+func (s *Site) evaluateCooperative(t *txState, final bool) {
 	if t.resolved() {
 		return
 	}

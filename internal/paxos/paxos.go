@@ -20,7 +20,7 @@
 // proposing site's cohort index in the low bits, so two concurrent leaders
 // can never collide on a ballot number.
 //
-// The engine half — message handling on the sharded event loops, WAL
+// The engine half — message handling on the site's event loop, WAL
 // forcing, leader election and timeout handling — lives in
 // internal/engine/paxos.go.
 package paxos

@@ -56,10 +56,6 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 		return 0, 0, err
 	}
 	images := Replay(recs)
-	committed := map[string]bool{}
-	for _, r := range recs {
-		committed[r.TxID] = committed[r.TxID] || r.Type == RecCommitted
-	}
 
 	tmpPath := l.path + ".compact"
 	os.Remove(tmpPath)
@@ -71,7 +67,7 @@ func (l *FileLog) Compact() (kept, dropped int, err error) {
 	for _, r := range recs {
 		// An ended transaction's last record is its RecEnd.
 		if img := images[r.TxID]; img != nil && img.Status == StatusEnded &&
-			!(committed[r.TxID] && (r.Type == RecCommitted || r.LSN == img.LastLSN)) {
+			!(img.Committed && (r.Type == RecCommitted || r.LSN == img.LastLSN)) {
 			dropped++
 			continue
 		}

@@ -25,7 +25,8 @@ const (
 	StatusCommitted
 	// StatusAborted: the abort record was forced; undo and finish.
 	StatusAborted
-	// StatusEnded: fully applied; nothing to do.
+	// StatusEnded: fully applied; nothing to do. TxImage.Committed keeps
+	// the outcome.
 	StatusEnded
 )
 
@@ -74,6 +75,9 @@ type TxImage struct {
 	// Coordinator reports whether this site logged the begin record (i.e.
 	// acted as the transaction's coordinator).
 	Coordinator bool
+	// Committed reports whether a commit record was logged. It survives the
+	// end record, so an ended transaction committed iff it is set.
+	Committed bool
 }
 
 // Replay folds a log's records into per-transaction images, implementing the
@@ -112,6 +116,7 @@ func Replay(recs []Record) map[string]*TxImage {
 			img.Status = StatusPrepared
 		case RecCommitted:
 			img.Status = StatusCommitted
+			img.Committed = true
 		case RecAborted:
 			img.Status = StatusAborted
 		case RecEnd:

@@ -255,10 +255,15 @@ func TestReplay(t *testing.T) {
 		{LSN: 5, Type: RecVoteYes, TxID: "c"},
 		{LSN: 6, Type: RecVoteNo, TxID: "d"},
 		{LSN: 7, Type: RecEnd, TxID: "a"},
+		{LSN: 8, Type: RecBegin, TxID: "e"},
+		{LSN: 9, Type: RecEnd, TxID: "e"},
 	}
 	img := Replay(recs)
-	if got := img["a"].Status; got != StatusEnded {
-		t.Errorf("a: %v", got)
+	if got := img["a"].Status; got != StatusEnded || !img["a"].Committed {
+		t.Errorf("a: %v committed=%v, want an ended commit", got, img["a"].Committed)
+	}
+	if got := img["e"].Status; got != StatusEnded || img["e"].Committed {
+		t.Errorf("e: %v committed=%v, want an ended abort", got, img["e"].Committed)
 	}
 	if !img["a"].Coordinator || string(img["a"].Begin) != "2,3" {
 		t.Errorf("a image = %+v", img["a"])
