@@ -1,7 +1,7 @@
 // Command benchfig regenerates every figure and table of the reproduction:
 //
 //	benchfig             print everything
-//	benchfig -fig T1     print one experiment (F1..F8, T1..T6, A1, A2)
+//	benchfig -fig T1     print one experiment (F1..F8, T1..T8, A1..A3)
 //	benchfig -trials N   sweep size for the statistical experiments
 //
 // See EXPERIMENTS.md for the paper-vs-measured record.
@@ -12,13 +12,13 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"nbcommit/internal/experiments"
-	"nbcommit/internal/sim"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: F1..F8, T1..T6, A1, A2, or all")
+	fig := flag.String("fig", "all", "experiment to run: F1..F8, T1..T8, A1..A3, or all")
 	trials := flag.Int("trials", 2000, "trials per statistical sweep")
 	seed := flag.Int64("seed", 1981, "random seed")
 	txns := flag.Int("txns", 300, "transactions for the throughput run (T5)")
@@ -36,13 +36,13 @@ func main() {
 		"T1": func() { _, s := experiments.Tab1BlockingProbability([]int{3, 5, 9, 17}, *trials, *seed); fmt.Print(s) },
 		"T2": func() { _, s := experiments.Tab2Availability(5, []int{1, 2, 3}, *trials, *seed); fmt.Print(s) },
 		"T3": func() { _, s := experiments.Tab3MessageCost([]int{2, 4, 8, 16, 32, 64}); fmt.Print(s) },
-		"T4": func() { _, s := experiments.Tab4Latency([]int{3, 5, 9}, 200, *seed); fmt.Print(s) },
+		"T4": func() { _, s := experiments.Tab4Latency([]int{2, 4, 8, 16}); fmt.Print(s) },
 		"T5": func() { _, s := experiments.Tab5Throughput(4, *txns, *seed); fmt.Print(s) },
 		"T6": func() { _, s := experiments.Tab6Recovery(25); fmt.Print(s) },
 		"T7": func() {
-			_, s := experiments.Tab7BlockedTimeVsMTTR([]sim.Time{
-				10 * sim.Millisecond, 20 * sim.Millisecond, 50 * sim.Millisecond,
-				100 * sim.Millisecond, 200 * sim.Millisecond,
+			_, s := experiments.Tab7BlockedTimeVsMTTR([]time.Duration{
+				10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
+				100 * time.Millisecond, 200 * time.Millisecond,
 			}, *seed)
 			fmt.Print(s)
 		},
@@ -64,7 +64,7 @@ func main() {
 	}
 	run, ok := runners[name]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "benchfig: unknown experiment %q (want F1..F8, T1..T6, A1..A3, all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "benchfig: unknown experiment %q (want F1..F8, T1..T8, A1..A3, all)\n", *fig)
 		os.Exit(2)
 	}
 	run()

@@ -200,7 +200,7 @@ func (l *crashLog) Append(rec wal.Record) (uint64, error) {
 	return lsn, err
 }
 
-// AppendLazy implements wal.LazyLog. A trigger on a lazily appended record
+// AppendLazy implements wal.Log. A trigger on a lazily appended record
 // crashes the site inside the lazy window: the record is staged, counted,
 // and then lost with the buffer — recovery sees a log without it.
 func (l *crashLog) AppendLazy(rec wal.Record) error {
@@ -480,7 +480,10 @@ func (c *cluster) run(p *plan) {
 		if p != nil && p.fireNext(c) {
 			continue // quiescent: pull the next scheduled fault forward
 		}
-		if c.allSettled() && (p == nil || p.timedDone()) {
+		// A message still in flight on a delayed link can start work at a
+		// site that knows nothing yet: the cluster is not settled until it
+		// lands.
+		if _, inFlight := c.net.NextDue(); !inFlight && c.allSettled() && (p == nil || p.timedDone()) {
 			return
 		}
 		// Nothing deliverable now: advance virtual time to the next event —

@@ -12,10 +12,12 @@ import (
 )
 
 // TxnLaunch schedules one transaction in a hostile run: launched at virtual
-// time At from coordinator Coord over the full cluster cohort.
+// time At from coordinator Coord over the full cluster cohort. Peer launches
+// a decentralized transaction, with Coord as its initiating site.
 type TxnLaunch struct {
 	At    time.Duration
 	Coord int
+	Peer  bool
 }
 
 // HostileConfig describes one hostile-environment run: a WAN topology laid
@@ -76,6 +78,9 @@ type HostileReport struct {
 	// consistency findings a hostile environment can force (3PC under
 	// partitions); they also appear in Violations.
 	SplitTxns int
+	// Messages counts every message the sites sent during the run,
+	// delivered or not.
+	Messages int
 }
 
 // txnProbe tracks one launch through the run.
@@ -145,7 +150,7 @@ func RunHostile(hc HostileConfig) HostileReport {
 					c.txids = append(c.txids, pr.id) // count it: launched into an outage
 					return
 				}
-				if err := c.begin(pr.launch.Coord, pr.id, false); err != nil {
+				if err := c.begin(pr.launch.Coord, pr.id, pr.launch.Peer); err != nil {
 					c.tracef("launch %s failed: %v", pr.id, err)
 				}
 			},
@@ -204,6 +209,8 @@ func RunHostile(hc HostileConfig) HostileReport {
 	}
 
 	c.run(p)
+	sent, _ := c.net.Stats()
+	hr.Messages = int(sent)
 
 	// Final verdicts: the standard checkers, with splits counted as data.
 	snap := c.snapshot()

@@ -6,6 +6,7 @@ import (
 
 	"nbcommit/internal/chaos"
 	"nbcommit/internal/engine"
+	"nbcommit/internal/transport"
 )
 
 // TestHostileScheduleDeterminism is the acceptance gate for the whole hostile
@@ -162,5 +163,58 @@ func TestSkewTimeoutEvent(t *testing.T) {
 	r = RunHostile(skewed)
 	if len(r.Txns) != 1 || r.Txns[0].Outcome != "aborted" {
 		t.Fatalf("skewed run should abort on timeout: %+v", r.Txns)
+	}
+}
+
+// TestDecentralizedEarlyVote: over fixed 1 ms links the initiator's own
+// D-YES reaches a peer at the same instant as its D-XACT, and the scheduler
+// may deliver the vote first. The vote carries the transaction, so the
+// peer counts it instead of waiting a timeout for the resend: every site
+// decides after two link delays (2PC) or three (3PC), having sent Skeen's
+// count plus the n-1 D-XACTs.
+func TestDecentralizedEarlyVote(t *testing.T) {
+	const n = 4
+	link := transport.LinkModel{Delay: transport.FixedDelay(time.Millisecond)}
+	for _, tc := range []struct {
+		proto        engine.ProtocolKind
+		delays, msgs int
+	}{
+		{engine.TwoPhase, 2, (n - 1) * (n + 1)},
+		{engine.ThreePhase, 3, (n - 1) * (2*n + 1)},
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := RunHostile(HostileConfig{
+				Protocol: tc.proto,
+				Topology: chaos.WAN("lan", 1, n, link, link),
+				Launches: []TxnLaunch{{Coord: 1, Peer: true}},
+				Seed:     seed,
+				Timeout:  50 * time.Millisecond,
+			})
+			tr := r.Txns[0]
+			if !tr.Resolved || tr.Outcome != "committed" || tr.ResolvedMs != float64(tc.delays) || r.Messages != tc.msgs {
+				t.Fatalf("%s seed %d: resolved=%v %s at %.1fms with %d messages, want committed at %dms with %d",
+					tc.proto, seed, tr.Resolved, tr.Outcome, tr.ResolvedMs, r.Messages, tc.delays, tc.msgs)
+			}
+		}
+	}
+}
+
+// TestHostileRunDeliversInFlightMessages: the initiator of a decentralized
+// transaction crashes after sending its D-XACTs but before they land. No
+// live site knows the transaction yet, so every live site looks settled;
+// the run must still deliver the messages in flight, and the survivors
+// then terminate the transaction.
+func TestHostileRunDeliversInFlightMessages(t *testing.T) {
+	link := transport.LinkModel{Delay: transport.FixedDelay(time.Millisecond)}
+	r := RunHostile(HostileConfig{
+		Protocol: engine.ThreePhase,
+		Topology: chaos.WAN("lan", 1, 3, link, link),
+		Events:   []chaos.Event{chaos.Crash(500*time.Microsecond, 1)},
+		Launches: []TxnLaunch{{Coord: 1, Peer: true}},
+		Seed:     1,
+		Timeout:  5 * time.Millisecond,
+	})
+	if tr := r.Txns[0]; !tr.Resolved || tr.Outcome == "pending" || r.Blocked || r.SplitTxns != 0 {
+		t.Fatalf("survivors did not terminate: %+v blocked=%v splits=%d", tr, r.Blocked, r.SplitTxns)
 	}
 }

@@ -105,9 +105,10 @@ func (s *Site) onPeerVoteResult(v voteResult) {
 	s.mustLog(wal.Record{Type: wal.RecVoteYes, TxID: t.id, Payload: encodeVotePayload(t.meta, t.redo)})
 	t.phase = phaseWait
 	t.dvotes[s.id] = 'y'
+	body := encodeMeta(t.meta)
 	for _, p := range t.meta.Participants {
 		if p != s.id {
-			s.send(p, KindDYes, t.id, nil)
+			s.send(p, KindDYes, t.id, body)
 		}
 	}
 	s.armTimer(t, s.protoTimeout())
@@ -117,8 +118,19 @@ func (s *Site) onPeerVoteResult(v voteResult) {
 // onDVote records a peer's vote. A site that has already resolved the
 // transaction (e.g. it voted NO and aborted, and its NO was lost) answers a
 // retransmitted vote with the outcome instead.
+//
+// A D-YES carries the transaction's meta, as D-XACT does: a peer's vote can
+// beat the distribution over another link (or on the same one, reordered),
+// and a site that dropped it would wait a full timeout for the resend. An
+// unknown transaction therefore enters through onDXact first — the site
+// votes — and the early vote is then counted like any other.
 func (s *Site) onDVote(m transport.Message) {
 	s.mu.Lock()
+	if _, ok := s.txns[m.TxID]; !ok && m.Kind == KindDYes {
+		s.mu.Unlock()
+		s.onDXact(m)
+		s.mu.Lock()
+	}
 	defer s.mu.Unlock()
 	t, ok := s.txns[m.TxID]
 	if !ok {
@@ -262,19 +274,15 @@ func (s *Site) peerTimeout(t *txState) {
 	if allAlive && !t.blocked {
 		// Slow or lossy peers: rebroadcast our own round messages — a peer
 		// may have missed them even if we already hold its reply, so resend
-		// unconditionally (receipt is idempotent). A peer we hold no vote
-		// from may never have received the transaction at all (lost D-XACT),
-		// and votes alone cannot tell it what to vote on — resend the
-		// distribution too. Any site that voted holds the full meta, so any
-		// site can do this, not just the initiator.
+		// unconditionally (receipt is idempotent). A peer that never
+		// received the transaction at all (lost D-XACT) learns it from our
+		// D-YES, which carries the meta.
+		body := encodeMeta(t.meta)
 		for _, p := range t.meta.Participants {
 			if p == s.id {
 				continue
 			}
-			if _, voted := t.dvotes[p]; !voted {
-				s.send(p, KindDXact, t.id, encodeMeta(t.meta))
-			}
-			s.send(p, KindDYes, t.id, nil)
+			s.send(p, KindDYes, t.id, body)
 			if t.phase == phasePrepared {
 				s.send(p, KindDPrepare, t.id, nil)
 			}

@@ -429,7 +429,6 @@ type Site struct {
 	ep          transport.Endpoint
 	log         wal.Log
 	slog        wal.StagedLog // non-nil: group-commit staging is active
-	lazy        wal.LazyLog   // non-nil: lazy (non-forced) appends are supported
 	res         Resource
 	det         failure.Detector
 	clk         clock.Clock
@@ -577,15 +576,11 @@ func New(cfg Config) (*Site, error) {
 	if sl, ok := cfg.Log.(wal.StagedLog); ok && !cfg.Deterministic {
 		slog = sl
 	}
-	// Lazy appends need no callback, so they are usable in deterministic mode
-	// too (the simulator's log models the staged-but-unflushed crash window).
-	lazy, _ := cfg.Log.(wal.LazyLog)
 	s := &Site{
 		id:          cfg.ID,
 		ep:          cfg.Endpoint,
 		log:         cfg.Log,
 		slog:        slog,
-		lazy:        lazy,
 		res:         cfg.Resource,
 		det:         cfg.Detector,
 		clk:         clk,
@@ -1010,16 +1005,7 @@ func (s *Site) mustLog(rec wal.Record) {
 // log is tolerated (shutdown race): the record was best-effort by contract.
 // Requires s.mu held.
 func (s *Site) mustLogLazy(rec wal.Record) {
-	if s.lazy != nil {
-		if err := s.lazy.AppendLazy(rec); err != nil && !errors.Is(err, wal.ErrClosed) {
-			panic(fmt.Sprintf("engine: site %d cannot write WAL: %v", s.id, err))
-		}
-		return
-	}
-	// The log has no lazy capability: fall back to a forced append so the
-	// record is never silently dropped (it still does not count against the
-	// transaction's forced budget — the protocol did not require the force).
-	if _, err := s.log.Append(rec); err != nil && !errors.Is(err, wal.ErrClosed) {
+	if err := s.log.AppendLazy(rec); err != nil && !errors.Is(err, wal.ErrClosed) {
 		panic(fmt.Sprintf("engine: site %d cannot write WAL: %v", s.id, err))
 	}
 }

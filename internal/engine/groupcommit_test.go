@@ -664,6 +664,9 @@ func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
 	if err := sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	// Site 2 enters p only once the coordinator has counted every vote,
+	// so site 3's YES cannot die in flight with the crash.
+	waitSitePhase(t, sites[2], "t1", "p")
 	waitSitePhase(t, sites[3], "t1", "w")
 	net.Crash(3)
 	sites[3].Stop()

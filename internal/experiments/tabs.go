@@ -2,17 +2,137 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nbcommit/internal/chaos"
+	"nbcommit/internal/dst"
 	"nbcommit/internal/dtx"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/sim"
+	"nbcommit/internal/transport"
 	"nbcommit/internal/workload"
 )
+
+// The paper's quantitative claims (T1–T4, T7, A2) are measured on the real
+// engine: every trial is one dst.RunHostile run of engine.Site over the
+// simulated network and virtual clock, on a one-region topology whose links
+// all share one model. A trial launches one transaction at time zero from
+// site 1, over the whole cluster.
+
+// commitProtocol is one of the paper's four protocols: a family run in one
+// paradigm.
+type commitProtocol struct {
+	Name string
+	Kind engine.ProtocolKind
+	Peer bool // decentralized paradigm
+}
+
+var (
+	central2PC       = commitProtocol{"central-2PC", engine.TwoPhase, false}
+	central3PC       = commitProtocol{"central-3PC", engine.ThreePhase, false}
+	decentralized2PC = commitProtocol{"decentralized-2PC", engine.TwoPhase, true}
+	decentralized3PC = commitProtocol{"decentralized-3PC", engine.ThreePhase, true}
+	paperProtocols   = []commitProtocol{central2PC, central3PC, decentralized2PC, decentralized3PC}
+)
+
+// SkeenMessages is the paper's failure-free message count for an n-site
+// commit: central protocols send one message per slave per round (three
+// rounds for 2PC, five for 3PC); decentralized ones broadcast every round
+// from every site (one round for 2PC, two for 3PC). The engine sends n−1
+// more: the central participants' DEC-ACKs, which let the coordinator
+// forget, and the decentralized initiator's D-XACTs, which the paper leaves
+// to the environment.
+func SkeenMessages(name string, n int) int {
+	switch name {
+	case central2PC.Name:
+		return 3 * (n - 1)
+	case central3PC.Name:
+		return 5 * (n - 1)
+	case decentralized2PC.Name:
+		return n * (n - 1)
+	case decentralized3PC.Name:
+		return 2 * n * (n - 1)
+	}
+	return 0
+}
+
+// Link models: T3, T4 and T7 use fixed 1 ms links, so completion times count
+// link delays exactly; the failure sweeps draw each delay from 1–2 ms.
+var (
+	fixedLink  = transport.LinkModel{Delay: transport.FixedDelay(time.Millisecond)}
+	jitterLink = transport.LinkModel{Delay: transport.UniformDelay(time.Millisecond, 2*time.Millisecond)}
+)
+
+// sweepTimeout is the engine's protocol timeout in the failure sweeps.
+const sweepTimeout = 50 * time.Millisecond
+
+// runTrial runs one transaction on an n-site cluster under the given faults.
+func runTrial(p commitProtocol, n int, link transport.LinkModel, timeout time.Duration, seed int64, events ...chaos.Event) dst.HostileReport {
+	return dst.RunHostile(dst.HostileConfig{
+		Protocol: p.Kind,
+		Topology: chaos.WAN("lan", 1, n, link, link),
+		Events:   events,
+		Launches: []dst.TxnLaunch{{Coord: 1, Peer: p.Peer}},
+		Seed:     seed,
+		Timeout:  timeout,
+	})
+}
+
+// sweepStats counts a failure sweep's outcomes.
+type sweepStats struct {
+	trials     int
+	blocked    int // runs in which some operational site blocked
+	terminated int // runs in which every operational site decided
+	splits     int // transactions decided differently by two sites; must be 0
+}
+
+// crashSweep runs trials transactions, each under the crashes draw returns
+// for it, over 1–2 ms links.
+func crashSweep(p commitProtocol, n, trials int, seed int64, draw func(*rand.Rand) []chaos.Event) sweepStats {
+	rng := rand.New(rand.NewSource(seed))
+	var st sweepStats
+	for i := 0; i < trials; i++ {
+		events := draw(rng)
+		r := runTrial(p, n, jitterLink, sweepTimeout, rng.Int63(), events...)
+		st.trials++
+		if r.Blocked {
+			st.blocked++
+		}
+		if r.Txns[0].Resolved {
+			st.terminated++
+		}
+		st.splits += r.SplitTxns
+	}
+	return st
+}
+
+// crashWindow is the span over which the sweeps draw crash times uniformly.
+const crashWindow = 20 * time.Millisecond
+
+func crashTime(rng *rand.Rand) time.Duration {
+	return time.Duration(rng.Int63n(int64(crashWindow) + 1))
+}
+
+// coordinatorCrash crashes the coordinator, site 1.
+func coordinatorCrash(rng *rand.Rand) []chaos.Event {
+	return []chaos.Event{chaos.Crash(crashTime(rng), 1)}
+}
+
+// randomCrashes crashes k distinct random sites of n.
+func randomCrashes(n, k int) func(*rand.Rand) []chaos.Event {
+	return func(rng *rand.Rand) []chaos.Event {
+		var events []chaos.Event
+		for _, site := range rng.Perm(n)[:k] {
+			events = append(events, chaos.Crash(crashTime(rng), site+1))
+		}
+		return events
+	}
+}
 
 // Tab1 rows: blocking probability under a coordinator crash drawn uniformly
 // over the protocol window, per cohort size. The paper's headline made
@@ -21,7 +141,7 @@ type Tab1Row struct {
 	N            int
 	TwoPCBlocked float64
 	ThreePC      float64
-	Inconsistent int // across both protocols; must be 0
+	Inconsistent int // split transactions across both protocols; must be 0
 }
 
 // Tab1BlockingProbability runs the coordinator-crash sweep.
@@ -31,19 +151,26 @@ func Tab1BlockingProbability(ns []int, trials int, seed int64) ([]Tab1Row, strin
 	b.WriteString("T1: blocking probability under coordinator crash (uniform over 20ms window)\n")
 	b.WriteString("  n     2PC blocked   3PC blocked   inconsistent\n")
 	for _, n := range ns {
-		two := sim.CoordinatorCrashSweep(sim.Central2PC, n, trials, seed, 20*sim.Millisecond)
-		three := sim.CoordinatorCrashSweep(sim.Central3PC, n, trials, seed, 20*sim.Millisecond)
+		two := crashSweep(central2PC, n, trials, seed, coordinatorCrash)
+		three := crashSweep(central3PC, n, trials, seed, coordinatorCrash)
 		row := Tab1Row{
 			N:            n,
-			TwoPCBlocked: two.BlockedFrac,
-			ThreePC:      three.BlockedFrac,
-			Inconsistent: two.Inconsistent + three.Inconsistent,
+			TwoPCBlocked: frac(two.blocked, two.trials),
+			ThreePC:      frac(three.blocked, three.trials),
+			Inconsistent: two.splits + three.splits,
 		}
 		rows = append(rows, row)
 		fmt.Fprintf(&b, "  %-5d %10.1f%%  %10.1f%%   %d\n",
 			n, 100*row.TwoPCBlocked, 100*row.ThreePC, row.Inconsistent)
 	}
 	return rows, b.String()
+}
+
+func frac(k, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(k) / float64(n)
 }
 
 // Tab2Row: availability under k random site crashes — the fraction of
@@ -62,80 +189,79 @@ func Tab2Availability(n int, ks []int, trials int, seed int64) ([]Tab2Row, strin
 	var b strings.Builder
 	fmt.Fprintf(&b, "T2: termination availability, n=%d, k random crashes\n", n)
 	b.WriteString("  protocol             k   all-operational-terminated   inconsistent\n")
-	for _, proto := range []sim.Protocol{sim.Central2PC, sim.Central3PC, sim.Decentral2PC, sim.Decentral3PC} {
+	for _, p := range paperProtocols {
 		for _, k := range ks {
-			st := sim.RandomCrashSweep(proto, n, k, trials, seed, 20*sim.Millisecond)
-			terminated := 1 - float64(st.Blocked+st.Undecided)/float64(st.Trials)
-			rows = append(rows, Tab2Row{
-				Protocol: proto.String(), K: k,
-				Terminated: terminated, Inconsistent: st.Inconsistent,
-			})
+			st := crashSweep(p, n, trials, seed, randomCrashes(n, k))
+			row := Tab2Row{Protocol: p.Name, K: k, Terminated: frac(st.terminated, st.trials), Inconsistent: st.splits}
+			rows = append(rows, row)
 			fmt.Fprintf(&b, "  %-20s %d   %8.1f%%                    %d\n",
-				proto, k, 100*terminated, st.Inconsistent)
+				p.Name, k, 100*row.Terminated, row.Inconsistent)
 		}
 	}
 	return rows, b.String()
 }
 
-// Tab3Row: failure-free message cost.
+// Tab3Row: failure-free messages per commit, as the engine sends them.
+// SkeenMessages gives the paper's count for each protocol.
 type Tab3Row struct {
 	N          int
 	C2PC, C3PC int
 	D2PC, D3PC int
-	Linear     int
 }
 
-// Tab3MessageCost counts failure-free messages per protocol and size.
-// Expected: central linear (3(n-1) vs 5(n-1)), decentralized quadratic
-// (n(n-1) vs 2n(n-1)).
+// Tab3MessageCost counts the messages of one failure-free commit per
+// protocol and size. Expected: central linear (4(n-1) vs 6(n-1)),
+// decentralized quadratic ((n-1)(n+1) vs (n-1)(2n+1)) — Skeen's counts plus
+// n-1.
 func Tab3MessageCost(ns []int) ([]Tab3Row, string) {
 	var rows []Tab3Row
 	var b strings.Builder
-	b.WriteString("T3: failure-free message cost per commit\n")
-	b.WriteString("  n     linear c2PC   c3PC   d2PC    d3PC\n")
+	b.WriteString("T3: failure-free messages per commit, engine (Skeen's model)\n")
+	b.WriteString("  n     c2PC          c3PC          d2PC          d3PC\n")
 	for _, n := range ns {
+		msgs := func(p commitProtocol) int { return runTrial(p, n, fixedLink, sweepTimeout, 1).Messages }
 		row := Tab3Row{
-			N:      n,
-			C2PC:   sim.FailureFree(sim.Central2PC, n, 1).Messages,
-			C3PC:   sim.FailureFree(sim.Central3PC, n, 1).Messages,
-			D2PC:   sim.FailureFree(sim.Decentral2PC, n, 1).Messages,
-			D3PC:   sim.FailureFree(sim.Decentral3PC, n, 1).Messages,
-			Linear: sim.FailureFree(sim.Linear2PC, n, 1).Messages,
+			N:    n,
+			C2PC: msgs(central2PC), C3PC: msgs(central3PC),
+			D2PC: msgs(decentralized2PC), D3PC: msgs(decentralized3PC),
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(&b, "  %-5d %-6d %-6d %-6d %-7d %-7d\n",
-			n, row.Linear, row.C2PC, row.C3PC, row.D2PC, row.D3PC)
+		fmt.Fprintf(&b, "  %-5d", n)
+		for i, m := range []int{row.C2PC, row.C3PC, row.D2PC, row.D3PC} {
+			fmt.Fprintf(&b, " %-13s", fmt.Sprintf("%d (%d)", m, SkeenMessages(paperProtocols[i].Name, n)))
+		}
+		b.WriteString("\n")
 	}
 	return rows, b.String()
 }
 
-// Tab4Row: failure-free commit latency (virtual time).
+// Tab4Row: failure-free commit latency, in link delays until every site
+// has decided.
 type Tab4Row struct {
 	N                      int
-	C2PC, C3PC, D2PC, D3PC sim.Time
-	Linear                 sim.Time
+	C2PC, C3PC, D2PC, D3PC int
 }
 
-// Tab4Latency measures the mean failure-free completion time: 3PC pays one
-// extra round; decentralized variants need fewer sequential hops.
-func Tab4Latency(ns []int, trials int, seed int64) ([]Tab4Row, string) {
+// Tab4Latency counts the link delays until every site has decided one
+// failure-free commit: 3PC pays one extra round; the decentralized paradigm
+// needs one delay fewer per round than the central one.
+func Tab4Latency(ns []int) ([]Tab4Row, string) {
 	var rows []Tab4Row
 	var b strings.Builder
-	b.WriteString("T4: failure-free commit latency (virtual ms, mean)\n")
-	b.WriteString("  n     linear  c2PC    c3PC    d2PC    d3PC\n")
-	ms := func(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
+	b.WriteString("T4: failure-free commit latency (link delays until every site decided)\n")
+	b.WriteString("  n     c2PC  c3PC  d2PC  d3PC\n")
 	for _, n := range ns {
+		delays := func(p commitProtocol) int {
+			r := runTrial(p, n, fixedLink, sweepTimeout, 1)
+			return int(r.Txns[0].ResolvedMs)
+		}
 		row := Tab4Row{
-			N:      n,
-			C2PC:   sim.CommitLatency(sim.Central2PC, n, trials, seed),
-			C3PC:   sim.CommitLatency(sim.Central3PC, n, trials, seed),
-			D2PC:   sim.CommitLatency(sim.Decentral2PC, n, trials, seed),
-			D3PC:   sim.CommitLatency(sim.Decentral3PC, n, trials, seed),
-			Linear: sim.CommitLatency(sim.Linear2PC, n, trials, seed),
+			N:    n,
+			C2PC: delays(central2PC), C3PC: delays(central3PC),
+			D2PC: delays(decentralized2PC), D3PC: delays(decentralized3PC),
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(&b, "  %-5d %-7.2f %-7.2f %-7.2f %-7.2f %-7.2f\n",
-			n, ms(row.Linear), ms(row.C2PC), ms(row.C3PC), ms(row.D2PC), ms(row.D3PC))
+		fmt.Fprintf(&b, "  %-5d %-5d %-5d %-5d %-5d\n", n, row.C2PC, row.C3PC, row.D2PC, row.D3PC)
 	}
 	return rows, b.String()
 }
@@ -346,14 +472,14 @@ func Abl1BackupPhase1() (withViolations, withoutViolations int, report string) {
 // buffer state (i.e. running 2PC) reintroduces exactly the blocking the
 // theorem predicts.
 func Abl2NoBufferState(trials int, seed int64) (twoBlocked, threeBlocked float64, report string) {
-	two := sim.CoordinatorCrashSweep(sim.Central2PC, 4, trials, seed, 20*sim.Millisecond)
-	three := sim.CoordinatorCrashSweep(sim.Central3PC, 4, trials, seed, 20*sim.Millisecond)
+	rows, _ := Tab1BlockingProbability([]int{4}, trials, seed)
+	two, three := rows[0].TwoPCBlocked, rows[0].ThreePC
 	var b strings.Builder
 	b.WriteString("A2: ablation — remove the buffer state (3PC -> 2PC)\n")
 	fmt.Fprintf(&b, "  theorem: 2PC violates both conditions at w; 3PC satisfies both\n")
 	fmt.Fprintf(&b, "  measured blocking: with buffer state %.2f%%, without %.2f%%\n",
-		100*three.BlockedFrac, 100*two.BlockedFrac)
-	return two.BlockedFrac, three.BlockedFrac, b.String()
+		100*three, 100*two)
+	return two, three, b.String()
 }
 
 // Abl3PartitionQuorum steps outside the paper's model: its network "never
@@ -394,45 +520,35 @@ func Abl3PartitionQuorum(points int) (plainViolations, quorumViolations, quorumB
 	return plainViolations, quorumViolations, quorumBlocked, report + b.String()
 }
 
-// Tab7Row: survivor termination time as a function of coordinator MTTR.
+// Tab7Row: resolution time as a function of coordinator MTTR.
 type Tab7Row struct {
-	MTTR       sim.Time
-	TwoPCDone  sim.Time // when the last survivor terminated, 2PC
-	ThreePDone sim.Time // same, 3PC
+	MTTR       time.Duration
+	TwoPCDone  time.Duration // when every operational site had decided, 2PC
+	ThreePDone time.Duration // same, 3PC
 }
 
 // Tab7BlockedTimeVsMTTR quantifies the cost of blocking: the coordinator
-// crashes inside the uncertainty window and is repaired after MTTR. Under
-// 2PC the survivors terminate only when the coordinator returns (blocked
-// time ≈ MTTR); under 3PC they terminate in constant time (failure
-// detection + termination protocol), independent of MTTR.
-func Tab7BlockedTimeVsMTTR(mttrs []sim.Time, seed int64) ([]Tab7Row, string) {
-	survivorDone := func(proto sim.Protocol, mttr sim.Time) sim.Time {
-		crash := sim.Millisecond + 500*sim.Microsecond
-		res := sim.RunTransaction(sim.Config{
-			N: 3, Protocol: proto, Seed: seed,
-			LatencyMin: sim.Millisecond, LatencyMax: sim.Millisecond,
-			CrashAt:  map[int]sim.Time{1: crash},
-			RepairAt: map[int]sim.Time{1: crash + mttr},
-		})
-		var last sim.Time
-		for id, so := range res.Sites {
-			if id != 1 && so.DecidedAt > last {
-				last = so.DecidedAt
-			}
-		}
-		return last
+// crashes inside the uncertainty window and recovers after MTTR. Under 2PC
+// the survivors decide only once the coordinator is back (resolution time
+// ≈ MTTR); under 3PC they decide in constant time (failure detection +
+// termination protocol), independent of MTTR.
+func Tab7BlockedTimeVsMTTR(mttrs []time.Duration, seed int64) ([]Tab7Row, string) {
+	const crash = 1500 * time.Microsecond
+	resolved := func(p commitProtocol, mttr time.Duration) time.Duration {
+		r := runTrial(p, 3, fixedLink, 5*time.Millisecond, seed,
+			chaos.Crash(crash, 1), chaos.Recover(crash+mttr, 1))
+		return time.Duration(r.Txns[0].ResolvedMs * float64(time.Millisecond))
 	}
 	var rows []Tab7Row
 	var b strings.Builder
-	b.WriteString("T7: survivor termination time vs coordinator MTTR (virtual ms)\n")
+	b.WriteString("T7: resolution time vs coordinator MTTR (virtual ms)\n")
 	b.WriteString("  mttr    2PC-done   3PC-done\n")
-	ms := func(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	for _, mttr := range mttrs {
 		row := Tab7Row{
 			MTTR:       mttr,
-			TwoPCDone:  survivorDone(sim.Central2PC, mttr),
-			ThreePDone: survivorDone(sim.Central3PC, mttr),
+			TwoPCDone:  resolved(central2PC, mttr),
+			ThreePDone: resolved(central3PC, mttr),
 		}
 		rows = append(rows, row)
 		fmt.Fprintf(&b, "  %-7.0f %-10.2f %-10.2f\n", ms(mttr), ms(row.TwoPCDone), ms(row.ThreePDone))

@@ -8,10 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"nbcommit/internal/dtx"
+	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/remote"
 	"nbcommit/internal/shard"
 	"nbcommit/internal/transport"
+	"nbcommit/internal/wal"
 )
 
 // fakePeers stands in for the cluster behind node 1's remote.Client. Its
@@ -210,6 +213,50 @@ func TestAbortReachesPeerWhoseFirstOperationTimedOut(t *testing.T) {
 	}
 	s.Cleanup()
 	f.free(3, key)
+}
+
+// TestCommitAbortsWhenBeginFails: the node touched itself and two peers,
+// but its engine refuses to begin the protocol. No site voted, so COMMIT
+// must send OpAbort to every touched peer and release the local locks
+// rather than leave them held.
+func TestCommitAbortsWhenBeginFails(t *testing.T) {
+	f, s := newFakePeers(t, time.Second)
+	sn := transport.NewSimNetwork()
+	site, err := engine.New(engine.Config{
+		ID: 1, Endpoint: sn.Endpoint(1), Log: wal.NewMemoryLog(),
+		Resource: dtx.StoreResource{Store: f.stores[1]}, Detector: sn,
+		Protocol: engine.ThreePhase, Timeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.Stop() // Begin now fails with engine.ErrStopped
+	s.api.Site = site
+
+	r := s.api.Router
+	k1, k2, k3 := keyOwnedBy(t, r, 1, "a"), keyOwnedBy(t, r, 2, "b"), keyOwnedBy(t, r, 3, "c")
+	txid := strings.TrimPrefix(s.Execute("BEGIN"), "OK ")
+	for _, k := range []string{k1, k2, k3} {
+		if got := s.Execute("PUTK " + k + " v"); got != "OK" {
+			t.Fatalf("PUTK %s = %q", k, got)
+		}
+	}
+	if got := s.Execute("COMMIT"); !strings.Contains(got, engine.ErrStopped.Error()) {
+		t.Fatalf("COMMIT on a stopped engine = %q, want %v", got, engine.ErrStopped)
+	}
+	aborts := map[int]int{}
+	for _, op := range f.ops()[2:] {
+		if op.req.Op != remote.OpAbort || op.req.TxID != txid {
+			t.Errorf("after the failed COMMIT: %+v", op)
+		}
+		aborts[op.to]++
+	}
+	if len(aborts) != 2 || aborts[2] != 1 || aborts[3] != 1 {
+		t.Errorf("aborts per peer = %v, want one each at 2 and 3", aborts)
+	}
+	f.free(1, k1)
+	f.free(2, k2)
+	f.free(3, k3)
 }
 
 // TestEnlistRefusedOnKnownTxID: a peer that already holds the txid refuses

@@ -365,6 +365,12 @@ func (s *Session) runCommit(sites []int) (engine.Outcome, error) {
 		err = s.api.Site.Begin(s.txid, sites)
 	}
 	if err != nil {
+		// The protocol never started, so no site voted and nothing else
+		// will release the touched sites' locks: abort them here. After a
+		// started protocol (or a forwarded Commit) fails, the outcome is
+		// unknown and an abort could split the decision, so those errors
+		// leave the sites to the protocol.
+		s.abortLocked()
 		return engine.OutcomePending, err
 	}
 	return s.api.Site.WaitOutcome(s.txid, wait)

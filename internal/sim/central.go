@@ -2,7 +2,7 @@ package sim
 
 // startCoordinator begins the central-site protocol at site 1: distribute
 // the transaction, collect a response from every slave (property 4), then
-// decide (2PC) or run the prepare round first (3PC).
+// run the prepare round.
 func (st *site) startCoordinator() {
 	if st.crashed {
 		return
@@ -13,50 +13,9 @@ func (st *site) startCoordinator() {
 	st.broadcast(st.r.others(st.id), kXact, 0)
 }
 
-// startPeer begins the decentralized protocol at every site: receive the
-// transaction from the environment, do the local vote work, then broadcast
-// the vote.
-func (st *site) startPeer() {
-	if st.crashed {
-		return
-	}
-	st.responses = map[int]byte{}
-	st.r.sim.After(st.voteDelay(), st.castPeerVote)
-}
-
-func (st *site) castPeerVote() {
-	if st.crashed || st.final() {
-		return
-	}
-	if st.r.cfg.VoteNo[st.id] {
-		st.voted = true
-		st.decide('a')
-		st.broadcast(st.r.others(st.id), kNo, 0)
-		return
-	}
-	st.voted = true
-	st.phase = 'w'
-	st.broadcast(st.r.others(st.id), kYes, 0)
-	st.maybeVoteRoundDone()
-}
-
-// voteDelay samples the local pre-vote work duration.
-func (st *site) voteDelay() Time {
-	return st.r.sim.Uniform(st.r.cfg.VoteDelayMin, st.r.cfg.VoteDelayMax)
-}
-
 // onMsg dispatches a delivered message at an operational site.
 func (st *site) onMsg(m Msg) {
 	if st.crashed {
-		return
-	}
-	if st.r.cfg.Protocol == Linear2PC {
-		switch m.Kind {
-		case kXact:
-			st.onLinearXact()
-		case kCommit, kAbort:
-			st.onLinearDecision(m)
-		}
 		return
 	}
 	switch m.Kind {
@@ -78,10 +37,6 @@ func (st *site) onMsg(m Msg) {
 		st.onTermState(m)
 	case kTermAck:
 		st.onTermAckMsg(m)
-	case kStatusReq:
-		st.onStatusReq(m)
-	case kStatusRes:
-		st.onStatusRes(m)
 	case kQGather:
 		st.onQGather(m)
 	case kQState:
@@ -91,29 +46,21 @@ func (st *site) onMsg(m Msg) {
 	}
 }
 
-// onXact is the slave's vote in the central protocol, cast after the local
-// vote work completes.
+// onXact is the slave's vote.
 func (st *site) onXact(m Msg) {
-	if st.phase != 'q' || st.voted {
+	if st.phase != 'q' {
 		return
 	}
-	st.voted = true
-	st.r.sim.After(st.voteDelay(), func() {
-		if st.crashed || st.final() {
-			return
-		}
-		if st.r.cfg.VoteNo[st.id] {
-			st.decide('a')
-			st.send(m.From, kNo, 0)
-			return
-		}
-		st.phase = 'w'
-		st.send(m.From, kYes, 0)
-	})
+	if st.r.cfg.VoteNo[st.id] {
+		st.decide('a')
+		st.send(m.From, kNo, 0)
+		return
+	}
+	st.phase = 'w'
+	st.send(m.From, kYes, 0)
 }
 
-// onVote collects vote-round responses: at the central coordinator, from
-// the slaves; at a decentralized peer, from every other peer.
+// onVote collects the slaves' votes at the coordinator.
 func (st *site) onVote(m Msg) {
 	if st.responses == nil || st.final() {
 		return
@@ -126,19 +73,14 @@ func (st *site) onVote(m Msg) {
 	st.maybeVoteRoundDone()
 }
 
-// maybeVoteRoundDone checks whether a response exists for every expected
-// voter and advances the protocol. The central coordinator may waive a
-// crashed slave's missing vote as a NO (only the coordinator decides, so
-// this is safe); a decentralized peer must NOT — the crashed peer's vote may
-// have reached others, who may already have decided — and instead leaves the
-// gap for the termination protocol.
+// maybeVoteRoundDone checks whether a response exists for every slave and
+// advances the protocol. The coordinator may waive a crashed slave's
+// missing vote as a NO (only the coordinator decides, so this is safe);
+// under Quorum3PC it waives nothing and leaves the gap to quorum
+// termination.
 func (st *site) maybeVoteRoundDone() {
 	if st.final() || st.phase == 'p' || st.responses == nil {
 		return
-	}
-	central := st.r.cfg.Protocol.Central()
-	if !central && !st.voted {
-		return // still doing the local vote work
 	}
 	anyNo := st.ownNo
 	for _, id := range st.r.others(st.id) {
@@ -150,13 +92,10 @@ func (st *site) maybeVoteRoundDone() {
 			if st.r.cfg.Protocol == Quorum3PC {
 				return // no waivers: quorum termination resolves the gap
 			}
-			if central {
-				// Crashed without a vote reaching the coordinator: it will
-				// abort on recovery, so abort.
-				anyNo = true
-				continue
-			}
-			return // decentralized: termination resolves the uncertainty
+			// Crashed without a vote reaching the coordinator: it will
+			// abort on recovery, so abort.
+			anyNo = true
+			continue
 		}
 		if v == 'n' {
 			anyNo = true
@@ -164,72 +103,26 @@ func (st *site) maybeVoteRoundDone() {
 	}
 	if anyNo {
 		st.decide('a')
-		if central || st.r.anyCrashed {
-			st.broadcast(st.aliveOthers(), kAbort, 0)
-		}
+		st.broadcast(st.aliveOthers(), kAbort, 0)
 		return
 	}
-	// Unanimous YES.
-	if !st.r.cfg.Protocol.ThreePhase() {
-		st.decide('c')
-		if central || st.r.anyCrashed {
-			st.broadcast(st.aliveOthers(), kCommit, 0)
-		}
-		return
-	}
-	// 3PC: enter the buffer state.
+	// Unanimous YES: enter the buffer state.
 	st.phase = 'p'
-	if central {
-		st.acks = map[int]bool{}
-		st.broadcast(st.r.others(st.id), kPrepare, 0)
-	} else {
-		st.broadcast(st.r.others(st.id), kPrepare, 0)
-		st.maybePrepareRoundDone()
-	}
+	st.acks = map[int]bool{}
+	st.broadcast(st.r.others(st.id), kPrepare, 0)
 }
 
-// onPrepare moves a site into the buffer state.
+// onPrepare moves a slave into the buffer state.
 func (st *site) onPrepare(m Msg) {
-	if st.r.cfg.Protocol.Central() {
-		if st.phase == 'w' {
-			st.phase = 'p'
-			st.send(m.From, kAck, 0)
-		} else if st.phase == 'p' {
-			st.send(m.From, kAck, 0)
-		}
-		return
-	}
-	// Decentralized: a peer may receive prepares while still collecting
-	// votes; note them and check both rounds.
-	if st.final() {
-		return
-	}
-	if st.prepares == nil {
-		st.prepares = map[int]bool{}
-	}
-	st.prepares[m.From] = true
-	st.maybePrepareRoundDone()
-}
-
-// maybePrepareRoundDone commits a decentralized 3PC peer once a prepare
-// from every peer arrived. A crashed peer's missing prepare is not waived:
-// the site stays in p and the termination protocol finishes the job.
-func (st *site) maybePrepareRoundDone() {
-	if st.phase != 'p' {
-		return
-	}
-	for _, id := range st.r.others(st.id) {
-		if !st.prepares[id] {
-			return
-		}
-	}
-	st.decide('c')
-	if st.r.anyCrashed {
-		st.broadcast(st.aliveOthers(), kCommit, 0)
+	if st.phase == 'w' {
+		st.phase = 'p'
+		st.send(m.From, kAck, 0)
+	} else if st.phase == 'p' {
+		st.send(m.From, kAck, 0)
 	}
 }
 
-// onAckMsg collects prepare acknowledgements at the central 3PC coordinator.
+// onAckMsg collects prepare acknowledgements at the coordinator.
 func (st *site) onAckMsg(m Msg) {
 	if st.acks == nil || st.final() {
 		return
@@ -269,22 +162,14 @@ func (st *site) onSuspect(crashed int) {
 		st.startQuorumTermination()
 		return
 	}
-	central := st.r.cfg.Protocol.Central()
-	if central && st.id == 1 {
+	if st.id == 1 {
 		// Coordinator: re-evaluate vote and ack collection.
 		st.maybeVoteRoundDone()
 		st.maybeAllAcks()
 		return
 	}
-	if !central {
-		st.maybeVoteRoundDone()
-		// The prepare round is NOT waived: a missing prepare keeps us in p
-		// and the termination protocol finishes the job.
-		st.startTermination()
-		return
-	}
-	// Central participant: only a coordinator failure matters, unless a
-	// termination attempt is underway and its backup died.
+	// Slave: only a coordinator failure matters, unless a termination
+	// attempt is underway and its backup died.
 	if crashed == 1 || st.terminating {
 		st.startTermination()
 	}

@@ -125,11 +125,3 @@ func (n *Net) Partition(groups ...[]int) {
 		}
 	})
 }
-
-// Heal removes all partitions (suspicions are not retracted; protocols
-// re-learn reachability through their own retries).
-func (n *Net) Heal() { n.group = map[int]int{} }
-
-// Repair brings a crashed site back: it can send and receive again. The
-// site's protocol-level recovery is the caller's business.
-func (n *Net) Repair(site int) { delete(n.down, site) }

@@ -2,61 +2,34 @@ package sim
 
 import "sort"
 
-// Protocol selects which commit protocol a simulated transaction runs.
+// Protocol selects which commit protocol a simulated transaction runs. Both
+// are central-site 3PC; they differ in the termination protocol.
 type Protocol int
 
 const (
-	// Central2PC is the central-site two-phase commit (slide 15).
-	Central2PC Protocol = iota
-	// Central3PC is the central-site three-phase commit (slide 35).
-	Central3PC
-	// Decentral2PC is the fully decentralized two-phase commit (slide 26).
-	Decentral2PC
-	// Decentral3PC is the fully decentralized three-phase commit (slide 36).
-	Decentral3PC
+	// Central3PC is the central-site three-phase commit (slide 35) with the
+	// paper's backup-coordinator termination protocol.
+	Central3PC Protocol = iota
 	// Quorum3PC is the quorum-based extension (in the spirit of the paper's
 	// [SKEE81a] reference): central-site 3PC whose termination protocol
 	// requires a majority quorum to commit or abort, restoring safety under
 	// network partitions at the price of blocking minority groups.
 	Quorum3PC
-	// Linear2PC chains the sites (extension beyond the paper's paradigms):
-	// the vote wave travels rightward, the decision leftward. Cheapest in
-	// messages, worst in latency; implemented failure-free for the cost
-	// experiments.
-	Linear2PC
 )
 
 // String names the protocol.
 func (p Protocol) String() string {
 	switch p {
-	case Central2PC:
-		return "central-2PC"
 	case Central3PC:
 		return "central-3PC"
-	case Decentral2PC:
-		return "decentralized-2PC"
-	case Decentral3PC:
-		return "decentralized-3PC"
 	case Quorum3PC:
 		return "quorum-3PC"
-	case Linear2PC:
-		return "linear-2PC"
 	default:
 		return "unknown"
 	}
 }
 
-// Central reports whether the protocol uses a coordinator.
-func (p Protocol) Central() bool {
-	return p == Central2PC || p == Central3PC || p == Quorum3PC
-}
-
-// ThreePhase reports whether the protocol has the buffer state.
-func (p Protocol) ThreePhase() bool {
-	return p == Central3PC || p == Decentral3PC || p == Quorum3PC
-}
-
-// Message kinds (the central ones mirror the engine's wire protocol).
+// Message kinds (mirroring the engine's wire protocol).
 const (
 	kXact      = "XACT"
 	kYes       = "YES"
@@ -68,8 +41,13 @@ const (
 	kNudge     = "NUDGE"      // tell the elected backup to act
 	kTermState = "TERM-STATE" // backup phase 1
 	kTermAck   = "TERM-ACK"
-	kStatusReq = "STATUS-REQ" // cooperative termination query
-	kStatusRes = "STATUS-RES"
+)
+
+// Fixed environment: survivors learn of a crash (or a partition) this long
+// after it happens, and a run ends at the horizon.
+const (
+	detectDelay = 5 * Millisecond
+	horizon     = 10 * Second
 )
 
 // Config parameterizes one simulated transaction.
@@ -80,27 +58,14 @@ type Config struct {
 
 	// LatencyMin/Max bound per-message delivery time. Defaults 1–2ms.
 	LatencyMin, LatencyMax Time
-	// DetectDelay is how long after a crash survivors are notified.
-	// Default 5ms.
-	DetectDelay Time
 	// Stagger is the serialization delay between the individual messages of
 	// one round — a crash mid-round transmits only a prefix, the paper's
 	// partially-completed state transition. Default 20us.
 	Stagger Time
-	// VoteDelayMin/Max model the local work (lock validation, forcing the
-	// vote record to the log) between receiving the transaction and voting.
-	// A site that crashes inside this window has voted nothing — the source
-	// of real uncertainty windows. Default 0 (vote immediately).
-	VoteDelayMin, VoteDelayMax Time
 
 	// CrashAt schedules site failures (virtual time). Sites crash at most
 	// once.
 	CrashAt map[int]Time
-	// RepairAt schedules repairs: the site rejoins with its durable state
-	// (the phase it crashed in) and runs the recovery protocol — a repaired
-	// coordinator re-broadcasts its decision or aborts an undecided
-	// transaction, releasing blocked 2PC participants.
-	RepairAt map[int]Time
 	// VoteNo marks sites that unilaterally abort.
 	VoteNo map[int]bool
 	// SkipBackupPhase1 is the A1 ablation: the backup coordinator skips
@@ -112,22 +77,17 @@ type Config struct {
 	// fails" assumption to study its necessity (and the quorum fix).
 	PartitionAt     Time
 	PartitionGroups [][]int
-	// Quorum is the commit/abort quorum for Quorum3PC; zero means a strict
-	// majority of the total weight.
-	Quorum int
 	// Weights assigns per-site vote weights for Quorum3PC (default 1 each).
 	// Skeen's quorum protocol supports weighted votes, e.g. to let one
 	// well-provisioned site carry a partition by itself.
 	Weights map[int]int
-	// Horizon bounds the simulation. Default 10 virtual seconds.
-	Horizon Time
 }
 
 // SiteOutcome is a site's fate in the simulation.
 type SiteOutcome struct {
 	Phase     byte // final local state letter: q/w/p/c/a
 	Crashed   bool
-	Blocked   bool // alive but unable to terminate (2PC uncertainty)
+	Blocked   bool // alive but unable to terminate (a quorum-less group)
 	DecidedAt Time // virtual time of local commit/abort; 0 if none
 }
 
@@ -142,9 +102,8 @@ type Result struct {
 	// Committed/Aborted report the decision reached by decided sites.
 	Committed bool
 	Aborted   bool
-	// Messages is the total network messages sent; ByKind breaks them down.
+	// Messages is the total network messages sent.
 	Messages int
-	ByKind   map[string]int
 	// Done is the virtual time when the last operational site decided
 	// (0 when some operational site never decided).
 	Done Time
@@ -158,27 +117,22 @@ type site struct {
 	blocked bool
 	decided Time
 
-	voted     bool
-	responses map[int]byte // central coordinator: votes; decentralized: votes
-	prepares  map[int]bool // decentralized 3PC: prepare round
+	responses map[int]byte // coordinator: the slaves' votes
 	acks      map[int]bool
 	ownNo     bool
 
 	terminating bool
 	termAcks    map[int]bool
-	statuses    map[int]byte
-	queried     bool
 
 	qStates map[int]byte // quorum termination: gathered group states
 	qTarget byte         // quorum termination: 'p' (commit) or 'b' (abort)
 }
 
 type runner struct {
-	cfg        Config
-	sim        *Sim
-	net        *Net
-	sites      map[int]*site
-	anyCrashed bool
+	cfg   Config
+	sim   *Sim
+	net   *Net
+	sites map[int]*site
 }
 
 // RunTransaction simulates one distributed transaction under the given
@@ -187,20 +141,14 @@ func RunTransaction(cfg Config) Result {
 	if cfg.LatencyMax == 0 {
 		cfg.LatencyMin, cfg.LatencyMax = 1*Millisecond, 2*Millisecond
 	}
-	if cfg.DetectDelay == 0 {
-		cfg.DetectDelay = 5 * Millisecond
-	}
 	if cfg.Stagger == 0 {
 		cfg.Stagger = 20 * Microsecond
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 10 * Second
 	}
 	s := New(cfg.Seed)
 	r := &runner{
 		cfg:   cfg,
 		sim:   s,
-		net:   NewNet(s, cfg.LatencyMin, cfg.LatencyMax, cfg.DetectDelay),
+		net:   NewNet(s, cfg.LatencyMin, cfg.LatencyMax, detectDelay),
 		sites: map[int]*site{},
 	}
 	for i := 1; i <= cfg.N; i++ {
@@ -215,40 +163,16 @@ func RunTransaction(cfg Config) Result {
 	})
 	for id, at := range cfg.CrashAt {
 		s.At(at, func() {
-			r.anyCrashed = true
 			r.sites[id].crashed = true
 			r.net.Crash(id)
 		})
 	}
-	for id, at := range cfg.RepairAt {
-		s.At(at, func() {
-			st := r.sites[id]
-			if !st.crashed {
-				return
-			}
-			st.crashed = false
-			r.net.Repair(id)
-			st.onRepair()
-		})
-	}
 	if cfg.PartitionAt > 0 {
-		s.At(cfg.PartitionAt, func() {
-			r.anyCrashed = true // decisions must be broadcast from now on
-			r.net.Partition(cfg.PartitionGroups...)
-		})
+		s.At(cfg.PartitionAt, func() { r.net.Partition(cfg.PartitionGroups...) })
 	}
 
-	// Kick off the transaction.
-	if cfg.Protocol == Linear2PC {
-		s.At(0, r.sites[1].startLinear)
-	} else if cfg.Protocol.Central() {
-		s.At(0, r.sites[1].startCoordinator)
-	} else {
-		for i := 1; i <= cfg.N; i++ {
-			s.At(0, r.sites[i].startPeer)
-		}
-	}
-	s.RunUntil(cfg.Horizon)
+	s.At(0, r.sites[1].startCoordinator)
+	s.RunUntil(horizon)
 
 	return r.result()
 }
@@ -257,7 +181,6 @@ func (r *runner) result() Result {
 	res := Result{
 		Sites:      map[int]SiteOutcome{},
 		Consistent: true,
-		ByKind:     r.net.ByKind,
 		Messages:   r.net.Sent,
 	}
 	allDecided := true
@@ -350,12 +273,9 @@ func (st *site) weight(id int) int {
 	return 1
 }
 
-// quorum returns the commit/abort quorum: configured, or a strict majority
-// of the total weight.
+// quorum returns the commit/abort quorum: a strict majority of the total
+// weight.
 func (st *site) quorum() int {
-	if st.r.cfg.Quorum > 0 {
-		return st.r.cfg.Quorum
-	}
 	total := 0
 	for i := 1; i <= st.r.cfg.N; i++ {
 		total += st.weight(i)

@@ -101,7 +101,7 @@ func TestQuorumMajorityWithPreparedCommits(t *testing.T) {
 // central 3PC (same message pattern, same outcome).
 func TestQuorumFailureFree(t *testing.T) {
 	for _, n := range []int{3, 5, 7} {
-		res := FailureFree(Quorum3PC, n, 9)
+		res := RunTransaction(Config{N: n, Protocol: Quorum3PC, Seed: 9})
 		if !res.Committed || res.Blocked || !res.Consistent {
 			t.Fatalf("n=%d: %+v", n, res)
 		}
@@ -115,17 +115,17 @@ func TestQuorumFailureFree(t *testing.T) {
 // consistent and the majority keeps terminating.
 func TestQuorumUnderCrashes(t *testing.T) {
 	for k := 1; k <= 2; k++ {
-		st := RandomCrashSweep(Quorum3PC, 5, k, 300, 17, 15*Millisecond)
-		if st.Inconsistent != 0 {
-			t.Errorf("k=%d: %d inconsistent", k, st.Inconsistent)
+		st := crashSweep(Quorum3PC, 5, 300, 17, randomCrashes(5, k, 15*Millisecond))
+		if st.inconsistent != 0 {
+			t.Errorf("k=%d: %d inconsistent", k, st.inconsistent)
 		}
 		// With at most 2 of 5 sites down the survivors always hold a
 		// majority; nothing blocks.
-		if st.Blocked != 0 {
-			t.Errorf("k=%d: %d blocked", k, st.Blocked)
+		if st.blocked != 0 {
+			t.Errorf("k=%d: %d blocked", k, st.blocked)
 		}
-		if st.Undecided != 0 {
-			t.Errorf("k=%d: %d undecided", k, st.Undecided)
+		if st.undecided != 0 {
+			t.Errorf("k=%d: %d undecided", k, st.undecided)
 		}
 	}
 }
@@ -133,11 +133,11 @@ func TestQuorumUnderCrashes(t *testing.T) {
 // TestQuorumMinorityOfSurvivorsBlocks: with 3 of 5 sites crashed the
 // survivors cannot form a quorum and must block rather than guess.
 func TestQuorumMinorityOfSurvivorsBlocks(t *testing.T) {
-	st := RandomCrashSweep(Quorum3PC, 5, 3, 300, 17, 15*Millisecond)
-	if st.Inconsistent != 0 {
-		t.Fatalf("%d inconsistent", st.Inconsistent)
+	st := crashSweep(Quorum3PC, 5, 300, 17, randomCrashes(5, 3, 15*Millisecond))
+	if st.inconsistent != 0 {
+		t.Fatalf("%d inconsistent", st.inconsistent)
 	}
-	if st.Blocked == 0 {
+	if st.blocked == 0 {
 		t.Fatal("2-of-5 survivor groups should block under the quorum rule")
 	}
 }

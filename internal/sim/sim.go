@@ -1,13 +1,15 @@
-// Package sim is a deterministic discrete-event simulator for commit
-// protocols. The quantitative experiments (blocking probability,
-// availability, message complexity, latency) run here: virtual time makes a
-// 10,000-trial failure sweep take milliseconds and a fixed seed makes every
-// result reproducible.
+// Package sim is a deterministic discrete-event simulator for what the
+// commit engine lacks: central-site 3PC with quorum-based termination, the
+// partitions and vote weights that termination protocol exists for, and the
+// unsafe ablation that skips phase 1 of the backup protocol
+// (Config.SkipBackupPhase1). Experiment A1, A3 and examples/partition run
+// here; every other table is measured on the real engine under internal/dst.
 //
-// The simulator models the paper's environment exactly: point-to-point
-// messages with configurable latency, crash-stop site failures, and a
-// perfect failure detector (the network "can detect the failure of a site
-// and reliably report it to an operational site" after a detection delay).
+// The simulator models the paper's environment: point-to-point messages with
+// configurable latency, crash-stop site failures, and a perfect failure
+// detector (the network "can detect the failure of a site and reliably
+// report it to an operational site" after a detection delay) — plus, outside
+// the paper's model, network partitions.
 package sim
 
 import (
@@ -65,9 +67,6 @@ func New(seed int64) *Sim {
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
-
-// Rand exposes the simulator's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t Time, fn func()) {

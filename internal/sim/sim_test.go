@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -125,10 +126,49 @@ func TestNetCrashStopsDeliveryAndNotifies(t *testing.T) {
 	}
 }
 
+// sweepStats summarizes a crash sweep.
+type sweepStats struct {
+	trials, blocked, inconsistent, undecided int
+}
+
+// crashSweep runs trials transactions, each under the crash schedule crash
+// draws, and counts the runs in which an operational site blocked, two
+// sites decided differently, or no operational site decided.
+func crashSweep(proto Protocol, n, trials int, seed int64, crash func(*rand.Rand) map[int]Time) sweepStats {
+	rng := rand.New(rand.NewSource(seed))
+	st := sweepStats{trials: trials}
+	for i := 0; i < trials; i++ {
+		at := crash(rng)
+		res := RunTransaction(Config{N: n, Protocol: proto, Seed: rng.Int63(), CrashAt: at})
+		if res.Blocked {
+			st.blocked++
+		}
+		if !res.Consistent {
+			st.inconsistent++
+		}
+		if !res.Committed && !res.Aborted {
+			st.undecided++
+		}
+	}
+	return st
+}
+
+// randomCrashes crashes k distinct random sites of n, each at a time drawn
+// uniformly from [0, window].
+func randomCrashes(n, k int, window Time) func(*rand.Rand) map[int]Time {
+	return func(rng *rand.Rand) map[int]Time {
+		at := map[int]Time{}
+		for _, i := range rng.Perm(n)[:k] {
+			at[i+1] = Time(rng.Int63n(int64(window) + 1))
+		}
+		return at
+	}
+}
+
 func TestFailureFreeCommitAllProtocols(t *testing.T) {
-	for _, proto := range []Protocol{Central2PC, Central3PC, Decentral2PC, Decentral3PC} {
+	for _, proto := range []Protocol{Central3PC, Quorum3PC} {
 		for _, n := range []int{2, 3, 5, 9} {
-			res := FailureFree(proto, n, 42)
+			res := RunTransaction(Config{N: n, Protocol: proto, Seed: 42})
 			if !res.Committed || res.Aborted {
 				t.Errorf("%s n=%d: committed=%v aborted=%v", proto, n, res.Committed, res.Aborted)
 			}
@@ -148,7 +188,7 @@ func TestFailureFreeCommitAllProtocols(t *testing.T) {
 }
 
 func TestUnilateralAbortAllProtocols(t *testing.T) {
-	for _, proto := range []Protocol{Central2PC, Central3PC, Decentral2PC, Decentral3PC} {
+	for _, proto := range []Protocol{Central3PC, Quorum3PC} {
 		res := RunTransaction(Config{
 			N: 4, Protocol: proto, Seed: 9,
 			VoteNo: map[int]bool{3: true},
@@ -161,61 +201,25 @@ func TestUnilateralAbortAllProtocols(t *testing.T) {
 }
 
 func TestMessageComplexityShape(t *testing.T) {
-	// Failure-free message counts: central protocols linear in n,
-	// decentralized quadratic; 3PC strictly more than 2PC.
-	c2 := FailureFree(Central2PC, 9, 1).Messages
-	c3 := FailureFree(Central3PC, 9, 1).Messages
-	d2 := FailureFree(Decentral2PC, 9, 1).Messages
-	d3 := FailureFree(Decentral3PC, 9, 1).Messages
-	n := 9
-	if c2 != 3*(n-1) {
-		t.Errorf("central 2PC messages = %d, want %d", c2, 3*(n-1))
-	}
-	if c3 != 5*(n-1) {
-		t.Errorf("central 3PC messages = %d, want %d", c3, 5*(n-1))
-	}
-	if d2 != n*(n-1) {
-		t.Errorf("decentralized 2PC messages = %d, want %d", d2, n*(n-1))
-	}
-	if d3 != 2*n*(n-1) {
-		t.Errorf("decentralized 3PC messages = %d, want %d", d3, 2*n*(n-1))
+	// Failure-free central 3PC is linear in n: five rounds of one message
+	// per slave (XACT, vote, PREPARE, ACK, COMMIT).
+	for _, n := range []int{2, 3, 5, 9} {
+		if got := RunTransaction(Config{N: n, Protocol: Central3PC, Seed: 1}).Messages; got != 5*(n-1) {
+			t.Errorf("n=%d: central 3PC messages = %d, want %d", n, got, 5*(n-1))
+		}
 	}
 }
 
 func TestLatencyShape(t *testing.T) {
-	// 3PC pays roughly two extra message delays over 2PC; decentralized
-	// variants finish in fewer rounds than their central counterparts.
-	l2 := CommitLatency(Central2PC, 5, 20, 3)
-	l3 := CommitLatency(Central3PC, 5, 20, 3)
-	d2 := CommitLatency(Decentral2PC, 5, 20, 3)
-	d3 := CommitLatency(Decentral3PC, 5, 20, 3)
-	if l3 <= l2 {
-		t.Errorf("central 3PC latency %d should exceed 2PC %d", l3, l2)
-	}
-	if d3 <= d2 {
-		t.Errorf("decentralized 3PC latency %d should exceed 2PC %d", d3, d2)
-	}
-	if d2 >= l2 {
-		t.Errorf("decentralized 2PC (%d) should beat central 2PC (%d): fewer sequential hops", d2, l2)
-	}
-}
-
-// TestTwoPCBlocksUnderCoordinatorCrash: crash the coordinator in the
-// uncertainty window; every operational site blocks.
-func TestTwoPCBlocksUnderCoordinatorCrash(t *testing.T) {
-	// With fixed 1ms latency: participants vote at 1ms (arriving at 2ms);
-	// crashing the coordinator at 1.5ms leaves both participants in w with
-	// no decision anywhere.
-	res := RunTransaction(Config{
-		N: 3, Protocol: Central2PC, Seed: 5,
-		LatencyMin: Millisecond, LatencyMax: Millisecond,
-		CrashAt: map[int]Time{1: Millisecond + 500*Microsecond},
-	})
-	if !res.Blocked {
-		t.Fatalf("expected blocking, got %+v", res)
-	}
-	if !res.Consistent {
-		t.Fatal("blocking must still be consistent")
+	// Failure-free central 3PC takes five sequential message delays (XACT,
+	// vote, PREPARE, ACK, COMMIT), plus the stagger of its three
+	// broadcasts.
+	for _, n := range []int{2, 3, 5, 9} {
+		res := RunTransaction(Config{N: n, Protocol: Central3PC, Seed: 1, LatencyMin: Millisecond, LatencyMax: Millisecond})
+		stagger := 3 * Time(n-2) * 20 * Microsecond
+		if res.Done != 5*Millisecond+stagger {
+			t.Errorf("n=%d: central 3PC done at %d, want %d", n, res.Done, 5*Millisecond+stagger)
+		}
 	}
 }
 
@@ -223,51 +227,18 @@ func TestTwoPCBlocksUnderCoordinatorCrash(t *testing.T) {
 // protocol window: 3PC terminates every time.
 func TestThreePCNeverBlocks(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
-		stats := CoordinatorCrashSweep(Central3PC, n, 400, 11, 20*Millisecond)
-		if stats.Blocked != 0 {
-			t.Errorf("n=%d: 3PC blocked in %d/%d trials", n, stats.Blocked, stats.Trials)
+		stats := crashSweep(Central3PC, n, 400, 11, func(rng *rand.Rand) map[int]Time {
+			return map[int]Time{1: Time(rng.Int63n(int64(20*Millisecond) + 1))}
+		})
+		if stats.blocked != 0 {
+			t.Errorf("n=%d: 3PC blocked in %d/%d trials", n, stats.blocked, stats.trials)
 		}
-		if stats.Inconsistent != 0 {
-			t.Errorf("n=%d: %d inconsistent trials", n, stats.Inconsistent)
+		if stats.inconsistent != 0 {
+			t.Errorf("n=%d: %d inconsistent trials", n, stats.inconsistent)
 		}
-		if stats.Undecided != 0 {
-			t.Errorf("n=%d: %d undecided trials", n, stats.Undecided)
+		if stats.undecided != 0 {
+			t.Errorf("n=%d: %d undecided trials", n, stats.undecided)
 		}
-	}
-}
-
-// TestTwoPCBlocksSometimes: the same sweep under 2PC has a nonzero blocked
-// fraction (the uncertainty window is real) and never an inconsistency.
-func TestTwoPCBlocksSometimes(t *testing.T) {
-	stats := CoordinatorCrashSweep(Central2PC, 3, 400, 11, 20*Millisecond)
-	if stats.Blocked == 0 {
-		t.Fatal("2PC never blocked across the sweep; the window should be hit")
-	}
-	if stats.Inconsistent != 0 {
-		t.Fatalf("%d inconsistent trials", stats.Inconsistent)
-	}
-}
-
-// TestDecentralizedSweeps: the decentralized 2PC also blocks (a site that
-// crashes during its pre-vote work leaves every survivor uncertain);
-// decentralized 3PC does not.
-func TestDecentralizedSweeps(t *testing.T) {
-	blocked2 := RandomCrashSweep(Decentral2PC, 4, 1, 400, 23, 2*Millisecond)
-	if blocked2.Blocked == 0 {
-		t.Error("decentralized 2PC never blocked")
-	}
-	if blocked2.Inconsistent != 0 {
-		t.Errorf("decentralized 2PC: %d inconsistent", blocked2.Inconsistent)
-	}
-	blocked3 := RandomCrashSweep(Decentral3PC, 4, 1, 400, 23, 2*Millisecond)
-	if blocked3.Blocked != 0 {
-		t.Errorf("decentralized 3PC blocked in %d trials", blocked3.Blocked)
-	}
-	if blocked3.Inconsistent != 0 {
-		t.Errorf("decentralized 3PC: %d inconsistent", blocked3.Inconsistent)
-	}
-	if blocked3.Undecided != 0 {
-		t.Errorf("decentralized 3PC: %d undecided", blocked3.Undecided)
 	}
 }
 
@@ -275,15 +246,15 @@ func TestDecentralizedSweeps(t *testing.T) {
 // crashes ("as long as one site remains operational").
 func TestMultipleFailures3PC(t *testing.T) {
 	for k := 1; k <= 3; k++ {
-		stats := RandomCrashSweep(Central3PC, 4, k, 300, 31, 15*Millisecond)
-		if stats.Inconsistent != 0 {
-			t.Errorf("k=%d: %d inconsistent", k, stats.Inconsistent)
+		stats := crashSweep(Central3PC, 4, 300, 31, randomCrashes(4, k, 15*Millisecond))
+		if stats.inconsistent != 0 {
+			t.Errorf("k=%d: %d inconsistent", k, stats.inconsistent)
 		}
-		if stats.Blocked != 0 {
-			t.Errorf("k=%d: %d blocked", k, stats.Blocked)
+		if stats.blocked != 0 {
+			t.Errorf("k=%d: %d blocked", k, stats.blocked)
 		}
-		if stats.Undecided != 0 {
-			t.Errorf("k=%d: %d undecided", k, stats.Undecided)
+		if stats.undecided != 0 {
+			t.Errorf("k=%d: %d undecided", k, stats.undecided)
 		}
 	}
 }
@@ -334,11 +305,12 @@ func TestBackupPhase1Ablation(t *testing.T) {
 }
 
 // TestQuickConsistency is the property test: under arbitrary crash
-// schedules and vote patterns, no protocol ever produces mixed outcomes.
+// schedules and vote patterns, neither protocol ever produces mixed
+// outcomes.
 func TestQuickConsistency(t *testing.T) {
 	f := func(seed int64, crashRaw []uint16, votes uint8, protoRaw uint8, nRaw uint8) bool {
 		n := 2 + int(nRaw%6)
-		proto := Protocol(protoRaw % 4)
+		proto := Protocol(protoRaw % 2)
 		crash := map[int]Time{}
 		for i, c := range crashRaw {
 			if i >= n-1 { // always leave site n alive
@@ -360,159 +332,5 @@ func TestQuickConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLinearTwoPC: the chained extension commits failure-free with exactly
-// 2(n-1) messages and ~2(n-1) sequential delays, aborts atomically on a NO
-// anywhere in the chain, and is the latency-worst/message-best point in the
-// design space.
-func TestLinearTwoPC(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 9} {
-		res := FailureFree(Linear2PC, n, 4)
-		if !res.Committed || !res.Consistent || res.Done == 0 {
-			t.Fatalf("n=%d: %+v", n, res)
-		}
-		if want := 2 * (n - 1); res.Messages != want {
-			t.Errorf("n=%d messages = %d, want %d", n, res.Messages, want)
-		}
-	}
-	// Abort in the middle of the chain reaches everyone.
-	res := RunTransaction(Config{N: 5, Protocol: Linear2PC, Seed: 4, VoteNo: map[int]bool{3: true}})
-	if !res.Aborted || res.Committed || !res.Consistent || res.Done == 0 {
-		t.Fatalf("abort run: %+v", res)
-	}
-	// Latency: linear costs more sequential delays than central 2PC.
-	linear := CommitLatency(Linear2PC, 7, 30, 5)
-	central := CommitLatency(Central2PC, 7, 30, 5)
-	if linear <= central {
-		t.Errorf("linear latency %d should exceed central %d", linear, central)
-	}
-	// Messages: linear costs fewer than central.
-	if l, c := FailureFree(Linear2PC, 7, 5).Messages, FailureFree(Central2PC, 7, 5).Messages; l >= c {
-		t.Errorf("linear messages %d should undercut central %d", l, c)
-	}
-}
-
-// TestRepairUnblocks2PC: the coordinator crashes inside the uncertainty
-// window; the participants block for exactly the repair time — recovery
-// re-broadcasts the (logged or default-abort) decision and releases them.
-func TestRepairUnblocks2PC(t *testing.T) {
-	res := RunTransaction(Config{
-		N: 3, Protocol: Central2PC, Seed: 5,
-		LatencyMin: Millisecond, LatencyMax: Millisecond,
-		CrashAt:  map[int]Time{1: Millisecond + 500*Microsecond},
-		RepairAt: map[int]Time{1: 60 * Millisecond},
-	})
-	if !res.Consistent {
-		t.Fatalf("inconsistent: %+v", res.Sites)
-	}
-	if res.Blocked {
-		t.Fatalf("still blocked after repair: %+v", res.Sites)
-	}
-	if !res.Aborted || res.Committed {
-		t.Fatalf("recovered coordinator must abort an undecided txn: %+v", res.Sites)
-	}
-	// The survivors were released only after the repair.
-	for _, id := range []int{2, 3} {
-		if d := res.Sites[id].DecidedAt; d < 60*Millisecond {
-			t.Errorf("site %d decided at %d, before the repair", id, d)
-		}
-	}
-}
-
-// TestRepairedCoordinatorRebroadcastsCommit: the coordinator logged COMMIT
-// but crashed before any decision message left; repair re-broadcasts it.
-func TestRepairedCoordinatorRebroadcastsCommit(t *testing.T) {
-	// Fixed 1ms latency, 2ms stagger, n=3: XACT reaches 2 at 1ms and 3 at
-	// 3ms; the votes land at 2ms and 4ms; the coordinator decides COMMIT at
-	// 4ms and sends it to 2 at 4ms (in flight, survives) and to 3 at 6ms.
-	// Crashing at 5ms loses the second COMMIT; the repair re-broadcasts it.
-	res := RunTransaction(Config{
-		N: 3, Protocol: Central2PC, Seed: 5,
-		LatencyMin: Millisecond, LatencyMax: Millisecond,
-		Stagger:  2 * Millisecond,
-		CrashAt:  map[int]Time{1: 5 * Millisecond},
-		RepairAt: map[int]Time{1: 50 * Millisecond},
-	})
-	if !res.Consistent {
-		t.Fatalf("inconsistent: %+v", res.Sites)
-	}
-	if !res.Committed || res.Aborted {
-		t.Fatalf("want commit everywhere: %+v", res.Sites)
-	}
-	for id, so := range res.Sites {
-		if so.Phase != 'c' {
-			t.Errorf("site %d phase %c", id, so.Phase)
-		}
-	}
-}
-
-// TestRepairedParticipantLearnsOutcome: a participant crashes after voting,
-// the cohort commits without it (3PC waives its ack), and on repair it asks
-// the cohort and adopts the commit.
-func TestRepairedParticipantLearnsOutcome(t *testing.T) {
-	res := RunTransaction(Config{
-		N: 3, Protocol: Central3PC, Seed: 5,
-		LatencyMin: Millisecond, LatencyMax: Millisecond,
-		CrashAt:  map[int]Time{3: 2*Millisecond + 500*Microsecond}, // voted, not yet prepared
-		RepairAt: map[int]Time{3: 40 * Millisecond},
-	})
-	if !res.Consistent {
-		t.Fatalf("inconsistent: %+v", res.Sites)
-	}
-	if !res.Committed {
-		t.Fatalf("cohort should commit: %+v", res.Sites)
-	}
-	if res.Sites[3].Phase != 'c' {
-		t.Fatalf("repaired participant phase %c, want c", res.Sites[3].Phase)
-	}
-	if res.Sites[3].DecidedAt < 40*Millisecond {
-		t.Fatalf("participant decided before its repair: %+v", res.Sites[3])
-	}
-}
-
-// TestBlockedTimeTracksMTTR: the quantitative story — under 2PC the
-// survivors' termination time grows linearly with the coordinator's MTTR;
-// under 3PC it is constant (detection + termination protocol).
-func TestBlockedTimeTracksMTTR(t *testing.T) {
-	// Measure when the last SURVIVOR decided (the repaired coordinator's
-	// own late decision is recovery, not blocking).
-	done := func(proto Protocol, mttr Time) Time {
-		res := RunTransaction(Config{
-			N: 3, Protocol: proto, Seed: 5,
-			LatencyMin: Millisecond, LatencyMax: Millisecond,
-			CrashAt:  map[int]Time{1: Millisecond + 500*Microsecond},
-			RepairAt: map[int]Time{1: Millisecond + 500*Microsecond + mttr},
-		})
-		if !res.Consistent {
-			t.Fatalf("%s mttr=%d inconsistent", proto, mttr)
-		}
-		var last Time
-		for id, so := range res.Sites {
-			if id == 1 {
-				continue
-			}
-			if so.DecidedAt == 0 {
-				t.Fatalf("%s mttr=%d: survivor %d undecided", proto, mttr, id)
-			}
-			if so.DecidedAt > last {
-				last = so.DecidedAt
-			}
-		}
-		return last
-	}
-	d20 := done(Central2PC, 20*Millisecond)
-	d80 := done(Central2PC, 80*Millisecond)
-	if d80-d20 < 50*Millisecond {
-		t.Errorf("2PC termination should track MTTR: done(20ms)=%d done(80ms)=%d", d20, d80)
-	}
-	t20 := done(Central3PC, 20*Millisecond)
-	t80 := done(Central3PC, 80*Millisecond)
-	if diff := t80 - t20; diff > 5*Millisecond && diff < -5*Millisecond {
-		t.Errorf("3PC termination should not track MTTR: %d vs %d", t20, t80)
-	}
-	if t80 > d20 {
-		t.Errorf("3PC (%d) should terminate before even the shortest 2PC repair (%d)", t80, d20)
 	}
 }

@@ -1,17 +1,12 @@
 package sim
 
-// startTermination runs when a site failure impairs the commit protocol:
-// the paper's backup-coordinator termination protocol for 3PC, cooperative
-// status exchange (which may block) for 2PC.
+// startTermination runs when a coordinator failure impairs the commit
+// protocol: the paper's backup-coordinator termination protocol.
 func (st *site) startTermination() {
 	if st.final() || st.crashed {
 		return
 	}
 	st.terminating = true
-	if !st.r.cfg.Protocol.ThreePhase() {
-		st.startCooperative()
-		return
-	}
 	backup, ok := st.electBackup()
 	if !ok {
 		return
@@ -29,10 +24,7 @@ func (st *site) startTermination() {
 // place; a recovered coordinator rejoins via the recovery protocol, not
 // here).
 func (st *site) electBackup() (int, bool) {
-	for i := 1; i <= st.r.cfg.N; i++ {
-		if st.r.cfg.Protocol.Central() && i == 1 {
-			continue
-		}
+	for i := 2; i <= st.r.cfg.N; i++ {
 		if i == st.id || st.r.net.Reachable(st.id, i) {
 			return i, true
 		}
@@ -90,10 +82,9 @@ func (st *site) runBackup() {
 func (st *site) termTargets() []int {
 	var out []int
 	for _, id := range st.aliveOthers() {
-		if st.r.cfg.Protocol.Central() && id == 1 {
-			continue
+		if id != 1 {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
 	return out
 }
@@ -164,109 +155,5 @@ func (st *site) termDecide() {
 	} else {
 		st.decide('a')
 		st.broadcast(st.termTargets(), kAbort, 0)
-	}
-}
-
-// --- cooperative termination (2PC) ---
-
-// startCooperative queries every operational cohort member's state; any
-// decided, unvoted, or aborted respondent resolves the uncertainty, and a
-// unanimous "uncertain" leaves the site blocked.
-func (st *site) startCooperative() {
-	st.queried = true
-	if st.statuses == nil {
-		st.statuses = map[int]byte{}
-	}
-	st.broadcast(st.aliveOthers(), kStatusReq, 0)
-	st.evaluateCooperative()
-}
-
-// onStatusReq answers with the local state letter ('c'/'a' for decided).
-func (st *site) onStatusReq(m Msg) {
-	st.send(m.From, kStatusRes, st.phase)
-}
-
-// onStatusRes folds a peer's state into the cooperative decision. A direct
-// outcome in the reply resolves the transaction under any protocol (used by
-// repaired sites re-learning their fate).
-func (st *site) onStatusRes(m Msg) {
-	if st.final() {
-		return
-	}
-	switch m.Body {
-	case 'c':
-		st.decide('c')
-		return
-	case 'a':
-		st.decide('a')
-		return
-	}
-	if !st.queried {
-		return
-	}
-	st.statuses[m.From] = m.Body
-	st.evaluateCooperative()
-}
-
-// onRepair runs the recovery protocol at a repaired site. A coordinator
-// with a durable decision re-broadcasts it; one that crashed before its
-// commit point aborts (and broadcasts), releasing any blocked cohort. A
-// participant asks the operational sites for the outcome.
-func (st *site) onRepair() {
-	central := st.r.cfg.Protocol.Central() && st.r.cfg.Protocol != Linear2PC
-	if central && st.id == 1 && st.phase != 'p' {
-		if !st.final() {
-			// Crashed before the commit point (q or w): abort upon
-			// recovering. A coordinator that crashed in p is in doubt like
-			// any participant — the cohort may have terminated with COMMIT —
-			// and falls through to the query below.
-			st.decide('a')
-		}
-		kind := kAbort
-		if st.phase == 'c' {
-			kind = kCommit
-		}
-		st.broadcast(st.aliveOthers(), kind, 0)
-		return
-	}
-	if st.final() {
-		return
-	}
-	// In-doubt participant: ask the cohort.
-	st.broadcast(st.aliveOthers(), kStatusReq, 0)
-}
-
-// evaluateCooperative applies the cooperative rule over the currently
-// operational cohort.
-func (st *site) evaluateCooperative() {
-	if st.final() || !st.queried {
-		return
-	}
-	complete := true
-	for _, id := range st.aliveOthers() {
-		status, ok := st.statuses[id]
-		if !ok {
-			complete = false
-			continue
-		}
-		switch status {
-		case 'c':
-			st.decide('c')
-			st.broadcast(st.aliveOthers(), kCommit, 0)
-			return
-		case 'a':
-			st.decide('a')
-			st.broadcast(st.aliveOthers(), kAbort, 0)
-			return
-		case 'q':
-			// Someone has not voted: no site can have committed.
-			st.decide('a')
-			st.broadcast(st.aliveOthers(), kAbort, 0)
-			return
-		}
-	}
-	if complete {
-		// Every operational site is uncertain: 2PC blocks here.
-		st.blocked = true
 	}
 }

@@ -104,6 +104,16 @@ type Record struct {
 type Log interface {
 	// Append durably adds a record and returns its log sequence number.
 	Append(rec Record) (uint64, error)
+	// AppendLazy adds a record without forcing it. The record is ordered
+	// into the log like any other, but the caller neither forces it nor
+	// waits for it: it rides whatever batch the next forced append, flush
+	// interval, Records scan, or Close triggers. A crash may lose a suffix
+	// of lazy records; callers must only append records lazily when
+	// recovery can reconstruct (or presume) their meaning — e.g.
+	// presumed-abort settlement records, whose loss merely re-runs
+	// idempotent garbage collection. Any write error surfaces on the batch
+	// that eventually carries the record.
+	AppendLazy(rec Record) error
 	// Records returns every record in append order.
 	Records() ([]Record, error)
 	// Close releases resources; the log may be reopened (FileLog) or
@@ -122,20 +132,6 @@ type StagedLog interface {
 	// into the log: it runs on the goroutine that flushes the batch, while
 	// the log holds its write lock.
 	AppendStaged(rec Record, fn func(lsn uint64, err error))
-}
-
-// LazyLog is a Log supporting lazy (non-forced) appends. A lazy record is
-// ordered into the log like any other, but the caller neither forces it nor
-// waits for it: it rides whatever batch the next forced append, flush
-// interval, Records scan, or Close triggers. A crash may lose a suffix of
-// lazy records; callers must only append records lazily when recovery can
-// reconstruct (or presume) their meaning — e.g. presumed-abort settlement
-// records, whose loss merely re-runs idempotent garbage collection.
-type LazyLog interface {
-	Log
-	// AppendLazy stages rec without forcing it. It returns immediately; any
-	// write error surfaces on the batch that eventually carries the record.
-	AppendLazy(rec Record) error
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -166,7 +162,7 @@ func (l *MemoryLog) Append(rec Record) (uint64, error) {
 	return rec.LSN, nil
 }
 
-// AppendLazy implements LazyLog. Memory is always "durable" within the
+// AppendLazy implements Log. Memory is always "durable" within the
 // simulation model, so a lazy append is an ordinary append.
 func (l *MemoryLog) AppendLazy(rec Record) error {
 	_, err := l.Append(rec)
@@ -465,7 +461,7 @@ func (l *FileLog) AppendStaged(rec Record, fn func(lsn uint64, err error)) {
 	l.signal()
 }
 
-// AppendLazy implements LazyLog: the record is staged in log order but the
+// AppendLazy implements Log: the record is staged in log order but the
 // flusher is not woken for it, so it rides whatever batch the next forced
 // append (or flush interval, Records scan, or Close) triggers. A crash
 // before that batch loses the record.
