@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"nbcommit/internal/remote"
 )
 
 // freePorts reserves n distinct TCP ports by listening and closing.
@@ -133,37 +131,24 @@ func waitListening(t *testing.T, addrs ...string) {
 }
 
 // commitAt commits one transaction that PUTs key = val<site> at each of
-// sites, failing the test on any other outcome. A heartbeat sent before a
-// peer listened failed to dial and opened a redial-backoff window; a PUT sent
-// inside it is dropped and times out, so that reply alone is retried, in a
-// fresh transaction, for up to ten seconds.
-func commitAt(t *testing.T, cl *testClient, key, val string, sites ...int) {
+// sites, in one attempt, and returns its transaction ID. Any other reply to
+// any verb fails the test.
+func commitAt(t *testing.T, cl *testClient, key, val string, sites ...int) string {
 	t.Helper()
-	timedOut := "ERR " + remote.ErrTimeout.Error()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if got := cl.send(t, "BEGIN"); !strings.HasPrefix(got, "OK") {
-			t.Fatalf("BEGIN = %q", got)
-		}
-		got := "OK"
-		site := 0
-		for _, site = range sites {
-			if got = cl.send(t, fmt.Sprintf("PUT %d %s %s%d", site, key, val, site)); got != "OK" {
-				break
-			}
-		}
-		if got == "OK" {
-			if got = cl.send(t, "COMMIT"); got != "COMMITTED" {
-				t.Fatalf("COMMIT %s = %q", key, got)
-			}
-			return
-		}
-		if got != timedOut || time.Now().After(deadline) {
-			t.Fatalf("PUT %s at site %d = %q", key, site, got)
-		}
-		cl.send(t, "ABORT")
-		time.Sleep(100 * time.Millisecond)
+	got := cl.send(t, "BEGIN")
+	txid, ok := strings.CutPrefix(got, "OK ")
+	if !ok {
+		t.Fatalf("BEGIN = %q", got)
 	}
+	for _, site := range sites {
+		if got := cl.send(t, fmt.Sprintf("PUT %d %s %s%d", site, key, val, site)); got != "OK" {
+			t.Fatalf("%s: PUT %s at site %d = %q", txid, key, site, got)
+		}
+	}
+	if got := cl.send(t, "COMMIT"); got != "COMMITTED" {
+		t.Fatalf("%s: COMMIT %s = %q", txid, key, got)
+	}
+	return txid
 }
 
 // readBack polls GET of key at site until it answers VAL want, failing the
@@ -270,5 +255,89 @@ func TestClusterKeepsForgottenCommitsAcrossRestart(t *testing.T) {
 	for site := 1; site <= 3; site++ {
 		readBack(t, rd, site, "t1", fmt.Sprintf("a%d", site))
 		readBack(t, rd, site, "t2", fmt.Sprintf("b%d", site))
+	}
+}
+
+// TestRestartedNodeMintsFreshTxIDs: node 2 coordinates a transaction on
+// sites 1 and 3, is SIGKILLed and restarted from its WAL, and coordinates
+// another on the same keys. The restarted node counts one more boot record,
+// so its transaction ID is new: neither its own log nor its peers, which
+// still hold the first transaction, refuse it, and no lock is left behind
+// by a refused one. Both writes read back through node 1.
+func TestRestartedNodeMintsFreshTxIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin, dir := buildNode(t)
+	addrs := localAddrs(freePorts(t, 5))
+	cluster, clients := addrs[:3], addrs[3:] // clients[0]: node 1, clients[1]: node 2
+	startNode(t, bin, nodeArgs(1, cluster, dir, "-client", clients[0])...)
+	start2 := func() *exec.Cmd { return startNode(t, bin, nodeArgs(2, cluster, dir, "-client", clients[1])...) }
+	n2 := start2()
+	startNode(t, bin, nodeArgs(3, cluster, dir)...)
+
+	cl := dialAPI(t, clients[1])
+	waitListening(t, cluster...)
+	first := commitAt(t, cl, "k", "a", 1, 3)
+	cl.conn.Close()
+
+	kill(n2)
+	start2()
+	cl = dialAPI(t, clients[1])
+	defer cl.conn.Close()
+	second := commitAt(t, cl, "k", "b", 1, 3)
+	if second == first {
+		t.Fatalf("restarted node reused transaction ID %s", first)
+	}
+
+	rd := dialAPI(t, clients[0])
+	defer rd.conn.Close()
+	for _, site := range []int{1, 3} {
+		readBack(t, rd, site, "k", fmt.Sprintf("b%d", site))
+	}
+}
+
+// TestRestartedNodeCommitsOnFirstTry kills node 3 for five seconds and
+// restarts it, five times. Five seconds of failed dials grow its peers'
+// redial backoff to the budget's cap. The first transaction across all
+// three sites after node 3 listens again, coordinated by node 3 in odd
+// cycles and by node 1 in even ones, must commit: a message to node 3 sent
+// inside a backoff window waits for the next dial, and the cap is below the
+// call timeout.
+func TestRestartedNodeCommitsOnFirstTry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin, dir := buildNode(t)
+	addrs := localAddrs(freePorts(t, 5))
+	cluster, clients := addrs[:3], addrs[3:] // clients[0]: node 1, clients[1]: node 3
+	startNode(t, bin, nodeArgs(1, cluster, dir, "-client", clients[0])...)
+	startNode(t, bin, nodeArgs(2, cluster, dir)...)
+	start3 := func() *exec.Cmd { return startNode(t, bin, nodeArgs(3, cluster, dir, "-client", clients[1])...) }
+	n3 := start3()
+
+	c1 := dialAPI(t, clients[0])
+	defer c1.conn.Close()
+	waitListening(t, cluster...)
+	commitAt(t, c1, "warm", "w", 1, 2, 3)
+
+	for cycle := 1; cycle <= 5; cycle++ {
+		kill(n3)
+		time.Sleep(5 * time.Second)
+		restarted := time.Now()
+		n3 = start3()
+		cl, via := c1, 1
+		if cycle%2 == 1 {
+			cl, via = dialAPI(t, clients[1]), 3 // node 3's client API opens after its recovery
+		} else {
+			waitListening(t, cluster[2])
+		}
+		listening := time.Since(restarted)
+		commitAt(t, cl, fmt.Sprintf("cycle%d", cycle), "v", 1, 2, 3)
+		t.Logf("cycle %d via node %d: listening %v after restart, committed %v after restart",
+			cycle, via, listening.Round(time.Millisecond), time.Since(restarted).Round(time.Millisecond))
+		if cl != c1 {
+			cl.conn.Close()
+		}
 	}
 }

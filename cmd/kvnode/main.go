@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/dtx"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/failure"
@@ -38,13 +39,10 @@ import (
 	"nbcommit/internal/wal"
 )
 
-// Fixed operating parameters.
+// Fixed operating parameters. Every timer comes from clock.NewBudget(-timeout).
 const (
-	hbEvery       = 150 * time.Millisecond // heartbeat interval
-	hbTimeout     = 600 * time.Millisecond // failure suspicion timeout
-	gcEvery       = 5 * time.Second        // version-chain GC interval
-	traceEvents   = 4096                   // protocol trace ring size for /debug/trace
-	shardsPerSite = 4                      // shards per site in the default shard map
+	traceEvents   = 4096 // protocol trace ring size for /debug/trace
+	shardsPerSite = 4    // shards per site in the default shard map
 )
 
 func main() {
@@ -56,7 +54,7 @@ func main() {
 		walPath    = flag.String("wal", "", "write-ahead log file (required)")
 		protoFlag  = flag.String("proto", "3pc", "commit protocol: 2pc, 3pc, or paxos")
 		paradigm   = flag.String("paradigm", "central", "central or decentralized")
-		timeout    = flag.Duration("timeout", 500*time.Millisecond, "protocol timeout")
+		timeout    = flag.Duration("timeout", clock.DefaultBase, "protocol timeout, the base every other timer is derived from")
 		forget     = flag.Duration("forget-after", 30*time.Second, "auto-forget settled transactions after this grace period (0: keep forever)")
 		shardFile  = flag.String("shardmap", "", "shard map file (empty: deterministic default map over the site list)")
 		obsAddr    = flag.String("obs-addr", "", "observability HTTP listener serving /metrics, /healthz and /debug/trace (empty: none)")
@@ -79,6 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	budget := clock.NewBudget(*timeout)
 
 	// Observability: one registry collects WAL, transport and engine series;
 	// the commit-path families are registered for every protocol kind so a
@@ -97,9 +96,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ep.Close()
+	ep.SetBudget(budget)
 	log.Printf("kvnode %d: cluster on %s (%s, %s)", *id, ep.Addr(), kind, *paradigm)
 
-	reg.Help("transport_dropped_total", "Messages dropped, by cause: backoff window, failed dial, broken write, inbox overflow, full send queue.")
+	reg.Help("transport_dropped_total", "Messages dropped, by cause: failed dial, broken write, inbox overflow, full send queue.")
 	for _, c := range transport.DropCauses {
 		reg.CounterFunc("transport_dropped_total", func() float64 { return float64(ep.DroppedCause(c)) }, "cause", c.String())
 	}
@@ -155,7 +155,7 @@ func main() {
 	}
 	log.Printf("kvnode %d: shard map v%d: %d shards over sites %v", *id, smap.Version, len(smap.Shards), smap.Sites())
 
-	hb := failure.NewHeartbeat(*id, ids, hbEvery, hbTimeout, func(to int) {
+	hb := failure.NewHeartbeat(*id, ids, budget.Heartbeat, budget.Suspicion, func(to int) {
 		_ = ep.Send(transport.Message{To: to, Kind: failure.HeartbeatKind})
 	})
 	hb.Start()
@@ -176,23 +176,29 @@ func main() {
 		log.Fatal(err)
 	}
 	defer logFile.Close()
+	incarnation, err := wal.Boot(logFile)
+	if err != nil {
+		log.Fatalf("kvnode: boot record: %v", err)
+	}
+	log.Printf("kvnode %d: incarnation %d", *id, incarnation)
 
-	store := kv.NewStore(kv.Options{LockTimeout: 250 * time.Millisecond})
+	store := kv.NewStore(kv.Options{LockTimeout: budget.LockWait})
 	reg.Help("kv_mvcc_keys", "Keys with at least one committed version.")
 	reg.GaugeFunc("kv_mvcc_keys", func() float64 { k, _ := store.VersionStats(); return float64(k) })
 	reg.Help("kv_mvcc_versions", "Committed versions retained across all keys (GC trims below the stable timestamp).")
 	reg.GaugeFunc("kv_mvcc_versions", func() float64 { _, v := store.VersionStats(); return float64(v) })
 	go func() {
-		for range time.Tick(gcEvery) {
+		for range time.Tick(budget.GC) {
 			store.GC()
 		}
 	}()
 	server := &remote.Server{
 		Store: store, Send: ep.Send, Map: smap,
-		Paradigm: *paradigm, CommitWait: 20 * *timeout,
+		Paradigm: *paradigm, CommitWait: budget.CommitWait,
 	}
-	client := remote.NewClient(ep.Send, *timeout)
+	client := remote.NewClient(ep.Send, budget.Call)
 	client.MapVersion = smap.Version
+	client.Incarnation = incarnation
 
 	// Recover always: on an empty WAL it is a no-op; after a crash it
 	// replays committed effects and launches the recovery protocol.
@@ -203,7 +209,7 @@ func main() {
 		Resource:    dtx.StoreResource{Store: store},
 		Detector:    hb,
 		Protocol:    kind,
-		Timeout:     *timeout,
+		Timeout:     budget.Protocol,
 		ForgetAfter: *forget,
 		Trace:       recorder,
 		Metrics:     engineMetrics,
@@ -270,7 +276,7 @@ func main() {
 	reg.Counter("nodeapi_rejected_total", "reason", "line_too_long") // in the schema from the first scrape
 	api := &nodeapi.API{
 		Self: *id, Site: site, Store: store,
-		Client: client, Timeout: *timeout, Paradigm: *paradigm,
+		Client: client, Timeout: budget.Protocol, Incarnation: incarnation, Paradigm: *paradigm,
 		Router:   &shard.Router{Map: smap},
 		Rejected: func(reason string) { reg.Counter("nodeapi_rejected_total", "reason", reason).Inc() },
 	}

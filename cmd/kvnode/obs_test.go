@@ -87,7 +87,6 @@ func TestObsEndpoints(t *testing.T) {
 		// Transport series: drops split by cause, plus the coalescing
 		// histogram fed from the writer path.
 		"# TYPE transport_dropped_total counter",
-		`transport_dropped_total{cause="backoff"}`,
 		`transport_dropped_total{cause="dial"}`,
 		`transport_dropped_total{cause="write"}`,
 		`transport_dropped_total{cause="inbox_overflow"}`,

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/failure"
 	"nbcommit/internal/kv"
@@ -108,9 +109,11 @@ type Options struct {
 	// Paradigm selects central-site or decentralized commitment. Default
 	// CentralSite.
 	Paradigm Paradigm
-	// Timeout is the engine's protocol timeout. Default 100ms.
+	// Timeout is the engine's protocol timeout, the base of the cluster's
+	// clock.Budget. Zero means clock.DefaultBase.
 	Timeout time.Duration
-	// LockTimeout is each store's lock-wait bound. Default 100ms.
+	// LockTimeout is each store's lock-wait bound. Zero means the budget's
+	// LockWait.
 	LockTimeout time.Duration
 	// Policy selects the stores' deadlock handling (timeout or wait-die).
 	Policy kv.DeadlockPolicy
@@ -141,11 +144,10 @@ type Cluster struct {
 
 // NewCluster builds and starts sites 1..n.
 func NewCluster(n int, opts Options) (*Cluster, error) {
-	if opts.Timeout == 0 {
-		opts.Timeout = 100 * time.Millisecond
-	}
+	b := clock.NewBudget(opts.Timeout)
+	opts.Timeout = b.Protocol
 	if opts.LockTimeout == 0 {
-		opts.LockTimeout = 100 * time.Millisecond
+		opts.LockTimeout = b.LockWait
 	}
 	c := &Cluster{
 		Net:   transport.NewNetwork(),

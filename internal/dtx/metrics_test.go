@@ -84,7 +84,7 @@ func TestClusterMetricsPhaseBreakdown(t *testing.T) {
 			out := b.String()
 			for _, want := range []string{
 				`engine_phase_latency_seconds{phase="votes",protocol="` + kind.String() + `",quantile="0.5"}`,
-				`engine_commit_latency_seconds_count{outcome="committed",protocol="` + kind.String() + `"} ` ,
+				`engine_commit_latency_seconds_count{outcome="committed",protocol="` + kind.String() + `"} `,
 				`engine_transactions_tracked{site="1"}`,
 				`engine_timers_active{site="2"}`,
 			} {

@@ -369,7 +369,7 @@ type Config struct {
 	Protocol ProtocolKind
 	// Timeout bounds each wait for a protocol message before suspecting a
 	// failure and (for participants) invoking the termination protocol.
-	// Zero means 200ms.
+	// Zero means clock.DefaultBase.
 	Timeout time.Duration
 	// ForgetAfter, when positive, garbage-collects resolved transactions
 	// in the central-site paradigm: a participant acknowledges the
@@ -561,10 +561,7 @@ func New(cfg Config) (*Site, error) {
 	if cfg.ID <= 0 {
 		return nil, fmt.Errorf("engine: site ID must be positive, got %d", cfg.ID)
 	}
-	to := cfg.Timeout
-	if to == 0 {
-		to = 200 * time.Millisecond
-	}
+	to := clock.NewBudget(cfg.Timeout).Protocol
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Wall

@@ -94,6 +94,15 @@ func (g *gatedLog) discard() {
 	g.mu.Unlock()
 }
 
+// gatedTimeout is the gated cluster's protocol timeout. Its tests watch a
+// held record for up to 100 ms and then assert that nothing moved, so every
+// timer armed before the watch must outlast it with room for a stalled
+// scheduler: at testTimeout (60 ms) a vote timer armed at Begin fired inside
+// a 50 ms watch whenever the test goroutine was descheduled for 10 ms. No
+// gated test waits for a timeout to fire; crashes reach the survivors
+// through the oracle detector at once.
+const gatedTimeout = time.Second
+
 // gatedCluster wires three sites where site 1 runs on a gatedLog and the
 // rest on plain MemoryLogs.
 type gatedCluster struct {
@@ -133,7 +142,7 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 			Resource: c.res[i],
 			Detector: c.det,
 			Protocol: kind,
-			Timeout:  testTimeout,
+			Timeout:  gatedTimeout,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +257,7 @@ func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 		Resource: c.res[1],
 		Detector: c.det,
 		Protocol: engine.ThreePhase,
-		Timeout:  testTimeout,
+		Timeout:  gatedTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +302,7 @@ func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 		Resource: c.res[1],
 		Detector: c.det,
 		Protocol: engine.ThreePhase,
-		Timeout:  testTimeout,
+		Timeout:  gatedTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +424,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 					Resource: c.res[1],
 					Detector: c.det,
 					Protocol: kind,
-					Timeout:  testTimeout,
+					Timeout:  gatedTimeout,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -232,7 +232,7 @@ type Store struct {
 // Options configures a Store.
 type Options struct {
 	// LockTimeout bounds lock waits; expiry resolves deadlocks by forcing
-	// the waiter to abort. Zero means a default of 100ms.
+	// the waiter to abort. Zero means the default budget's LockWait.
 	LockTimeout time.Duration
 	// Policy selects the deadlock handling strategy.
 	Policy DeadlockPolicy
@@ -246,7 +246,7 @@ type Options struct {
 func NewStore(opts Options) *Store {
 	to := opts.LockTimeout
 	if to == 0 {
-		to = 100 * time.Millisecond
+		to = clock.NewBudget(0).LockWait
 	}
 	clk := opts.Clock
 	if clk == nil {

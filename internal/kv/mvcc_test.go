@@ -35,9 +35,9 @@ func commitOne(t *testing.T, s *Store, id, key, val string) uint64 {
 
 func TestReadYourOwnWrites(t *testing.T) {
 	type step struct {
-		op   string // "put", "del", "get"
-		val  string // for put; expected value for get
-		err  error  // expected error for get
+		op  string // "put", "del", "get"
+		val string // for put; expected value for get
+		err error  // expected error for get
 	}
 	cases := []struct {
 		name      string

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/remote"
@@ -57,9 +58,13 @@ type API struct {
 	Store *kv.Store
 	// Client executes data-plane operations at peers.
 	Client *remote.Client
-	// Timeout is the engine's protocol timeout; COMMIT waits a multiple of
-	// it.
+	// Timeout is the engine's protocol timeout, the base of the node's
+	// clock.Budget; COMMIT waits for the budget's CommitWait.
 	Timeout time.Duration
+	// Incarnation is the node's start count (wal.Boot). Transaction IDs
+	// carry it, so a restarted node never reuses one its log or its peers
+	// still hold.
+	Incarnation uint64
 	// Paradigm selects central-site (default) or decentralized commitment.
 	Paradigm string // "central" or "decentralized"
 	// Router resolves key-addressed operations to owner sites. Nil disables
@@ -202,10 +207,10 @@ func (s *Session) begin(args []string) string {
 		}
 		s.readOnly = true
 		s.snaps = map[int]uint64{}
-		s.txid = fmt.Sprintf("ro-%d-%d", s.api.Self, txSeq.Add(1))
+		s.txid = fmt.Sprintf("ro-%d-%d-%d", s.api.Self, s.api.Incarnation, txSeq.Add(1))
 		return "OK " + s.txid
 	}
-	s.txid = fmt.Sprintf("tx-%d-%d", s.api.Self, txSeq.Add(1))
+	s.txid = fmt.Sprintf("tx-%d-%d-%d", s.api.Self, s.api.Incarnation, txSeq.Add(1))
 	return "OK " + s.txid
 }
 
@@ -354,7 +359,7 @@ func (s *Session) runCommit(sites []int) (engine.Outcome, error) {
 		// A read-free, write-free transaction has nothing to commit.
 		return engine.OutcomeCommitted, nil
 	}
-	wait := 20 * s.api.Timeout
+	wait := clock.NewBudget(s.api.Timeout).CommitWait
 	if !s.touched[s.api.Self] {
 		return s.api.Client.Commit(sites[0], s.txid, sites, wait)
 	}

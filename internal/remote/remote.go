@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/shard"
@@ -100,7 +101,7 @@ type Server struct {
 	// for forwarded commits, mirroring nodeapi.API.Paradigm.
 	Paradigm string
 	// CommitWait bounds how long a forwarded commit waits for the engine's
-	// decision. Zero defaults to 10s.
+	// decision. Zero means the default budget's CommitWait.
 	CommitWait time.Duration
 	// Map, when set, rejects requests stamped with a different shard map
 	// version: a router holding a stale map must not place data here.
@@ -188,7 +189,7 @@ func (s *Server) commit(req Request) (string, error) {
 	}
 	wait := s.CommitWait
 	if wait == 0 {
-		wait = 10 * time.Second
+		wait = clock.NewBudget(0).CommitWait
 	}
 	o, err := site.WaitOutcome(req.TxID, wait)
 	if err != nil {
@@ -208,6 +209,10 @@ type Client struct {
 	// MapVersion stamps every request with the sender's shard map version
 	// (zero: unsharded, never rejected).
 	MapVersion uint64
+	// Incarnation is the node's start count (wal.Boot). It fills the high
+	// bits of every ReqID, so a late reply to a call made before a restart
+	// never matches a call made after it.
+	Incarnation uint64
 
 	mu      sync.Mutex
 	seq     uint64
@@ -288,7 +293,7 @@ func (c *Client) call(to int, req Request, timeout time.Duration) (Reply, error)
 	w := waiters.Get().(*waiter)
 	c.mu.Lock()
 	c.seq++
-	req.ReqID = c.seq
+	req.ReqID = c.Incarnation<<40 | c.seq
 	c.pending[req.ReqID] = w
 	c.mu.Unlock()
 	defer c.release(req.ReqID, w)

@@ -10,8 +10,8 @@ import (
 // simClock is a hand-cranked virtual clock for link-model tests.
 type simClock struct{ cur time.Time }
 
-func newSimClock() *simClock          { return &simClock{cur: time.Unix(1000, 0)} }
-func (c *simClock) now() time.Time    { return c.cur }
+func newSimClock() *simClock                { return &simClock{cur: time.Unix(1000, 0)} }
+func (c *simClock) now() time.Time          { return c.cur }
 func (c *simClock) advance(d time.Duration) { c.cur = c.cur.Add(d) }
 
 // drain advances the clock to each NextDue instant and takes every message as

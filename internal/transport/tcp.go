@@ -10,27 +10,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/metrics"
-)
-
-// Redial backoff bounds: after a dial failure the peer is not dialled again
-// until the backoff window passes, doubling per consecutive failure from
-// DefaultBackoffBase up to DefaultBackoffMax.
-const (
-	DefaultBackoffBase = 50 * time.Millisecond
-	DefaultBackoffMax  = 2 * time.Second
 )
 
 // DefaultQueueSize is the per-peer outbound queue capacity when
 // TCPOptions.QueueSize is zero.
 const DefaultQueueSize = 1024
 
-const (
-	// maxBatch caps how many queued messages one write coalesces.
-	maxBatch = 128
-	// dialTimeout bounds each dial attempt.
-	dialTimeout = time.Second
-)
+// maxBatch caps how many queued messages one write coalesces.
+const maxBatch = 128
 
 // Codec names a wire encoding. There is one, the binary framing in wire.go.
 //
@@ -49,10 +38,8 @@ const CodecBinary Codec = "binary"
 type DropCause int
 
 const (
-	// DropBackoff: the destination is inside its redial backoff window.
-	DropBackoff DropCause = iota
 	// DropDial: a dial attempt to the destination failed.
-	DropDial
+	DropDial DropCause = iota
 	// DropWrite: the cached connection broke mid-write.
 	DropWrite
 	// DropInboxOverflow: an inbound message arrived with the inbox full.
@@ -64,13 +51,11 @@ const (
 
 // DropCauses lists every cause, for metric registration loops.
 var DropCauses = [numDropCauses]DropCause{
-	DropBackoff, DropDial, DropWrite, DropInboxOverflow, DropQueueFull,
+	DropDial, DropWrite, DropInboxOverflow, DropQueueFull,
 }
 
 func (c DropCause) String() string {
 	switch c {
-	case DropBackoff:
-		return "backoff"
 	case DropDial:
 		return "dial"
 	case DropWrite:
@@ -107,7 +92,9 @@ type peerDial struct {
 // peerWriter is the send side for one destination: a bounded queue drained
 // by a dedicated goroutine that owns the connection. Send enqueues and
 // returns; dialing, backoff and write stalls for this peer are absorbed
-// here and never delay the caller or sends to other peers.
+// here and never delay the caller or sends to other peers. A message sent
+// inside the peer's redial backoff window waits in the queue for the next
+// dial.
 type peerWriter struct {
 	to    int
 	queue chan Message
@@ -122,7 +109,7 @@ type peerWriter struct {
 // connection that speaks anything else is closed. Delivery to an
 // unreachable peer is dropped (matching the crash-stop semantics of the
 // in-memory Network) and counted by cause, so an operator can tell a quiet
-// peer from a dead one.
+// peer from a dead one. Dial and redial timing comes from a clock.Budget.
 type TCPEndpoint struct {
 	id    int
 	ln    net.Listener
@@ -134,11 +121,10 @@ type TCPEndpoint struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// backoffBase and backoffMax bound the redial backoff, in nanoseconds;
-	// zero means the defaults. Atomic so SetBackoff is safe at any time,
-	// including concurrently with Send.
-	backoffBase atomic.Int64
-	backoffMax  atomic.Int64
+	// budget supplies the redial backoff bounds and the dial timeout.
+	// Atomic so SetBudget is safe at any time, including concurrently with
+	// Send.
+	budget atomic.Pointer[clock.Budget]
 
 	mu      sync.Mutex
 	peers   map[int]string      // site ID -> address
@@ -194,19 +180,18 @@ func ListenTCPOpts(id int, addr string, peers map[int]string, opts TCPOptions) (
 	for p, a := range peers {
 		e.peers[p] = a
 	}
+	e.SetBudget(clock.NewBudget(0))
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
 }
 
-// SetBackoff bounds the redial backoff: after a dial failure the peer is
-// not dialled again until the window passes, doubling per consecutive
-// failure from base up to max. Non-positive values select the defaults.
-// Safe to call at any time, even concurrently with Send.
-func (e *TCPEndpoint) SetBackoff(base, max time.Duration) {
-	e.backoffBase.Store(int64(base))
-	e.backoffMax.Store(int64(max))
-}
+// SetBudget takes the redial backoff and the dial timeout from b (the
+// default is clock.NewBudget(0)). After a dial failure the peer is not
+// dialled again until the backoff window passes, doubling per consecutive
+// failure from b.RedialBase up to b.RedialCap; each dial gives up after
+// b.Dial. Safe to call at any time, even concurrently with Send.
+func (e *TCPEndpoint) SetBudget(b clock.Budget) { e.budget.Store(&b) }
 
 // Addr returns the endpoint's listening address, useful when listening on
 // port 0.
@@ -307,11 +292,13 @@ func (e *TCPEndpoint) Send(m Message) error {
 // writerConn is a peer writer's connection state, owned by its goroutine.
 type writerConn struct {
 	conn      net.Conn
-	needMagic bool // wireMagic not yet written
+	needMagic bool          // wireMagic not yet written
+	closed    chan struct{} // closed once the peer has closed conn
 }
 
-// runWriter drains one peer's queue: it takes a message, coalesces whatever
-// else is already queued (up to maxBatch), and writes the batch with a
+// runWriter drains one peer's queue: it takes a message, waits out the
+// peer's redial backoff window if it has no connection, coalesces whatever
+// else is queued by then (up to maxBatch), and writes the batch with a
 // single flush. It exits when the endpoint closes.
 func (e *TCPEndpoint) runWriter(w *peerWriter) {
 	defer e.wg.Done()
@@ -322,6 +309,9 @@ func (e *TCPEndpoint) runWriter(w *peerWriter) {
 	for {
 		select {
 		case m := <-w.queue:
+			if wc.conn == nil && !e.awaitRedial(w.to) {
+				return
+			}
 			batch = append(batch[:0], m)
 		drain:
 			for len(batch) < maxBatch {
@@ -343,11 +333,16 @@ func (e *TCPEndpoint) runWriter(w *peerWriter) {
 // failure anywhere drops the whole batch under the matching cause: under
 // crash-stop semantics a lost message is not an error, only a statistic.
 func (e *TCPEndpoint) flushBatch(w *peerWriter, wc *writerConn, batch []Message) {
-	if wc.conn == nil {
-		if cause, ok := e.connect(w, wc); !ok {
-			e.drops[cause].Add(int64(len(batch)))
-			return
-		}
+	select {
+	case <-wc.closed:
+		// The peer closed the connection (it crashed, and may have
+		// restarted): a write would be lost, so redial instead.
+		e.dropConn(w.to, wc)
+	default:
+	}
+	if wc.conn == nil && !e.connect(w, wc) {
+		e.drops[DropDial].Add(int64(len(batch)))
+		return
 	}
 	bufp := wireBufPool.Get().(*[]byte)
 	buf := (*bufp)[:0]
@@ -373,42 +368,68 @@ func (e *TCPEndpoint) flushBatch(w *peerWriter, wc *writerConn, batch []Message)
 	}
 }
 
-// connect establishes the writer's connection, honoring the redial backoff.
-// On failure it returns the cause the pending batch should be dropped under.
-func (e *TCPEndpoint) connect(w *peerWriter, wc *writerConn) (DropCause, bool) {
+// awaitRedial blocks until the peer's redial backoff window has passed, so
+// the message that woke the writer, and any queued behind it, wait for the
+// next dial instead of being dropped. It reports false if the endpoint
+// closed meanwhile.
+func (e *TCPEndpoint) awaitRedial(to int) bool {
 	e.mu.Lock()
-	addr, known := e.peers[w.to]
-	if !known {
-		e.mu.Unlock()
-		return DropDial, false
-	}
-	if b := e.backoff[w.to]; b != nil && time.Now().Before(b.retryAt) {
-		e.mu.Unlock()
-		return DropBackoff, false
+	var wait time.Duration
+	if b := e.backoff[to]; b != nil {
+		wait = time.Until(b.retryAt)
 	}
 	e.mu.Unlock()
+	if wait <= 0 {
+		return true
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-e.ctx.Done():
+		return false
+	}
+}
+
+// connect establishes the writer's connection, reporting whether it did.
+func (e *TCPEndpoint) connect(w *peerWriter, wc *writerConn) bool {
+	e.mu.Lock()
+	addr, known := e.peers[w.to]
+	e.mu.Unlock()
+	if !known {
+		return false
+	}
 
 	e.redials.Inc()
-	d := net.Dialer{Timeout: dialTimeout}
+	d := net.Dialer{Timeout: e.budget.Load().Dial}
 	conn, err := d.DialContext(e.ctx, "tcp", addr)
 	if err != nil {
 		e.mu.Lock()
 		e.noteDialFailure(w.to)
 		e.mu.Unlock()
-		return DropDial, false
+		return false
 	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		conn.Close()
-		return DropDial, false
+		return false
 	}
 	delete(e.backoff, w.to)
 	e.conns[w.to] = conn
 	e.mu.Unlock()
 
-	*wc = writerConn{conn: conn, needMagic: true}
-	return 0, true
+	*wc = writerConn{conn: conn, needMagic: true, closed: make(chan struct{})}
+	// The peer never writes on a connection it accepted, so a read returns
+	// only once the connection is closed at either end.
+	e.wg.Add(1)
+	go func(closed chan struct{}) {
+		defer e.wg.Done()
+		conn.Read(make([]byte, 1))
+		close(closed)
+	}(wc.closed)
+	return true
 }
 
 // dropConn tears down a writer's connection (if any) and deregisters it.
@@ -426,16 +447,10 @@ func (e *TCPEndpoint) dropConn(to int, wc *writerConn) {
 }
 
 // noteDialFailure doubles the peer's redial backoff, bounded by the
-// SetBackoff maximum. Caller holds e.mu.
+// budget's RedialCap. Caller holds e.mu.
 func (e *TCPEndpoint) noteDialFailure(to int) {
-	base := time.Duration(e.backoffBase.Load())
-	max := time.Duration(e.backoffMax.Load())
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	if max <= 0 {
-		max = DefaultBackoffMax
-	}
+	bud := e.budget.Load()
+	base, max := bud.RedialBase, bud.RedialCap
 	b := e.backoff[to]
 	if b == nil {
 		b = &peerDial{}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nbcommit/internal/clock"
 )
 
 // deadAddr refuses connections: nothing listens on port 1 and the kernel
@@ -39,34 +41,51 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
+// redial is the default budget with the redial backoff doubling from base
+// up to max.
+func redial(base, max time.Duration) clock.Budget {
+	b := clock.NewBudget(0)
+	b.RedialBase, b.RedialCap = base, max
+	return b
+}
+
 // TestTCPDeadPeerDropsAreCountedAndBackedOff: every send to an unreachable
-// peer is eventually counted as dropped, and only the first batch dials —
-// the rest fall inside the backoff window.
+// peer is eventually dropped as DropDial, but sends inside the backoff
+// window wait in the queue for the next dial rather than being dropped
+// before it, and they share that one dial.
 func TestTCPDeadPeerDropsAreCountedAndBackedOff(t *testing.T) {
 	a, err := ListenTCP(1, "127.0.0.1:0", map[int]string{2: deadAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetBackoff(time.Second, time.Second) // wide window: at most one dial below
+	a.SetBudget(redial(time.Second, time.Second))
 
-	for i := 0; i < 5; i++ {
+	if err := a.Send(Message{To: 2, Kind: "X"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the first dial to fail", func() bool { return a.DroppedCause(DropDial) == 1 })
+	for i := 0; i < 4; i++ {
 		if err := a.Send(Message{To: 2, Kind: "X"}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	waitFor(t, "5 drops", func() bool { return a.Dropped() == 5 })
-	if dial, back := a.DroppedCause(DropDial), a.DroppedCause(DropBackoff); dial+back != 5 {
-		t.Fatalf("drops dial=%d backoff=%d, want sum 5", dial, back)
+	time.Sleep(100 * time.Millisecond) // well inside the one-second window
+	if got := a.Dropped(); got != 1 {
+		t.Fatalf("%d messages dropped inside the backoff window, want only the first", got)
+	}
+	waitFor(t, "the next dial to drop the queued sends", func() bool { return a.DroppedCause(DropDial) == 5 })
+	if got := a.Dropped(); got != 5 {
+		t.Fatalf("Dropped() = %d, want 5, all under dial", got)
 	}
 	a.mu.Lock()
 	b := a.backoff[2]
 	a.mu.Unlock()
-	if b == nil || b.failures != 1 {
-		t.Fatalf("backoff state = %+v, want exactly 1 dial failure", b)
+	if b == nil || b.failures != 2 {
+		t.Fatalf("backoff state = %+v, want exactly 2 dial failures", b)
 	}
-	if got := a.Redials(); got != 1 {
-		t.Fatalf("Redials() = %d, want 1", got)
+	if got := a.Redials(); got != 2 {
+		t.Fatalf("Redials() = %d, want 2", got)
 	}
 }
 
@@ -79,7 +98,7 @@ func TestTCPBackoffIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetBackoff(50*time.Millisecond, 200*time.Millisecond)
+	a.SetBudget(redial(50*time.Millisecond, 200*time.Millisecond))
 
 	a.mu.Lock()
 	for i := 0; i < 80; i++ {
@@ -95,8 +114,10 @@ func TestTCPBackoffIsBounded(t *testing.T) {
 	}
 }
 
-// TestTCPBackoffRecovers: a peer that comes back is reachable again once the
-// backoff window passes, and delivery clears the backoff state.
+// TestTCPBackoffRecovers: a message sent inside the backoff window to a
+// peer that has come back is not dropped: it waits in the queue, the next
+// dial delivers it once the window passes, and that dial clears the
+// backoff state.
 func TestTCPBackoffRecovers(t *testing.T) {
 	addr := reservedAddr(t)
 	a, err := ListenTCP(1, "127.0.0.1:0", map[int]string{2: addr})
@@ -104,40 +125,77 @@ func TestTCPBackoffRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetBackoff(50*time.Millisecond, 50*time.Millisecond)
+	a.SetBudget(redial(300*time.Millisecond, 300*time.Millisecond))
 
 	if err := a.Send(Message{To: 2, Kind: "LOST"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the lost message to be counted", func() bool { return a.Dropped() == 1 })
+	a.mu.Lock()
+	retryAt := a.backoff[2].retryAt
+	a.mu.Unlock()
 
 	b, err := ListenTCP(2, addr, nil)
 	if err != nil {
 		t.Skipf("could not re-listen on %s: %v", addr, err)
 	}
 	defer b.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := a.Send(Message{To: 2, Kind: "BACK"}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case m := <-b.Recv():
-			if m.Kind != "BACK" {
-				t.Fatalf("got %v", m)
-			}
-			a.mu.Lock()
-			cleared := a.backoff[2] == nil
-			a.mu.Unlock()
-			if !cleared {
-				t.Fatal("successful dial did not clear backoff state")
-			}
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("delivery never resumed")
-		}
+	if err := a.Send(Message{To: 2, Kind: "QUEUED"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, b); m.Kind != "QUEUED" {
+		t.Fatalf("got %v", m)
+	}
+	if time.Now().Before(retryAt) {
+		t.Fatal("delivered before the backoff window passed")
+	}
+	if got := a.Dropped(); got != 1 {
+		t.Fatalf("Dropped() = %d, want only the message sent while the peer was down", got)
+	}
+	a.mu.Lock()
+	cleared := a.backoff[2] == nil
+	a.mu.Unlock()
+	if !cleared {
+		t.Fatal("successful dial did not clear backoff state")
+	}
+}
+
+// TestTCPRestartedPeerGetsFirstMessage: a peer that crashes and restarts on
+// the same address receives the first message sent to it afterwards. The
+// cached connection to its previous incarnation was closed by the crash but
+// never written to since; writing to it would lose the message, so the
+// writer redials instead.
+func TestTCPRestartedPeerGetsFirstMessage(t *testing.T) {
+	addr := reservedAddr(t)
+	b, err := ListenTCP(2, addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ListenTCP(1, "127.0.0.1:0", map[int]string{2: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Send(Message{To: 2, Kind: "ONE"}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b)
+	b.Close()
+	time.Sleep(50 * time.Millisecond) // a restart takes longer than the FIN takes to arrive
+
+	b2, err := ListenTCP(2, addr, nil)
+	if err != nil {
+		t.Skipf("could not re-listen on %s: %v", addr, err)
+	}
+	defer b2.Close()
+	if err := a.Send(Message{To: 2, Kind: "TWO"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, b2); m.Kind != "TWO" {
+		t.Fatalf("got %v", m)
+	}
+	if got := a.Dropped(); got != 0 {
+		t.Fatalf("Dropped() = %d, want 0", got)
 	}
 }
 
@@ -149,7 +207,7 @@ func TestTCPAddPeerClearsBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetBackoff(time.Hour, time.Hour)
+	a.SetBudget(redial(time.Hour, time.Hour))
 
 	if err := a.Send(Message{To: 2}); err != nil {
 		t.Fatal(err)
@@ -171,10 +229,10 @@ func TestTCPAddPeerClearsBackoff(t *testing.T) {
 	}
 }
 
-// TestTCPSetBackoffConcurrentWithSend: backoff bounds may be (re)configured
+// TestTCPSetBudgetConcurrentWithSend: the budget may be (re)configured
 // while sends are in flight — the old "must be set before first Send" plain
 // fields were a data race under exactly this schedule.
-func TestTCPSetBackoffConcurrentWithSend(t *testing.T) {
+func TestTCPSetBudgetConcurrentWithSend(t *testing.T) {
 	a, err := ListenTCP(1, "127.0.0.1:0", map[int]string{2: deadAddr})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +244,7 @@ func TestTCPSetBackoffConcurrentWithSend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			a.SetBackoff(time.Duration(i+1)*time.Millisecond, time.Second)
+			a.SetBudget(redial(time.Duration(i+1)*time.Millisecond, time.Second))
 		}
 	}()
 	go func() {

@@ -303,11 +303,11 @@ func TestTCPBatchSizeHook(t *testing.T) {
 	}
 }
 
-// TestTCPConcurrentSendAddPeerSetBackoffClose races every mutating entry
+// TestTCPConcurrentSendAddPeerSetBudgetClose races every mutating entry
 // point against Send, under -race in CI: concurrent sends to live and dead
-// peers, peer re-addressing, backoff reconfiguration, stat reads, then
+// peers, peer re-addressing, budget reconfiguration, stat reads, then
 // Close in the middle of it all.
-func TestTCPConcurrentSendAddPeerSetBackoffClose(t *testing.T) {
+func TestTCPConcurrentSendAddPeerSetBudgetClose(t *testing.T) {
 	live, err := ListenTCP(2, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestTCPConcurrentSendAddPeerSetBackoffClose(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			a.AddPeer(2, live.Addr())
 			a.AddPeer(3, dead)
-			a.SetBackoff(time.Duration(i+1)*time.Millisecond, time.Second)
+			a.SetBudget(redial(time.Duration(i+1)*time.Millisecond, time.Second))
 			_ = a.Dropped()
 			_ = a.QueueDepth(2)
 			_, _ = a.BatchStats()

@@ -347,3 +347,42 @@ func TestCompactConcurrentWithAppendsAndReads(t *testing.T) {
 		t.Fatal("no concurrent appends survived compaction")
 	}
 }
+
+// TestBootCountsIncarnationsAcrossCompaction: each Boot forces one record
+// and returns how many the log then holds, compaction keeps them all, and
+// Replay gives them no transaction image.
+func TestBootCountsIncarnationsAcrossCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "boot.wal")
+	for want := uint64(1); want <= 3; want++ {
+		if want > 1 {
+			if _, _, err := Compact(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Boot(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("boot %d: incarnation %d", want, got)
+		}
+		tx := fmt.Sprintf("tx-%d", want) // ended: compaction trims it around the boot records
+		for _, typ := range []RecordType{RecVoteYes, RecCommitted, RecEnd} {
+			if _, err := l.Append(Record{Type: typ, TxID: tx}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := l.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img := Replay(recs)[""]; img != nil {
+			t.Fatalf("boot records replayed as a transaction: %+v", img)
+		}
+		l.Close()
+	}
+}

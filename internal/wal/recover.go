@@ -80,6 +80,29 @@ type TxImage struct {
 	Committed bool
 }
 
+// Boot forces one RecBoot record and returns the site's incarnation: the
+// number of boot records the log then holds, 1 on first start and one more
+// on each restart. A node stamps the identifiers it mints with it, so a
+// restarted node never reuses one that its own log or its peers still hold.
+// It uses no clock and no randomness, so a replayed log yields the same
+// incarnation.
+func Boot(l Log) (uint64, error) {
+	recs, err := l.Records()
+	if err != nil {
+		return 0, err
+	}
+	n := uint64(1)
+	for _, r := range recs {
+		if r.Type == RecBoot {
+			n++
+		}
+	}
+	if _, err := l.Append(Record{Type: RecBoot}); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // Replay folds a log's records into per-transaction images, implementing the
 // local half of the recovery protocol: after Replay, transactions whose
 // status is InDoubt must be resolved by asking operational sites; Begun
@@ -87,11 +110,12 @@ type TxImage struct {
 func Replay(recs []Record) map[string]*TxImage {
 	out := map[string]*TxImage{}
 	for _, r := range recs {
-		if r.Type == RecPaxosPromise || r.Type == RecPaxosAccept {
+		if r.Type == RecPaxosPromise || r.Type == RecPaxosAccept || r.Type == RecBoot {
 			// Paxos consensus records carry acceptor state, not a protocol
 			// image; the engine rebuilds them from the raw records. Folding
 			// them here would clobber Last, which in-doubt recovery decodes
-			// as the vote payload.
+			// as the vote payload. Boot records belong to no transaction,
+			// so compaction, which keeps whatever has no image, keeps them.
 			continue
 		}
 		img, ok := out[r.TxID]

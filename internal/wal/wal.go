@@ -63,6 +63,9 @@ const (
 	// RecPaxosAccept marks a Paxos Commit acceptor accepting an instance
 	// value (forced before the 2b reply leaves the site).
 	RecPaxosAccept
+	// RecBoot marks one start of the site's process; it belongs to no
+	// transaction. See Boot.
+	RecBoot
 )
 
 // String names the record type.
@@ -86,6 +89,8 @@ func (t RecordType) String() string {
 		return "paxos-promise"
 	case RecPaxosAccept:
 		return "paxos-accept"
+	case RecBoot:
+		return "boot"
 	default:
 		return fmt.Sprintf("RecordType(%d)", uint8(t))
 	}
