@@ -796,25 +796,3 @@ role slave
 		t.Fatalf("counterexample = %q", counter)
 	}
 }
-
-// TestLinearTwoPCAnalysis: the chained 2PC (extension beyond the paper's
-// two paradigms) is also blocking, and is NOT synchronous within one
-// transition (the wave leaves site 1 far behind).
-func TestLinearTwoPCAnalysis(t *testing.T) {
-	p := protocol.LinearTwoPC(4)
-	g := build(t, p)
-	if s := g.Stats(); s.Inconsistent != 0 || s.Deadlocked != 0 {
-		t.Fatalf("linear graph unsound: %+v", s)
-	}
-	r := CheckTheorem(g)
-	if r.Nonblocking() {
-		t.Fatal("linear 2PC reported nonblocking")
-	}
-	ok, _, err := SynchronousWithinOne(p, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("linear 2PC reported synchronous within one transition")
-	}
-}

@@ -359,11 +359,11 @@ func (c *cluster) begin(coord int, txid string, peer bool) error {
 func (c *cluster) beginSubset(coord int, txid string, cohort []int, peer bool) error {
 	c.txids = append(c.txids, txid)
 	c.tracef("begin %s coordinator=%d cohort=%v peer=%v", txid, coord, cohort, peer)
-	if peer {
-		return c.sites[coord].BeginPeer(txid, cohort)
+	if !peer {
+		c.coords[txid] = coord
 	}
-	c.coords[txid] = coord
-	return c.sites[coord].Begin(txid, cohort)
+	_, err := c.sites[coord].Begin(txid, cohort, peer)
+	return err
 }
 
 // trip marks a site dead as of this instant (mid-transition): its sends stop

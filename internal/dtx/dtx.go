@@ -397,16 +397,11 @@ func (t *Txn) Commit(timeout time.Duration) (engine.Outcome, error) {
 	}
 	deadline := time.Now().Add(timeout)
 	coord := t.c.Node(t.coordinator)
-	var err error
-	if t.c.opts.Paradigm == Decentralized {
-		err = coord.Site.BeginPeer(t.ID, t.Participants())
-	} else {
-		err = coord.Site.Begin(t.ID, t.Participants())
-	}
+	h, err := coord.Site.Begin(t.ID, t.Participants(), t.c.opts.Paradigm == Decentralized)
 	if err != nil {
 		return engine.OutcomePending, err
 	}
-	o, err := coord.Site.WaitOutcome(t.ID, timeout)
+	o, err := h.Wait(timeout)
 	if err != nil || o == engine.OutcomePending {
 		return o, err
 	}

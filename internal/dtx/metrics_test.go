@@ -112,10 +112,11 @@ func TestClusterMetricsAbortOutcome(t *testing.T) {
 
 	// A transaction nobody staged: every store's Prepare fails, the cohort
 	// votes NO, and the protocol aborts.
-	if err := c.Node(1).Site.Begin("never-staged", []int{1, 2}); err != nil {
+	h, err := c.Node(1).Site.Begin("never-staged", []int{1, 2}, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if o, err := c.Node(1).Site.WaitOutcome("never-staged", waitLong); err != nil || o != engine.OutcomeAborted {
+	if o, err := h.Wait(waitLong); err != nil || o != engine.OutcomeAborted {
 		t.Fatalf("outcome = %v, %v, want aborted", o, err)
 	}
 	aborted := reg.Counter("engine_resolutions_total", "protocol", "3PC", "outcome", "aborted")

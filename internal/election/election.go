@@ -3,17 +3,12 @@
 // The paper's central-site termination protocol begins: "When a coordinator
 // crash is detected, a backup coordinator will be selected from the set of
 // operational sites. Any distributed election mechanism can be used." This
-// package provides two: a deterministic rule over a failure detector's view
-// (sufficient under the paper's perfect failure-reporting assumption, since
-// all operational sites compute the same answer), and a message-driven bully
-// election for deployments with merely approximate detectors.
+// package provides a deterministic rule over a failure detector's view. It
+// needs no messages under the paper's perfect failure-reporting assumption,
+// since all operational sites compute the same answer.
 package election
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sort"
 
 // Deterministic returns the lowest-numbered candidate that the given
 // liveness view reports operational. Under reliable failure reporting every
@@ -28,140 +23,4 @@ func Deterministic(alive func(site int) bool, candidates []int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Message kinds used by the bully election. Owners of a transport inbox
-// should route these kinds to Bully.Observe.
-const (
-	KindElect = "ELECT"       // challenge to all higher-numbered sites
-	KindOK    = "ELECT-OK"    // a higher site is alive and takes over
-	KindCoord = "ELECT-COORD" // the winner announces itself
-)
-
-// Bully runs a bully election: every site challenges all higher-numbered
-// peers; a site that hears no OK declares itself the coordinator and
-// announces it. The highest operational site wins.
-type Bully struct {
-	self       int
-	candidates []int
-	timeout    time.Duration
-	send       func(to int, kind string)
-
-	mu      sync.Mutex
-	winner  int
-	decided chan struct{}
-	gotOK   chan struct{}
-	once    sync.Once
-	okOnce  sync.Once
-}
-
-// NewBully prepares an election for self among candidates. send transmits an
-// election message of the given kind; timeout bounds each waiting phase.
-func NewBully(self int, candidates []int, timeout time.Duration, send func(to int, kind string)) *Bully {
-	return &Bully{
-		self:       self,
-		candidates: append([]int(nil), candidates...),
-		timeout:    timeout,
-		send:       send,
-		decided:    make(chan struct{}),
-		gotOK:      make(chan struct{}),
-	}
-}
-
-// Observe feeds an election message received from a peer into the protocol.
-func (b *Bully) Observe(from int, kind string) {
-	switch kind {
-	case KindElect:
-		// A lower site is running an election; if we outrank it, suppress it
-		// and (lazily) rely on our own Run to take over.
-		if from < b.self {
-			b.send(from, KindOK)
-		}
-	case KindOK:
-		b.okOnce.Do(func() { close(b.gotOK) })
-	case KindCoord:
-		b.declare(from)
-	}
-}
-
-func (b *Bully) declare(winner int) {
-	b.once.Do(func() {
-		b.mu.Lock()
-		b.winner = winner
-		b.mu.Unlock()
-		close(b.decided)
-	})
-}
-
-// maxRounds bounds re-challenges when a higher site acknowledged the
-// election but crashed before announcing a winner.
-const maxRounds = 3
-
-// Run executes the election and returns the winner's site ID. It blocks
-// until a coordinator is announced or self wins; callers typically run every
-// operational site's Run concurrently.
-func (b *Bully) Run() int {
-	suppressed := false
-	for round := 0; round < maxRounds; round++ {
-		higher := false
-		for _, c := range b.candidates {
-			if c > b.self {
-				higher = true
-				b.send(c, KindElect)
-			}
-		}
-		if !higher {
-			break
-		}
-		select {
-		case <-b.gotOK:
-			suppressed = true
-			// A higher site took over; await its announcement, but don't
-			// wait forever — it may have crashed mid-election, in which
-			// case we re-challenge.
-			select {
-			case <-b.decided:
-				b.mu.Lock()
-				defer b.mu.Unlock()
-				return b.winner
-			case <-time.After(b.timeout):
-				continue
-			}
-		case <-b.decided:
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return b.winner
-		case <-time.After(b.timeout):
-			// No higher site answered: we win.
-			suppressed = false
-		}
-		break
-	}
-	if suppressed {
-		// Exhausted the rounds without an announcement; claim the election
-		// rather than hang — a surviving higher site will re-announce.
-		b.okOnce.Do(func() {})
-	}
-	for _, c := range b.candidates {
-		if c != b.self {
-			b.send(c, KindCoord)
-		}
-	}
-	b.declare(b.self)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.winner
-}
-
-// Winner returns the elected coordinator once Run (here or at a peer whose
-// announcement was observed) has decided, and whether a decision was made.
-func (b *Bully) Winner() (int, bool) {
-	select {
-	case <-b.decided:
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.winner, true
-	default:
-		return 0, false
-	}
 }

@@ -1,10 +1,6 @@
 package election
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestDeterministic(t *testing.T) {
 	alive := func(s int) bool { return s != 2 }
@@ -21,223 +17,5 @@ func TestDeterministic(t *testing.T) {
 	}
 	if _, ok := Deterministic(func(int) bool { return true }, nil); ok {
 		t.Fatal("empty candidate list should report failure")
-	}
-}
-
-// bullyCluster wires n Bully instances through an in-process message bus,
-// with per-site delivery that can be severed to simulate crashes.
-type bullyCluster struct {
-	mu      sync.Mutex
-	bullies map[int]*Bully
-	dead    map[int]bool
-	cut     map[[2]int]bool
-}
-
-func newBullyCluster(ids []int, timeout time.Duration) *bullyCluster {
-	c := &bullyCluster{bullies: map[int]*Bully{}, dead: map[int]bool{}, cut: map[[2]int]bool{}}
-	for _, id := range ids {
-		id := id
-		c.bullies[id] = NewBully(id, ids, timeout, func(to int, kind string) {
-			c.mu.Lock()
-			dst, deadSrc, deadDst := c.bullies[to], c.dead[id], c.dead[to]
-			severed := c.cut[link(id, to)]
-			c.mu.Unlock()
-			if dst == nil || deadSrc || deadDst || severed {
-				return
-			}
-			go dst.Observe(id, kind)
-		})
-	}
-	return c
-}
-
-func link(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
-func (c *bullyCluster) kill(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dead[id] = true
-}
-
-// sever cuts the link between two sites in both directions without killing
-// either — a network partition rather than a crash.
-func (c *bullyCluster) sever(a, b int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cut[link(a, b)] = true
-}
-
-func (c *bullyCluster) runAlive(t *testing.T) map[int]int {
-	t.Helper()
-	c.mu.Lock()
-	var alive []int
-	for id := range c.bullies {
-		if !c.dead[id] {
-			alive = append(alive, id)
-		}
-	}
-	c.mu.Unlock()
-
-	results := make(map[int]int)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range alive {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := c.bullies[id].Run()
-			mu.Lock()
-			results[id] = w
-			mu.Unlock()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("election did not terminate")
-	}
-	return results
-}
-
-func TestBullyAllAlive(t *testing.T) {
-	c := newBullyCluster([]int{1, 2, 3, 4}, 50*time.Millisecond)
-	results := c.runAlive(t)
-	for id, w := range results {
-		if w != 4 {
-			t.Errorf("site %d elected %d, want 4 (highest)", id, w)
-		}
-	}
-}
-
-func TestBullyHighestDead(t *testing.T) {
-	c := newBullyCluster([]int{1, 2, 3, 4}, 50*time.Millisecond)
-	c.kill(4)
-	results := c.runAlive(t)
-	if len(results) != 3 {
-		t.Fatalf("results = %v", results)
-	}
-	for id, w := range results {
-		if w != 3 {
-			t.Errorf("site %d elected %d, want 3", id, w)
-		}
-	}
-}
-
-func TestBullySingleSurvivor(t *testing.T) {
-	c := newBullyCluster([]int{1, 2, 3}, 30*time.Millisecond)
-	c.kill(2)
-	c.kill(3)
-	results := c.runAlive(t)
-	if w := results[1]; w != 1 {
-		t.Fatalf("lone survivor elected %d, want itself", w)
-	}
-}
-
-func TestBullyWinnerBeforeAndAfter(t *testing.T) {
-	b := NewBully(2, []int{1, 2}, 20*time.Millisecond, func(int, string) {})
-	if _, ok := b.Winner(); ok {
-		t.Fatal("winner before Run")
-	}
-	if w := b.Run(); w != 2 {
-		t.Fatalf("Run = %d", w)
-	}
-	if w, ok := b.Winner(); !ok || w != 2 {
-		t.Fatalf("Winner = %d, %v", w, ok)
-	}
-}
-
-func TestBullyObserveCoordinatorShortCircuits(t *testing.T) {
-	b := NewBully(1, []int{1, 2, 3}, time.Second, func(int, string) {})
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		b.Observe(3, KindCoord)
-	}()
-	start := time.Now()
-	if w := b.Run(); w != 3 {
-		t.Fatalf("Run = %d, want 3", w)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("announcement did not short-circuit the timeout")
-	}
-}
-
-// TestBullyOKThenSilenceReclaims covers a higher site acknowledging the
-// challenge and then crashing before announcing a winner: the challenger must
-// re-challenge up to maxRounds and finally claim the election itself instead
-// of hanging on the dead site's promise.
-func TestBullyOKThenSilenceReclaims(t *testing.T) {
-	var mu sync.Mutex
-	elects := 0
-	var b *Bully
-	b = NewBully(2, []int{2, 3}, 15*time.Millisecond, func(to int, kind string) {
-		if kind != KindElect || to != 3 {
-			return
-		}
-		mu.Lock()
-		elects++
-		first := elects == 1
-		mu.Unlock()
-		if first {
-			// Site 3 answers the first challenge... and is never heard from
-			// again.
-			go b.Observe(3, KindOK)
-		}
-	})
-	if w := b.Run(); w != 2 {
-		t.Fatalf("Run = %d, want 2 (reclaimed from silent higher site)", w)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if elects != maxRounds {
-		t.Fatalf("challenges sent = %d, want %d re-challenge rounds", elects, maxRounds)
-	}
-}
-
-// TestBullyMinorityPartition splits {1,2} from {3,4}: each side elects its
-// own highest reachable site. The bully election alone offers no quorum
-// safety under partitions — which is why the commit engine's termination
-// protocol still withholds any decision until the elected backup collects
-// acknowledgements from every operational cohort site.
-func TestBullyMinorityPartition(t *testing.T) {
-	c := newBullyCluster([]int{1, 2, 3, 4}, 30*time.Millisecond)
-	for _, a := range []int{1, 2} {
-		for _, b := range []int{3, 4} {
-			c.sever(a, b)
-		}
-	}
-	results := c.runAlive(t)
-	for _, id := range []int{1, 2} {
-		if results[id] != 2 {
-			t.Errorf("minority site %d elected %d, want 2", id, results[id])
-		}
-	}
-	for _, id := range []int{3, 4} {
-		if results[id] != 4 {
-			t.Errorf("majority site %d elected %d, want 4", id, results[id])
-		}
-	}
-}
-
-func TestBullyLowerChallengeGetsOK(t *testing.T) {
-	var mu sync.Mutex
-	sent := map[string]int{}
-	b := NewBully(5, []int{1, 5}, 20*time.Millisecond, func(to int, kind string) {
-		mu.Lock()
-		sent[kind] = to
-		mu.Unlock()
-	})
-	b.Observe(1, KindElect)
-	mu.Lock()
-	defer mu.Unlock()
-	if sent[KindOK] != 1 {
-		t.Fatalf("no OK sent to challenger: %v", sent)
 	}
 }

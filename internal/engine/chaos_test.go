@@ -79,13 +79,7 @@ func TestChaosMultiCoordinator(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					c.res[1+rng.Intn(nSites)].refuse(txid)
 				}
-				var err error
-				if i%2 == 0 {
-					err = c.sites[coord].Begin(txid, c.ids)
-				} else {
-					err = c.sites[coord].BeginPeer(txid, c.ids)
-				}
-				if err != nil {
+				if _, err := c.sites[coord].Begin(txid, c.ids, i%2 == 1); err != nil {
 					t.Fatal(err)
 				}
 				if i == nTxns/2 {

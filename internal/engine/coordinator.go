@@ -3,36 +3,76 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
 
-// Begin starts a distributed commit with this site as the coordinator.
-// participants is the full cohort; the coordinator is added if absent. The
-// call returns once the protocol is underway; use WaitOutcome to collect the
-// decision.
+// Handle is the answer to one Begin. It holds the transaction record Begin
+// created, so Wait reads the decision from that record: no later lookup by
+// txid exists, and forgetting the transaction cannot take the answer away.
+type Handle struct {
+	s *Site
+	t *txState
+}
+
+// Wait blocks until the transaction resolves at this site or the timeout
+// elapses, and reports the outcome. A blocked 2PC transaction keeps Wait
+// waiting (it may unblock when the coordinator recovers) and then reports
+// ErrBlocked.
+func (h *Handle) Wait(timeout time.Duration) (Outcome, error) {
+	timedOut, tm := h.s.expiry(timeout)
+	defer tm.Stop()
+	return h.s.await(h.t, timedOut)
+}
+
+// Begin starts a distributed commit at this site and returns the handle that
+// holds its decision. cohort is the full set of participants; this site is
+// added if absent. The call returns once the protocol is underway.
 //
-// The coordinator votes too (the paper's parenthesized (yes1)/(no1)): its
-// own Resource.Prepare must succeed for the transaction to commit. A cohort
-// of this site alone commits in one phase (commitOnePhase).
-func (s *Site) Begin(txid string, participants []int) error {
-	cohort := normalizeCohort(s.id, participants)
-	if len(cohort) > maxCohort {
-		return fmt.Errorf("engine: cohort of %d exceeds the %d-site limit", len(cohort), maxCohort)
+// With peer false the site coordinates under the central-site paradigm. The
+// coordinator votes too (the paper's parenthesized (yes1)/(no1)): its own
+// Resource.Prepare must succeed for the transaction to commit. With peer
+// true the transaction runs under the decentralized paradigm: this site
+// distributes it to the whole cohort and every site, itself included, votes
+// and exchanges rounds symmetrically. Paxos Commit has no decentralized
+// variant. A cohort of this site alone commits in one phase
+// (commitOnePhase) under either paradigm.
+func (s *Site) Begin(txid string, cohort []int, peer bool) (*Handle, error) {
+	if peer && s.kind == PaxosCommit {
+		// Paxos Commit is inherently coordinator-replicated; the symmetric
+		// peer rounds of the decentralized paradigm do not apply to it.
+		return nil, fmt.Errorf("engine: site %d: Paxos Commit has no decentralized variant", s.id)
 	}
-	meta := TxMeta{Coordinator: s.id, Participants: cohort}
+	cohort = normalizeCohort(s.id, cohort)
+	if len(cohort) > maxCohort {
+		return nil, fmt.Errorf("engine: cohort of %d exceeds the %d-site limit", len(cohort), maxCohort)
+	}
 
 	s.mu.Lock()
 	if s.stopped.Load() {
 		s.mu.Unlock()
-		return ErrStopped
+		return nil, ErrStopped
 	}
 	if _, ok := s.txns[txid]; ok {
 		s.mu.Unlock()
-		return fmt.Errorf("engine: site %d already has transaction %s", s.id, txid)
+		return nil, fmt.Errorf("engine: site %d already has transaction %s", s.id, txid)
 	}
 	t := s.tx(txid)
+	if peer && len(cohort) > 1 {
+		s.distribute(t, cohort)
+	} else {
+		s.coordinate(t, cohort)
+	}
+	return &Handle{s: s, t: t}, nil
+}
+
+// coordinate runs the central-site paradigm's first phase for a new
+// transaction with this site as the coordinator. Requires s.mu held;
+// releases it.
+func (s *Site) coordinate(t *txState, cohort []int) {
+	meta := TxMeta{Coordinator: s.id, Participants: cohort}
 	t.coordinator = true
 	t.meta = meta
 	if s.metrics != nil {
@@ -40,8 +80,8 @@ func (s *Site) Begin(txid string, participants []int) error {
 	}
 	if t.onePhase() {
 		s.mu.Unlock()
-		s.commitOnePhase(t, s.prepare(txid))
-		return nil
+		s.commitOnePhase(t, s.prepare(t.id))
+		return
 	}
 	// One encoding serves both the begin record and every VOTE-REQ body.
 	body := encodeMeta(meta)
@@ -50,9 +90,9 @@ func (s *Site) Begin(txid string, participants []int) error {
 		// recovered coordinator with no trace answers in-doubt inquiries
 		// with 'n' (no trace), which participants read as abort — exactly
 		// the outcome a pre-commit coordinator crash produces anyway.
-		s.mustLogLazy(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
+		s.mustLogLazy(wal.Record{Type: wal.RecBegin, TxID: t.id, Payload: body})
 	} else {
-		s.mustLog(wal.Record{Type: wal.RecBegin, TxID: txid, Payload: body})
+		s.mustLog(wal.Record{Type: wal.RecBegin, TxID: t.id, Payload: body})
 	}
 	s.armTimer(t, s.protoTimeout())
 
@@ -65,15 +105,14 @@ func (s *Site) Begin(txid string, participants []int) error {
 	// "abort" are the same answer.
 	for _, p := range cohort {
 		if p != s.id {
-			s.send(p, KindVoteReq, txid, body)
+			s.send(p, KindVoteReq, t.id, body)
 		}
 	}
 	s.mu.Unlock()
 
 	// The coordinator's own vote: prepared here, on the caller's goroutine,
 	// and handled on the event loop in order with the cohort's votes.
-	s.enqueue(event{kind: evVote, vote: s.prepare(txid)})
-	return nil
+	s.enqueue(event{kind: evVote, vote: s.prepare(t.id)})
 }
 
 // commitOnePhase finishes a transaction whose cohort is this site alone.

@@ -42,7 +42,7 @@ func TestBeginRejectsOversizedCohort(t *testing.T) {
 	for i := 1; i <= 70; i++ {
 		cohort = append(cohort, i)
 	}
-	if err := c.sites[1].Begin("big", cohort); err == nil {
+	if _, err := c.sites[1].Begin("big", cohort, false); err == nil {
 		t.Fatal("Begin accepted a cohort larger than 64 sites")
 	}
 }
@@ -53,10 +53,11 @@ func TestShutdownDropAccounting(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 3)
 	for i := 0; i < 20; i++ {
 		txid := fmt.Sprintf("drop-%d", i)
-		if err := c.sites[1].Begin(txid, c.ids); err != nil {
+		h, err := c.sites[1].Begin(txid, c.ids, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if o, err := c.sites[1].WaitOutcome(txid, 2*time.Second); err != nil || o != engine.OutcomeCommitted {
+		if o, err := h.Wait(2 * time.Second); err != nil || o != engine.OutcomeCommitted {
 			t.Fatalf("%s: outcome %v err %v", txid, o, err)
 		}
 	}
@@ -127,11 +128,12 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 			coord := sites[w%n+1]
 			for i := 0; i < perWorker; i++ {
 				txid := fmt.Sprintf("stress-%d-%d", w, i)
-				if err := coord.Begin(txid, ids); err != nil {
+				h, err := coord.Begin(txid, ids, false)
+				if err != nil {
 					errs <- fmt.Errorf("%s: %w", txid, err)
 					return
 				}
-				o, err := coord.WaitOutcome(txid, 5*time.Second)
+				o, err := h.Wait(5 * time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", txid, err)
 					return
@@ -194,10 +196,11 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				txid := fmt.Sprintf("bench-%d", i)
-				if err := sites[1].Begin(txid, ids); err != nil {
+				h, err := sites[1].Begin(txid, ids, false)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if o, err := sites[1].WaitOutcome(txid, 5*time.Second); err != nil || o != engine.OutcomeCommitted {
+				if o, err := h.Wait(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
 					b.Fatalf("%s: outcome %v err %v", txid, o, err)
 				}
 			}

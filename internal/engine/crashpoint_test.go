@@ -53,7 +53,7 @@ func TestCrashAfterVoteRecordBeforeVoteSend(t *testing.T) {
 	c.sites[3] = s
 	s.Start()
 
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	// The coordinator never hears site 3's vote and aborts.
@@ -93,7 +93,7 @@ func TestCrashAfterCommitRecordBeforeBroadcast(t *testing.T) {
 	c.sites[1] = s
 	s.Start()
 
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	// The commit record hit stable storage, no message escaped: both
@@ -137,7 +137,7 @@ func TestCrashAfterPreparedRecord(t *testing.T) {
 	c.sites[1] = s
 	s.Start()
 
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	// Participants in w with a dead coordinator: termination aborts.

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -16,49 +14,30 @@ const (
 	KindDPrepare = "D-PREPARE" // prepare round broadcast (3PC)
 )
 
-// BeginPeer starts a transaction under the decentralized protocol: this
-// site distributes it to the whole cohort (including itself) and every site
+// distribute starts a new transaction under the decentralized protocol: this
+// site sends it to the whole cohort and casts its own vote, and every site
 // votes and exchanges rounds symmetrically — there is no coordinator, so
 // TxMeta.Coordinator is zero and any site's failure triggers the
-// termination protocol at the survivors.
-func (s *Site) BeginPeer(txid string, participants []int) error {
-	if s.kind == PaxosCommit {
-		// Paxos Commit is inherently coordinator-replicated; the symmetric
-		// peer rounds of the decentralized paradigm do not apply to it.
-		return fmt.Errorf("engine: site %d: Paxos Commit has no decentralized variant", s.id)
-	}
-	cohort := normalizeCohort(s.id, participants)
-	if len(cohort) == 1 {
-		return s.Begin(txid, cohort) // no peers to exchange rounds with: one phase
-	}
-	if len(cohort) > maxCohort {
-		return fmt.Errorf("engine: cohort of %d exceeds the %d-site limit", len(cohort), maxCohort)
-	}
-	meta := TxMeta{Coordinator: 0, Participants: cohort}
-
-	s.mu.Lock()
-	if s.stopped.Load() {
-		s.mu.Unlock()
-		return ErrStopped
-	}
-	if _, ok := s.txns[txid]; ok {
-		s.mu.Unlock()
-		return fmt.Errorf("engine: site %d already has transaction %s", s.id, txid)
-	}
-	body := encodeMeta(meta)
+// termination protocol at the survivors. Requires s.mu held; releases it.
+func (s *Site) distribute(t *txState, cohort []int) {
+	t.meta = TxMeta{Coordinator: 0, Participants: cohort}
+	t.peer = true
+	body := encodeMeta(t.meta)
 	for _, p := range cohort {
 		if p != s.id {
-			s.send(p, KindDXact, txid, body)
+			s.send(p, KindDXact, t.id, body)
 		}
 	}
 	s.mu.Unlock()
 
-	// Deliver our own copy directly.
-	s.onDXact(transport.Message{From: s.id, To: s.id, Kind: KindDXact, TxID: txid, Body: body})
-	return nil
+	// Deliver our own copy directly: onDXact finds the record Begin created
+	// still in phase q and casts this site's vote on it.
+	s.onDXact(transport.Message{From: s.id, To: s.id, Kind: KindDXact, TxID: t.id, Body: body})
 }
 
-// onDXact receives the transaction at a peer and casts the local vote.
+// onDXact receives the transaction at a peer and casts the local vote. At
+// the initiating site the record already exists in phase q: Begin creates
+// it before the D-XACT sends.
 func (s *Site) onDXact(m transport.Message) {
 	meta, err := decodeMeta(m.Body)
 	if err != nil {

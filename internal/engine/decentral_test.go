@@ -11,7 +11,7 @@ import (
 
 func TestPeerThreePCCommit(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 4)
-	if err := c.sites[2].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[2].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3, 4)
@@ -24,7 +24,7 @@ func TestPeerThreePCCommit(t *testing.T) {
 
 func TestPeerTwoPCCommit(t *testing.T) {
 	c := newCluster(t, engine.TwoPhase, 3)
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3)
@@ -35,7 +35,7 @@ func TestPeerUnilateralAbort(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := newCluster(t, kind, 3)
 			c.res[2].refuse("t1")
-			if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+			if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 				t.Fatal(err)
 			}
 			c.expect("t1", engine.OutcomeAborted, 1, 2, 3)
@@ -45,11 +45,11 @@ func TestPeerUnilateralAbort(t *testing.T) {
 
 func TestPeerDuplicateBeginRejected(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 2)
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.sites[1].BeginPeer("t1", c.ids); err == nil {
-		t.Fatal("duplicate BeginPeer accepted")
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err == nil {
+		t.Fatal("duplicate peer Begin accepted")
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2)
 }
@@ -63,7 +63,7 @@ func TestPeerThreePCTerminationAbort(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 4 && (m.Kind == engine.KindDYes || m.Kind == engine.KindDNo)
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(1, "t1", "w")
@@ -82,7 +82,7 @@ func TestPeerThreePCTerminationCommit(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 3 && m.Kind == engine.KindDPrepare
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(1, "t1", "p")
@@ -102,7 +102,7 @@ func TestPeerTwoPCBlocks(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 3 && (m.Kind == engine.KindDYes || m.Kind == engine.KindDNo)
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(1, "t1", "w")
@@ -122,7 +122,7 @@ func TestPeerTwoPCUnblocksWhenWitnessDecides(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 3 && m.To == 2 && m.Kind == engine.KindDYes
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	// Site 1 has the full round and commits.
@@ -141,7 +141,7 @@ func TestPeerRecovery(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.To == 3 && m.Kind == engine.KindDPrepare
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	// Site 3 completes the vote round and enters p itself (it broadcasts its
@@ -174,7 +174,7 @@ func TestPeerRetransmission(t *testing.T) {
 		}
 		return false
 	})
-	if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3)
@@ -189,7 +189,7 @@ func TestPeerNoMixedOutcomesUnderCrashes(t *testing.T) {
 		c.net.SetDropFunc(func(m transport.Message) bool {
 			return m.From == 4 && (int(m.Kind[0])+m.To+drop)%3 == 0 && m.Kind != engine.KindDXact
 		})
-		if err := c.sites[1].BeginPeer("t1", c.ids); err != nil {
+		if _, err := c.sites[1].Begin("t1", c.ids, true); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(25 * time.Millisecond)

@@ -1043,6 +1043,13 @@ func (s *Site) Outcome(txid string) (Outcome, error) {
 	if !ok {
 		return OutcomePending, fmt.Errorf("engine: site %d does not know transaction %s", s.id, txid)
 	}
+	return outcomeOf(t)
+}
+
+// outcomeOf reads a transaction record's local outcome: the one
+// phase-to-outcome rule behind Outcome, WaitOutcome and Handle.Wait.
+// Requires s.mu held.
+func outcomeOf(t *txState) (Outcome, error) {
 	switch t.phase {
 	case phaseCommitted:
 		return OutcomeCommitted, nil
@@ -1056,47 +1063,47 @@ func (s *Site) Outcome(txid string) (Outcome, error) {
 	}
 }
 
-// WaitOutcome blocks until the transaction resolves locally or the timeout
-// elapses. A transaction this site has not heard of yet is waited for (its
-// VOTE-REQ may still be in flight) through an arrival notification — no
-// polling. A blocked 2PC transaction keeps WaitOutcome waiting (it may
-// unblock when the coordinator recovers); use Outcome to poll for
-// ErrBlocked. The result is read from the transaction record itself, so it
-// stays correct even if the site auto-forgets the transaction the moment
-// it settles.
+// expiry returns a channel closed once d has elapsed on the site's clock,
+// and the timer to stop on return. An AfterFunc, not clk.After: a timer
+// channel would stay live in the runtime for the full timeout — under load,
+// tens of thousands of them — long after the typical wait returns in
+// milliseconds.
+func (s *Site) expiry(d time.Duration) (<-chan struct{}, clock.Timer) {
+	ch := make(chan struct{})
+	return ch, s.clk.AfterFunc(d, func() { close(ch) })
+}
+
+// await blocks until t resolves, timedOut closes or the site stops, and then
+// reads t's outcome.
+func (s *Site) await(t *txState, timedOut <-chan struct{}) (Outcome, error) {
+	select {
+	case <-t.done:
+	case <-timedOut:
+	case <-s.quit:
+		return OutcomePending, ErrStopped
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return outcomeOf(t)
+}
+
+// WaitOutcome blocks until the transaction resolves at this site or the
+// timeout elapses. It is for observers and participants: a caller that
+// started the transaction holds its Handle instead. A transaction this site
+// has not heard of yet is waited for (its VOTE-REQ may still be in flight)
+// through an arrival notification — no polling. A blocked 2PC transaction
+// keeps WaitOutcome waiting (it may unblock when the coordinator recovers);
+// use Outcome to poll for ErrBlocked. A call made after the site has
+// forgotten the transaction cannot know its outcome: it waits out the
+// timeout and reports the transaction unknown.
 func (s *Site) WaitOutcome(txid string, timeout time.Duration) (Outcome, error) {
-	// An AfterFunc stopped on return, not clk.After: a timer channel would
-	// stay live in the runtime for the full timeout — under load, tens of
-	// thousands of them — long after the typical call returns in
-	// milliseconds.
-	timedOut := make(chan struct{})
-	tm := s.clk.AfterFunc(timeout, func() { close(timedOut) })
+	timedOut, tm := s.expiry(timeout)
 	defer tm.Stop()
 	for {
 		s.mu.Lock()
-		t, ok := s.txns[txid]
-		if ok {
-			done := t.done
+		if t, ok := s.txns[txid]; ok {
 			s.mu.Unlock()
-			select {
-			case <-done:
-			case <-timedOut:
-			case <-s.quit:
-				return OutcomePending, ErrStopped
-			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			switch t.phase {
-			case phaseCommitted:
-				return OutcomeCommitted, nil
-			case phaseAborted:
-				return OutcomeAborted, nil
-			default:
-				if t.blocked {
-					return OutcomePending, ErrBlocked
-				}
-				return OutcomePending, nil
-			}
+			return s.await(t, timedOut)
 		}
 		a := s.arrivals[txid]
 		if a == nil {

@@ -208,7 +208,7 @@ func (c *cluster) waitBlocked(id int, txid string) {
 
 func TestThreePCCommit(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 4)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3, 4)
@@ -221,7 +221,7 @@ func TestThreePCCommit(t *testing.T) {
 
 func TestTwoPCCommit(t *testing.T) {
 	c := newCluster(t, engine.TwoPhase, 3)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3)
@@ -232,7 +232,7 @@ func TestUnilateralAbort(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := newCluster(t, kind, 3)
 			c.res[3].refuse("t1") // deadlock at site 3: vote NO
-			if err := c.sites[1].Begin("t1", c.ids); err != nil {
+			if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 				t.Fatal(err)
 			}
 			c.expect("t1", engine.OutcomeAborted, 1, 2, 3)
@@ -246,7 +246,7 @@ func TestUnilateralAbort(t *testing.T) {
 func TestCoordinatorOwnVoteNo(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 3)
 	c.res[1].refuse("t1") // the coordinator itself votes NO: (no1)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeAborted, 1, 2, 3)
@@ -256,7 +256,7 @@ func TestParticipantCrashBeforeVoteAborts(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 3)
 	// Site 3 crashes before the transaction starts; its vote never arrives.
 	c.crash(3)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeAborted, 1, 2)
@@ -264,10 +264,10 @@ func TestParticipantCrashBeforeVoteAborts(t *testing.T) {
 
 func TestDuplicateBeginRejected(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 2)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.sites[1].Begin("t1", c.ids); err == nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err == nil {
 		t.Fatal("duplicate Begin accepted")
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2)
@@ -283,7 +283,7 @@ func TestTwoPCBlocks(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && (m.Kind == engine.KindCommit || m.Kind == engine.KindAbort)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -307,7 +307,7 @@ func TestTwoPCUnblocksOnCoordinatorRecovery(t *testing.T) {
 		}
 		return m.From == 1 && (m.Kind == engine.KindCommit || m.Kind == engine.KindAbort)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -331,7 +331,7 @@ func TestTwoPCTerminationAbortsWhenSomeoneHasNotVoted(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.Kind == engine.KindVoteReq && m.To == 3
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -348,7 +348,7 @@ func TestThreePCTerminationAbortFromW(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindPrepare
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -366,7 +366,7 @@ func TestThreePCTerminationCommitFromP(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindCommit
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -396,7 +396,7 @@ func TestThreePCTerminationMixedWP(t *testing.T) {
 		}
 		return m.Kind == engine.KindPrepare && m.To != 2
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -415,7 +415,7 @@ func TestThreePCTerminationBackupAlreadyDecided(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindCommit && m.To == 3
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2)
@@ -432,7 +432,7 @@ func TestThreePCSuccessiveFailures(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindCommit
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -454,7 +454,7 @@ func TestParticipantRecoveryLearnsCommit(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.To == 3 && m.Kind == engine.KindPrepare
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(3, "t1", "w")
@@ -479,7 +479,7 @@ func TestParticipantRecoveryLearnsAbort(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.To == 3 && (m.Kind == engine.KindAbort || m.Kind == engine.KindPrepare)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(3, "t1", "w")
@@ -503,7 +503,7 @@ func TestParticipantCrashBeforeVoteDeliveredAborts(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 3 && m.Kind == engine.KindYes
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(3, "t1", "w")
@@ -530,7 +530,7 @@ func TestEndedAbortRecoversAsAbort(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.Kind != engine.KindVoteReq
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -556,7 +556,7 @@ func TestRecoveredSiteRefusesBackupRole(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindPrepare
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -588,7 +588,7 @@ func TestConcurrentTransactions(t *testing.T) {
 		if i%3 == 0 {
 			c.res[1+i%4].refuse(txid)
 		}
-		if err := c.sites[1].Begin(txid, c.ids); err != nil {
+		if _, err := c.sites[1].Begin(txid, c.ids, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -614,7 +614,7 @@ func TestNoMixedOutcomes(t *testing.T) {
 			return m.From == 1 && (int(m.Kind[0])+m.To+drop)%3 == 0 &&
 				m.Kind != engine.KindVoteReq
 		})
-		if err := c.sites[1].Begin("t1", c.ids); err != nil {
+		if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(30 * time.Millisecond)
@@ -664,13 +664,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestForget(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 2)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2)
 
 	// Unresolved transactions cannot be forgotten.
-	if err := c.sites[1].Begin("t2", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t2", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	// t2 will resolve quickly, but t1 is definitely resolved now.
@@ -711,7 +711,7 @@ func TestForgetUnresolvedRejected(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.To == 1 && (m.Kind == engine.KindYes || m.Kind == engine.KindNo)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -725,10 +725,10 @@ func TestForgetUnresolvedRejected(t *testing.T) {
 // transactions with disjoint cohorts proceed independently.
 func TestCohortSubset(t *testing.T) {
 	c := newCluster(t, engine.ThreePhase, 5)
-	if err := c.sites[1].Begin("ta", []int{1, 2}); err != nil {
+	if _, err := c.sites[1].Begin("ta", []int{1, 2}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.sites[3].Begin("tb", []int{3, 4}); err != nil {
+	if _, err := c.sites[3].Begin("tb", []int{3, 4}, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("ta", engine.OutcomeCommitted, 1, 2)
@@ -750,7 +750,7 @@ func TestCohortSubsetTermination(t *testing.T) {
 		return m.From == 2 && m.Kind == engine.KindCommit
 	})
 	// Coordinator 2, cohort {2,4,5}.
-	if err := c.sites[2].Begin("t1", []int{2, 4, 5}); err != nil {
+	if _, err := c.sites[2].Begin("t1", []int{2, 4, 5}, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(4, "t1", "p")

@@ -97,13 +97,18 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 				if tc.refuse != 0 {
 					resources[tc.refuse].refuse(txid)
 				}
-				if err := sites[1].Begin(txid, ids); err != nil {
+				h, err := sites[1].Begin(txid, ids, false)
+				if err != nil {
 					b.Fatal(err)
 				}
 				// Wait at every site so each op's forced writes are fully
 				// accounted before the next op (and before the counters are
-				// read).
-				for _, id := range ids {
+				// read): the coordinator through its handle, the
+				// participants by txid.
+				if o, err := h.Wait(5 * time.Second); err != nil || o != want {
+					b.Fatalf("%s at site 1: outcome %v err %v", txid, o, err)
+				}
+				for _, id := range ids[1:] {
 					if o, err := sites[id].WaitOutcome(txid, 5*time.Second); err != nil || o != want {
 						b.Fatalf("%s at site %d: outcome %v err %v", txid, id, o, err)
 					}

@@ -32,8 +32,10 @@ func (s *Site) scheduleGC(t *txState) {
 	if t.phase == phaseAborted && s.presumedAbort(t) {
 		// Presumed abort has no settlement: the coordinator keeps no state
 		// to re-offer and nobody retains the outcome — the no-trace
-		// presumption answers any future inquiry. Just run out the local
-		// grace period so waiters can still read the result.
+		// presumption answers any future inquiry. Still run out the grace
+		// period before forgetting: a protocol message that arrives late
+		// for a forgotten txid recreates it through Site.tx as a new
+		// transaction (see onDecAck).
 		s.armTimer(t, s.forgetAfter)
 		return
 	}
@@ -104,9 +106,15 @@ func (s *Site) onDecAck(m transport.Message) {
 	t.decAcks.add(t.cohortIdx(m.From))
 	if s.decAcksComplete(t) {
 		s.observeSettle(t)
-		// Do not forget inline: give local waiters the same grace period the
-		// participants get — an in-process cohort can acknowledge before the
-		// client that started the transaction has even asked for the outcome.
+		// Do not forget inline: a protocol message still in flight for this
+		// txid would recreate it through Site.tx as a new, undecided
+		// transaction. Under Paxos Commit, forgetting at the last DEC-ACK
+		// fails DST's availability check (seeds 16, 35 and 49 of
+		// `dst -protocol all -seeds 50`): on seed 16 the DEC-ACKs land at
+		// steps 17-18, a late PX-2A from site 1 recreates t1 at site 3 at
+		// step 19, and site 3 then asks itself DECIDE-REQ forever. The grace
+		// period outlasts such stragglers. (The starter's answer needs no
+		// grace: its Handle holds the record.)
 		s.armTimer(t, s.forgetAfter)
 	}
 }

@@ -191,7 +191,7 @@ func (c *gatedCluster) expect(txid string, want engine.Outcome, siteIDs ...int) 
 // running. Releasing the batch lets everything proceed.
 func TestGroupCommitDefersDecision(t *testing.T) {
 	c := newGatedCluster(t, engine.TwoPhase, wal.RecCommitted)
-	if err := c.sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	// The coordinator collects the votes and decides, but its RecCommitted
@@ -229,7 +229,7 @@ func TestGroupCommitDefersDecision(t *testing.T) {
 // at prepared, resolves the same way. One consistent outcome everywhere.
 func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 	c := newGatedCluster(t, engine.ThreePhase, wal.RecCommitted)
-	if err := c.sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -275,7 +275,7 @@ func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 // consistent outcome, the opposite one.
 func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 	c := newGatedCluster(t, engine.ThreePhase, wal.RecPrepared)
-	if err := c.sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")
@@ -321,7 +321,7 @@ func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 // TestGroupCommitPresumedAbortBeginIsLazy.)
 func TestGroupCommitVoteReqWaitsForBeginRecord(t *testing.T) {
 	c := newGatedCluster(t, engine.ThreePhase, wal.RecBegin)
-	if err := c.sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -341,7 +341,7 @@ func TestGroupCommitVoteReqWaitsForBeginRecord(t *testing.T) {
 // buffer.
 func TestGroupCommitPresumedAbortBeginIsLazy(t *testing.T) {
 	c := newGatedCluster(t, engine.TwoPhase, wal.RecBegin)
-	if err := c.sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3)
@@ -360,7 +360,7 @@ func TestGroupCommitPresumedAbortBeginIsLazy(t *testing.T) {
 // TestOnePhaseCrashWindow: a cohort of one commits in one phase under every
 // family, staging exactly one forced record, RecCommitted with the redo
 // image. A crash while it is staged but not durable recovers with no trace
-// of the transaction, and WaitOutcome never said committed. A crash after
+// of the transaction, and the handle's Wait never said committed. A crash after
 // it is durable recovers the transaction committed, with the redo applied.
 func TestOnePhaseCrashWindow(t *testing.T) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
@@ -368,17 +368,18 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/durable=%v", kind, durable), func(t *testing.T) {
 				c := newGatedCluster(t, kind, wal.RecCommitted)
 				waited := make(chan engine.Outcome, 1)
-				if err := c.sites[1].Begin("t1", []int{1}); err != nil {
+				h, err := c.sites[1].Begin("t1", []int{1}, false)
+				if err != nil {
 					t.Fatal(err)
 				}
 				go func() {
-					o, _ := c.sites[1].WaitOutcome("t1", 5*time.Second)
+					o, _ := h.Wait(5 * time.Second)
 					waited <- o
 				}()
 				c.waitPhase(1, "t1", "c") // decided in volatile state only
 				select {
 				case o := <-waited:
-					t.Fatalf("WaitOutcome returned %s before the commit record was durable", o)
+					t.Fatalf("Wait returned %s before the commit record was durable", o)
 				case <-time.After(50 * time.Millisecond):
 				}
 				if c.res[1].didCommit("t1") {
@@ -387,7 +388,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 				if durable {
 					c.gated.release()
 					if o := <-waited; o != engine.OutcomeCommitted {
-						t.Fatalf("WaitOutcome = %s after the record was durable", o)
+						t.Fatalf("Wait = %s after the record was durable", o)
 					}
 				} else {
 					c.gated.discard()
@@ -396,7 +397,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 				c.sites[1].Stop()
 				if !durable {
 					if o := <-waited; o == engine.OutcomeCommitted {
-						t.Fatal("WaitOutcome reported a commit whose record was lost")
+						t.Fatal("Wait reported a commit whose record was lost")
 					}
 				}
 
@@ -499,11 +500,12 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				txid := fmt.Sprintf("t-%d-%d", cl, i)
-				if err := sites[1].Begin(txid, []int{1, 2, 3}); err != nil {
+				h, err := sites[1].Begin(txid, []int{1, 2, 3}, false)
+				if err != nil {
 					errs <- err
 					return
 				}
-				o, err := sites[1].WaitOutcome(txid, 10*time.Second)
+				o, err := h.Wait(10 * time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", txid, err)
 					return
@@ -560,15 +562,18 @@ func TestAutoForget(t *testing.T) {
 	}
 
 	res[2].refuse("ta") // one aborted, one committed
+	handles := map[string]*engine.Handle{}
 	for _, txid := range []string{"tc", "ta"} {
-		if err := sites[1].Begin(txid, []int{1, 2, 3}); err != nil {
+		h, err := sites[1].Begin(txid, []int{1, 2, 3}, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles[txid] = h
 	}
-	if o, err := sites[1].WaitOutcome("tc", 5*time.Second); err != nil || o != engine.OutcomeCommitted {
+	if o, err := handles["tc"].Wait(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("tc = %v, %v", o, err)
 	}
-	if o, err := sites[1].WaitOutcome("ta", 5*time.Second); err != nil || o != engine.OutcomeAborted {
+	if o, err := handles["ta"].Wait(5 * time.Second); err != nil || o != engine.OutcomeAborted {
 		t.Fatalf("ta = %v, %v", o, err)
 	}
 
@@ -670,7 +675,8 @@ func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
 	net.SetDropFunc(func(m transport.Message) bool {
 		return m.To == 3 && m.Kind == engine.KindPrepare
 	})
-	if err := sites[1].Begin("t1", []int{1, 2, 3}); err != nil {
+	h, err := sites[1].Begin("t1", []int{1, 2, 3}, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Site 2 enters p only once the coordinator has counted every vote,
@@ -680,7 +686,7 @@ func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
 	net.Crash(3)
 	sites[3].Stop()
 	net.SetDropFunc(nil)
-	if o, err := sites[1].WaitOutcome("t1", 5*time.Second); err != nil || o != engine.OutcomeCommitted {
+	if o, err := h.Wait(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("t1 = %v, %v", o, err)
 	}
 

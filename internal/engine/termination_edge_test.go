@@ -21,7 +21,7 @@ func TestBackupCrashDuringTermination(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.Kind == engine.KindCommit && (m.From == 1 || m.From == 2)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -60,7 +60,7 @@ func TestMinorityPartitionStaysSafe(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.Kind == engine.KindCommit && m.From == 1
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")

@@ -66,7 +66,7 @@ func seq(rec *trace.Recorder, site int) []string {
 // coordinator commits after collecting the acks.
 func TestTraceHappyPath3PC(t *testing.T) {
 	c, rec := tracedCluster(t, engine.ThreePhase, 3)
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3)
@@ -88,7 +88,7 @@ func TestTraceHappyPath3PC(t *testing.T) {
 func TestTraceUnilateralAbort(t *testing.T) {
 	c, rec := tracedCluster(t, engine.ThreePhase, 3)
 	c.res[3].refuse("t1")
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.expect("t1", engine.OutcomeAborted, 1, 2, 3)
@@ -116,7 +116,7 @@ func TestTraceTermination(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindCommit
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "p")
@@ -143,7 +143,7 @@ func TestTraceBlocked(t *testing.T) {
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.From == 1 && (m.Kind == engine.KindCommit || m.Kind == engine.KindAbort)
 	})
-	if err := c.sites[1].Begin("t1", c.ids); err != nil {
+	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
 	c.waitPhase(2, "t1", "w")

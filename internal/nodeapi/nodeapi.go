@@ -363,12 +363,7 @@ func (s *Session) runCommit(sites []int) (engine.Outcome, error) {
 	if !s.touched[s.api.Self] {
 		return s.api.Client.Commit(sites[0], s.txid, sites, wait)
 	}
-	var err error
-	if s.api.Paradigm == "decentralized" {
-		err = s.api.Site.BeginPeer(s.txid, sites)
-	} else {
-		err = s.api.Site.Begin(s.txid, sites)
-	}
+	h, err := s.api.Site.Begin(s.txid, sites, s.api.Paradigm == "decentralized")
 	if err != nil {
 		// The protocol never started, so no site voted and nothing else
 		// will release the touched sites' locks: abort them here. After a
@@ -378,5 +373,5 @@ func (s *Session) runCommit(sites []int) (engine.Outcome, error) {
 		s.abortLocked()
 		return engine.OutcomePending, err
 	}
-	return s.api.Site.WaitOutcome(s.txid, wait)
+	return h.Wait(wait)
 }

@@ -401,83 +401,3 @@ func CanonicalThreePC() *Automaton {
 		},
 	}
 }
-
-// LinearTwoPC builds the linear ("nested" / chained) two-phase commit: an
-// extension beyond the paper's two paradigms, included for contrast. Sites
-// form a chain; a forward wave carries the accumulated YES votes rightward,
-// and the decision travels back leftward. The cheapest protocol in messages
-// (2(n-1) on commit) and the most expensive in latency (2(n-1) sequential
-// delays); like all 2PCs it is blocking.
-//
-// A NO vote at site i aborts in both directions so that every site reaches
-// a final state (sites right of i never voted; they simply learn the
-// abort).
-func LinearTwoPC(n int) *Protocol {
-	mustSites(n)
-	sites := make([]*Automaton, 0, n)
-	for i := 1; i <= n; i++ {
-		id := SiteID(i)
-		left, right := id-1, id+1
-		a := &Automaton{
-			Site: id, Name: "link", Initial: StateQ,
-			States: map[StateID]StateKind{
-				StateQ: KindInitial, StateW: KindIntermediate,
-				StateA: KindAbort, StateC: KindCommit,
-			},
-		}
-		switch {
-		case i == 1:
-			a.Transitions = []Transition{
-				// Site 1 votes by starting (or not starting) the wave.
-				{From: StateQ, To: StateW, Vote: VoteYes,
-					Reads: []Pattern{{Name: MsgRequest, From: Env}},
-					Sends: []Msg{{Name: MsgXact, From: id, To: right}}},
-				{From: StateQ, To: StateA, Vote: VoteNo,
-					Reads: []Pattern{{Name: MsgRequest, From: Env}},
-					Sends: []Msg{{Name: MsgAbort, From: id, To: right}}},
-				{From: StateW, To: StateC, Reads: []Pattern{{Name: MsgCommit, From: right}}},
-				{From: StateW, To: StateA, Reads: []Pattern{{Name: MsgAbort, From: right}}},
-			}
-		case i == n:
-			a.Transitions = []Transition{
-				// The last site completes the vote wave and decides.
-				{From: StateQ, To: StateC, Vote: VoteYes,
-					Reads: []Pattern{{Name: MsgXact, From: left}},
-					Sends: []Msg{{Name: MsgCommit, From: id, To: left}}},
-				{From: StateQ, To: StateA, Vote: VoteNo,
-					Reads: []Pattern{{Name: MsgXact, From: left}},
-					Sends: []Msg{{Name: MsgAbort, From: id, To: left}}},
-				{From: StateQ, To: StateA, Reads: []Pattern{{Name: MsgAbort, From: left}}},
-			}
-		default:
-			a.Transitions = []Transition{
-				{From: StateQ, To: StateW, Vote: VoteYes,
-					Reads: []Pattern{{Name: MsgXact, From: left}},
-					Sends: []Msg{{Name: MsgXact, From: id, To: right}}},
-				{From: StateQ, To: StateA, Vote: VoteNo,
-					Reads: []Pattern{{Name: MsgXact, From: left}},
-					Sends: []Msg{
-						{Name: MsgAbort, From: id, To: left},
-						{Name: MsgAbort, From: id, To: right},
-					}},
-				// The abort wave from the left sweeps rightward through
-				// sites that never voted.
-				{From: StateQ, To: StateA,
-					Reads: []Pattern{{Name: MsgAbort, From: left}},
-					Sends: []Msg{{Name: MsgAbort, From: id, To: right}}},
-				{From: StateW, To: StateC,
-					Reads: []Pattern{{Name: MsgCommit, From: right}},
-					Sends: []Msg{{Name: MsgCommit, From: id, To: left}}},
-				{From: StateW, To: StateA,
-					Reads: []Pattern{{Name: MsgAbort, From: right}},
-					Sends: []Msg{{Name: MsgAbort, From: id, To: left}}},
-			}
-		}
-		sites = append(sites, a)
-	}
-	return &Protocol{
-		Name:    fmt.Sprintf("linear 2PC (n=%d)", n),
-		Sites:   sites,
-		Initial: []Msg{{Name: MsgRequest, From: Env, To: 1}},
-	}
-}

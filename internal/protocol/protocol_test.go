@@ -298,23 +298,3 @@ func TestKindErrors(t *testing.T) {
 		t.Fatalf("Kind(c) = %v, %v", k, err)
 	}
 }
-
-func TestLinearTwoPC(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
-		p := LinearTwoPC(n)
-		if err := Validate(p); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := CheckUnilateralAbort(p); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-	// The decision wave makes the protocol deep: phases grow with n.
-	ph, err := Phases(LinearTwoPC(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph < 2 {
-		t.Fatalf("phases = %d", ph)
-	}
-}

@@ -178,12 +178,7 @@ func (s *Server) commit(req Request) (string, error) {
 	if site == nil {
 		return "", errors.New("remote: this node does not accept forwarded commits")
 	}
-	var err error
-	if s.Paradigm == "decentralized" {
-		err = site.BeginPeer(req.TxID, req.Participants)
-	} else {
-		err = site.Begin(req.TxID, req.Participants)
-	}
+	h, err := site.Begin(req.TxID, req.Participants, s.Paradigm == "decentralized")
 	if err != nil {
 		return "", err
 	}
@@ -191,7 +186,7 @@ func (s *Server) commit(req Request) (string, error) {
 	if wait == 0 {
 		wait = clock.NewBudget(0).CommitWait
 	}
-	o, err := site.WaitOutcome(req.TxID, wait)
+	o, err := h.Wait(wait)
 	if err != nil {
 		return "", err
 	}

@@ -214,14 +214,6 @@ func (n *SimNetwork) SetLink(from, to int, m LinkModel) {
 	n.links[[2]int{from, to}] = m
 }
 
-// SetLinkBoth installs the same model for both directions between a and b.
-func (n *SimNetwork) SetLinkBoth(a, b int, m LinkModel) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]int{a, b}] = m
-	n.links[[2]int{b, a}] = m
-}
-
 // SetGray marks a site gray: every message to or from it takes factor times
 // its sampled link delay, while Alive keeps reporting true — the site is
 // slow, not dead. factor <= 1 clears the gray state.

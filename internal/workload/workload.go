@@ -37,11 +37,6 @@ func (t Txn) Sites() []int {
 	return out
 }
 
-// Generator produces transactions.
-type Generator interface {
-	Next() Txn
-}
-
 // Config parameterizes the generic generator.
 type Config struct {
 	Sites       int // number of sites (1-based IDs)
@@ -84,7 +79,7 @@ func (g *KV) key() string {
 	return fmt.Sprintf("k%d", g.rng.Intn(g.cfg.KeysPerSite))
 }
 
-// Next implements Generator.
+// Next returns the next transaction.
 func (g *KV) Next() Txn {
 	g.seq++
 	t := Txn{Coordinator: 1 + g.rng.Intn(g.cfg.Sites)}
@@ -124,7 +119,7 @@ func NewBank(sites, accounts int, seed int64) *Bank {
 // Account formats the key of account i at a site.
 func Account(i int) string { return fmt.Sprintf("acct%d", i) }
 
-// Next implements Generator: one debit and one credit at distinct sites.
+// Next returns the next transfer: one debit and one credit at distinct sites.
 func (b *Bank) Next() Txn {
 	b.seq++
 	from := 1 + b.rng.Intn(b.sites)
