@@ -213,9 +213,6 @@ func main() {
 		ForgetAfter: *forget,
 		Trace:       recorder,
 		Metrics:     engineMetrics,
-		// StoreResource's redo image is the encoded write set: empty means
-		// read-only at this site, so the read-only vote is sound.
-		ReadOnlyVotes: true,
 		// Called on the endpoint's receive path, never from behind the
 		// engine's event queue: a heartbeat or a reply is handled where it
 		// arrives.

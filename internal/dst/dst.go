@@ -56,12 +56,6 @@ type Config struct {
 	// fresh resource expected: volatile store state dies with the site and
 	// is rebuilt from the WAL redo images, exactly as in production.
 	mkResource func(site int, clk clock.Clock) engine.Resource
-
-	// readOnlyVotes enables the engine's read-only participant optimization
-	// (engine.Config.ReadOnlyVotes). Off by default, matching the engine's
-	// own default: the synthetic resource always reports a write set, so
-	// only harnesses that script empty-redo prepares turn this on.
-	readOnlyVotes bool
 }
 
 func (c Config) withDefaults() Config {
@@ -327,7 +321,6 @@ func (c *cluster) startSite(id int) {
 		Timeout:       c.timeoutFor(id),
 		Clock:         c.clk,
 		Deterministic: true,
-		ReadOnlyVotes: c.cfg.readOnlyVotes,
 		// GC runs in-sim: resolved transactions are settled (DEC-ACK) and
 		// forgotten after a grace period, so the explorer reaches the
 		// settlement path — including the lazy end-record windows.
@@ -418,7 +411,6 @@ func (c *cluster) recoverSite(site int) {
 		Timeout:       c.timeoutFor(site),
 		Clock:         c.clk,
 		Deterministic: true,
-		ReadOnlyVotes: c.cfg.readOnlyVotes,
 		ForgetAfter:   4 * c.timeoutFor(site),
 	})
 	if err != nil {

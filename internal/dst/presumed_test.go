@@ -1,6 +1,7 @@
 package dst
 
 import (
+	"strings"
 	"testing"
 
 	"nbcommit/internal/clock"
@@ -16,10 +17,10 @@ import (
 
 const roTx = "t1"
 
-// roConfig builds a 3-site cluster with read-only votes enabled and site 3
-// scripted to prepare with an empty write set for every transaction.
+// roConfig builds a 3-site cluster with site 3 scripted to prepare with an
+// empty write set, and so to vote READ-ONLY, for every transaction.
 func roConfig(kind engine.ProtocolKind) Config {
-	cfg := Config{Protocol: kind, readOnlyVotes: true}
+	cfg := Config{Protocol: kind}
 	cfg.mkResource = func(site int, clk clock.Clock) engine.Resource {
 		r := newResource()
 		if site == 3 {
@@ -158,5 +159,33 @@ func TestTwoPCSettlementWindowReconverges(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no RecEnd crash points enumerated: the lazy settlement window is not being modelled")
+	}
+}
+
+// TestNoTraceAnswersNotAborts replays 2PC seed 285: VOTE-REQ[1->2] is lost
+// and the coordinator crashes, so site 2 has no trace of t1 when site 3
+// starts cooperative termination. No trace is also what an ex-read-only
+// voter of a committed transaction holds, so site 2 must answer STATUS-RES
+// 'n' and build no state, not seal-abort; site 3 is left blocked, and no
+// decision splits.
+func TestNoTraceAnswersNotAborts(t *testing.T) {
+	r := RunRandom(Config{Protocol: engine.TwoPhase}, 285)
+	for _, v := range r.Violations {
+		t.Error(v)
+	}
+	answered := false
+	for _, line := range r.Trace {
+		switch {
+		case strings.HasPrefix(line, "deliver ABORT[2->3 tx=t1]"):
+			t.Errorf("site 2 sent ABORT for t1 although it never voted: %q", line)
+		case strings.HasPrefix(line, "deliver STATUS-RES[2->3 tx=t1]"):
+			answered = true
+		}
+	}
+	if !answered {
+		t.Errorf("site 2 never answered site 3's STATUS-REQ; trace:\n  %s", strings.Join(r.Trace, "\n  "))
+	}
+	if !r.Blocked {
+		t.Error("site 3 was not blocked: a member with no trace ended 2PC's uncertainty")
 	}
 }

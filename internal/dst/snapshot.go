@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"nbcommit/internal/clock"
+	"nbcommit/internal/dtx"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
 )
@@ -72,43 +73,13 @@ func (h *snapHarness) violate(format string, args ...any) {
 
 // mkResource is the Config.mkResource hook: a fresh store per site
 // incarnation, on the cluster's virtual clock so nothing in the store ever
-// consults real time.
+// consults real time, behind the production adapter.
 func (h *snapHarness) mkResource(site int, clk clock.Clock) engine.Resource {
 	st := kv.NewStore(kv.Options{Clock: clk})
 	h.stores[site] = st
 	h.epoch[site]++
-	return snapResource{st}
+	return dtx.StoreResource{Store: st}
 }
-
-// snapResource adapts kv.Store to engine.Resource exactly as the production
-// wiring (dtx.StoreResource) does.
-type snapResource struct{ st *kv.Store }
-
-func (r snapResource) Prepare(txid string) ([]byte, error) {
-	ops, err := r.st.Prepare(txid)
-	if err != nil {
-		return nil, err
-	}
-	return kv.EncodeWrites(ops)
-}
-
-func (r snapResource) Commit(txid string, _ []byte) error { return r.st.Commit(txid) }
-
-// Abort tolerates unknown transactions: the staged state died with a crash
-// (or was never staged — the scripted NO vote), and aborts are idempotent.
-func (r snapResource) Abort(txid string) error { _ = r.st.Abort(txid); return nil }
-
-func (r snapResource) ApplyRedo(redo []byte) error {
-	ops, err := kv.DecodeWrites(redo)
-	if err != nil {
-		return err
-	}
-	r.st.ApplyRedo(ops)
-	return nil
-}
-
-func (r snapResource) CommitTS() uint64  { return r.st.CommitTS() }
-func (r snapResource) Watermark() uint64 { return r.st.Watermark() }
 
 // launch stages the workload writes and starts both commit protocols. It
 // also installs the sampling observer, which runs before every virtual-time

@@ -18,7 +18,6 @@ import (
 
 	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/metrics"
 	"nbcommit/internal/shard"
@@ -130,11 +129,12 @@ type Options struct {
 }
 
 // Cluster is an in-process set of sites sharing a fault-injectable network.
+// Net is also every site's failure detector: it reports exactly its own
+// crash state, the paper's reliable failure reporting.
 type Cluster struct {
-	Net      *transport.Network
-	Detector *failure.OracleDetector
-	opts     Options
-	router   *shard.Router
+	Net    *transport.Network
+	opts   Options
+	router *shard.Router
 
 	mu    sync.Mutex
 	nodes map[int]*Node
@@ -154,7 +154,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		opts:  opts,
 		nodes: map[int]*Node{},
 	}
-	c.Detector = failure.NewOracle(c.Net)
 	for i := 1; i <= n; i++ {
 		c.ids = append(c.ids, i)
 		if err := c.addNode(i, nil); err != nil {
@@ -203,14 +202,10 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 		Endpoint:    c.Net.Endpoint(id),
 		Log:         log,
 		Resource:    StoreResource{Store: store},
-		Detector:    c.Detector,
+		Detector:    c.Net,
 		Protocol:    c.opts.Protocol,
 		Timeout:     c.opts.Timeout,
 		ForgetAfter: c.opts.ForgetAfter,
-		// StoreResource's redo image is exactly the encoded write set, so an
-		// empty image genuinely means "no writes at this site" — the
-		// condition the read-only participant optimization needs.
-		ReadOnlyVotes: true,
 	}
 	if c.opts.Registry != nil {
 		cfg.Metrics = engine.NewMetrics(c.opts.Registry, c.opts.Protocol)

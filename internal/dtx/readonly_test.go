@@ -210,16 +210,16 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 					t.Errorf("phase-2 message reached the read-only member: %s", m)
 				}
 			}
-			roVotes := 0
+			readOnlyOnWire := 0
 			for _, m := range fromRO {
 				if m.Kind == engine.KindReadOnly {
-					roVotes++
+					readOnlyOnWire++
 				} else {
 					t.Errorf("unexpected message from the read-only member: %s", m)
 				}
 			}
-			if roVotes != 1 {
-				t.Errorf("READ-ONLY votes on the wire = %d, want 1", roVotes)
+			if readOnlyOnWire != 1 {
+				t.Errorf("READ-ONLY votes on the wire = %d, want 1", readOnlyOnWire)
 			}
 			for _, tx := range c.Node(3).Site.Transactions() {
 				if tx == w.ID {

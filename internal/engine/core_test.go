@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -20,14 +19,13 @@ import (
 // because the event struct discriminated on a zero-value sentinel.
 func TestNewRejectsNonPositiveID(t *testing.T) {
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	for _, id := range []int{0, -1} {
 		_, err := engine.New(engine.Config{
 			ID:       id,
 			Endpoint: net.Endpoint(1),
 			Log:      wal.NewMemoryLog(),
 			Resource: newTestResource(),
-			Detector: det,
+			Detector: net,
 			Protocol: engine.TwoPhase,
 		})
 		if err == nil {
@@ -87,7 +85,6 @@ func TestShutdownDropAccounting(t *testing.T) {
 // event loops that serve them all — and is meant to run under -race.
 func TestConcurrentCoordinatorsStress(t *testing.T) {
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	const n = 3
 	sites := make(map[int]*engine.Site, n)
 	resources := map[int]*testResource{}
@@ -100,7 +97,7 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 			Endpoint:    net.Endpoint(i),
 			Log:         wal.NewMemoryLog(),
 			Resource:    resources[i],
-			Detector:    det,
+			Detector:    net,
 			Protocol:    engine.ThreePhase,
 			Timeout:     100 * time.Millisecond,
 			ForgetAfter: 50 * time.Millisecond,
@@ -165,7 +162,6 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
 		b.Run(kind.String(), func(b *testing.B) {
 			net := transport.NewNetwork()
-			det := failure.NewOracle(net)
 			const n = 3
 			sites := make(map[int]*engine.Site, n)
 			var ids []int
@@ -176,7 +172,7 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 					Endpoint:    net.Endpoint(i),
 					Log:         wal.NewMemoryLog(),
 					Resource:    newTestResource(),
-					Detector:    det,
+					Detector:    net,
 					Protocol:    kind,
 					Timeout:     time.Second,
 					ForgetAfter: 10 * time.Millisecond,

@@ -43,7 +43,7 @@ func TestCrashAfterVoteRecordBeforeVoteSend(t *testing.T) {
 		Endpoint: c.net.Endpoint(3),
 		Log:      cpl,
 		Resource: c.res[3],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: engine.ThreePhase,
 		Timeout:  testTimeout,
 	})
@@ -83,7 +83,7 @@ func TestCrashAfterCommitRecordBeforeBroadcast(t *testing.T) {
 		Endpoint: c.net.Endpoint(1),
 		Log:      cpl,
 		Resource: c.res[1],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: engine.TwoPhase,
 		Timeout:  testTimeout,
 	})
@@ -127,7 +127,7 @@ func TestCrashAfterPreparedRecord(t *testing.T) {
 		Endpoint: c.net.Endpoint(1),
 		Log:      cpl,
 		Resource: c.res[1],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: engine.ThreePhase,
 		Timeout:  testTimeout,
 	})

@@ -124,6 +124,11 @@ const maxCohort = 64
 // Commit. ApplyRedo replays a committed redo image during recovery, when the
 // resource no longer holds the live transaction.
 //
+// An empty redo image means "nothing at stake here": a central-site 2PC or
+// 3PC participant then votes READ-ONLY, forces nothing, is sent Abort to
+// release the transaction, and drops out of the second phase. A resource
+// with writes must therefore never return an empty image from Prepare.
+//
 // Prepare must not block: it runs on the site's event loop (or on Begin's
 // caller), so any waiting, such as for locks, belongs in the operations that
 // stage the transaction's changes before the commit starts.
@@ -382,13 +387,12 @@ type Config struct {
 	// called. Decentralized (peer) transactions have no acknowledgement
 	// collection point and are never auto-forgotten.
 	ForgetAfter time.Duration
-	// ReadOnlyVotes enables the read-only participant optimization (2PC and
-	// 3PC): a participant whose Resource.Prepare returns an empty redo image
-	// answers the vote request with READ-ONLY, forces nothing to its WAL,
-	// releases the resource immediately and drops out of the second phase
-	// entirely — the coordinator skips it in every later round. Off by
-	// default: only enable it for resources where an empty redo image
-	// genuinely means "this site has nothing at stake in the outcome".
+	// ReadOnlyVotes is ignored: central-site 2PC and 3PC participants
+	// always vote READ-ONLY when Resource.Prepare returns an empty redo
+	// image (see Resource).
+	//
+	// Deprecated: read-only voting is unconditional; this field exists only
+	// so existing callers that set it still compile.
 	ReadOnlyVotes bool
 	// Clock supplies time to every protocol path (timers, deadlines). Nil
 	// means the wall clock; deterministic simulation (internal/dst) injects
@@ -436,7 +440,6 @@ type Site struct {
 	timeoutNs   atomic.Int64 // protocol timeout; read via protoTimeout
 	forgetAfter time.Duration
 	determin    bool
-	roVotes     bool
 	trace       *trace.Recorder
 	metrics     *Metrics
 	unhandled   func(transport.Message)
@@ -584,7 +587,6 @@ func New(cfg Config) (*Site, error) {
 		kind:        cfg.Protocol,
 		forgetAfter: cfg.ForgetAfter,
 		determin:    cfg.Deterministic,
-		roVotes:     cfg.ReadOnlyVotes,
 		trace:       cfg.Trace,
 		metrics:     cfg.Metrics,
 		unhandled:   cfg.Unhandled,

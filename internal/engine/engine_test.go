@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -89,7 +88,6 @@ func (r *testResource) didCommit(txid string) bool {
 type cluster struct {
 	t     *testing.T
 	net   *transport.Network
-	det   *failure.OracleDetector
 	kind  engine.ProtocolKind
 	sites map[int]*engine.Site
 	logs  map[int]*wal.MemoryLog
@@ -109,7 +107,6 @@ func newCluster(t *testing.T, kind engine.ProtocolKind, n int) *cluster {
 		logs:  map[int]*wal.MemoryLog{},
 		res:   map[int]*testResource{},
 	}
-	c.det = failure.NewOracle(c.net)
 	for i := 1; i <= n; i++ {
 		c.ids = append(c.ids, i)
 		c.logs[i] = wal.NewMemoryLog()
@@ -130,7 +127,7 @@ func (c *cluster) startSite(id int) {
 		Endpoint: c.net.Endpoint(id),
 		Log:      c.logs[id],
 		Resource: c.res[id],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: c.kind,
 		Timeout:  testTimeout,
 	})
@@ -155,7 +152,7 @@ func (c *cluster) recoverSite(id int) {
 		Endpoint: c.net.Endpoint(id),
 		Log:      c.logs[id],
 		Resource: c.res[id],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: c.kind,
 		Timeout:  testTimeout,
 	})
@@ -322,12 +319,15 @@ func TestTwoPCUnblocksOnCoordinatorRecovery(t *testing.T) {
 	c.expect("t1", engine.OutcomeAborted, 1, 2, 3)
 }
 
-// TestTwoPCTerminationAbortsWhenSomeoneHasNotVoted: a cohort member still in
-// q proves the coordinator never committed, so cooperative termination can
-// abort. (2PC blocks only when everyone is in w.)
-func TestTwoPCTerminationAbortsWhenSomeoneHasNotVoted(t *testing.T) {
+// TestTwoPCBlocksWhenUnvotedMemberHasNoTrace: a cohort member that never
+// received VOTE-REQ has no trace of the transaction, and no trace cannot end
+// the uncertainty — it is also what an ex-read-only voter of a committed
+// transaction holds. So cooperative termination blocks while the
+// coordinator is down, and only the coordinator's recovery (presumed abort:
+// it forced no commit record) resolves the transaction.
+func TestTwoPCBlocksWhenUnvotedMemberHasNoTrace(t *testing.T) {
 	c := newCluster(t, engine.TwoPhase, 3)
-	// Site 3 never receives VOTE-REQ, so it stays in q.
+	// Site 3 never receives VOTE-REQ, so it has no trace of t1.
 	c.net.SetDropFunc(func(m transport.Message) bool {
 		return m.Kind == engine.KindVoteReq && m.To == 3
 	})
@@ -337,7 +337,10 @@ func TestTwoPCTerminationAbortsWhenSomeoneHasNotVoted(t *testing.T) {
 	c.waitPhase(2, "t1", "w")
 	c.crash(1)
 	c.net.SetDropFunc(nil)
-	c.expect("t1", engine.OutcomeAborted, 2)
+	c.waitBlocked(2, "t1")
+
+	c.recoverSite(1)
+	c.expect("t1", engine.OutcomeAborted, 1, 2)
 }
 
 // TestThreePCTerminationAbortFromW: coordinator crashes before sending any

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -57,7 +56,6 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			net := transport.NewNetwork()
-			det := failure.NewOracle(net)
 			n := tc.cohort
 			sites := make(map[int]*engine.Site, n)
 			logs := make(map[int]*countingLog, n)
@@ -72,7 +70,7 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 					Endpoint: net.Endpoint(i),
 					Log:      logs[i],
 					Resource: resources[i],
-					Detector: det,
+					Detector: net,
 					Protocol: tc.kind,
 					Timeout:  time.Second,
 				})

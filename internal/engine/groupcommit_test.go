@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -108,7 +107,6 @@ const gatedTimeout = time.Second
 type gatedCluster struct {
 	t     *testing.T
 	net   *transport.Network
-	det   *failure.OracleDetector
 	kind  engine.ProtocolKind
 	gated *gatedLog
 	logs  map[int]wal.Log
@@ -127,7 +125,6 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 		res:   map[int]*testResource{},
 		sites: map[int]*engine.Site{},
 	}
-	c.det = failure.NewOracle(c.net)
 	for i := 1; i <= 3; i++ {
 		if i == 1 {
 			c.logs[i] = c.gated
@@ -140,7 +137,7 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 			Endpoint: c.net.Endpoint(i),
 			Log:      c.logs[i],
 			Resource: c.res[i],
-			Detector: c.det,
+			Detector: c.net,
 			Protocol: kind,
 			Timeout:  gatedTimeout,
 		})
@@ -255,7 +252,7 @@ func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 		Endpoint: c.net.Endpoint(1),
 		Log:      c.logs[1],
 		Resource: c.res[1],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: engine.ThreePhase,
 		Timeout:  gatedTimeout,
 	})
@@ -300,7 +297,7 @@ func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 		Endpoint: c.net.Endpoint(1),
 		Log:      c.logs[1],
 		Resource: c.res[1],
-		Detector: c.det,
+		Detector: c.net,
 		Protocol: engine.ThreePhase,
 		Timeout:  gatedTimeout,
 	})
@@ -423,7 +420,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 					Endpoint: c.net.Endpoint(1),
 					Log:      c.logs[1],
 					Resource: c.res[1],
-					Detector: c.det,
+					Detector: c.net,
 					Protocol: kind,
 					Timeout:  gatedTimeout,
 				})
@@ -453,7 +450,6 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 func TestEnginePipelinesOverFileLog(t *testing.T) {
 	dir := t.TempDir()
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	var batchMu sync.Mutex
 	maxBatch := 0
 	sites := map[int]*engine.Site{}
@@ -479,7 +475,7 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 			Endpoint: net.Endpoint(i),
 			Log:      l,
 			Resource: newTestResource(),
-			Detector: det,
+			Detector: net,
 			Protocol: engine.ThreePhase,
 			Timeout:  500 * time.Millisecond,
 		})
@@ -536,7 +532,6 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 // long-lived site's transaction table returns to empty.
 func TestAutoForget(t *testing.T) {
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	logs := map[int]*wal.MemoryLog{}
 	res := map[int]*testResource{}
 	sites := map[int]*engine.Site{}
@@ -548,7 +543,7 @@ func TestAutoForget(t *testing.T) {
 			Endpoint:    net.Endpoint(i),
 			Log:         logs[i],
 			Resource:    res[i],
-			Detector:    det,
+			Detector:    net,
 			Protocol:    engine.TwoPhase,
 			Timeout:     testTimeout,
 			ForgetAfter: 25 * time.Millisecond,
@@ -630,7 +625,6 @@ func TestAutoForget(t *testing.T) {
 // coordinator forget; the recovered participant then forgets on its own.
 func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	logs := map[int]*wal.MemoryLog{}
 	res := map[int]*testResource{}
 	sites := map[int]*engine.Site{}
@@ -641,7 +635,7 @@ func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
 			Endpoint:    net.Endpoint(i),
 			Log:         logs[i],
 			Resource:    res[i],
-			Detector:    det,
+			Detector:    net,
 			Protocol:    engine.ThreePhase,
 			Timeout:     testTimeout,
 			ForgetAfter: 25 * time.Millisecond,

@@ -58,7 +58,7 @@ func (s *Site) onPrepareResult(v voteResult) {
 		s.paxosVoteYes(t, v.redo)
 		return
 	}
-	if s.roVotes && !t.peer && len(v.redo) == 0 {
+	if !t.peer && len(v.redo) == 0 {
 		// Read-only participant optimization: with no writes to make
 		// atomic, this site's vote cannot constrain the outcome and its
 		// recovery needs no record of the transaction. Vote READ-ONLY,

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"nbcommit/internal/failure"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
@@ -65,7 +64,7 @@ func newInDoubtParticipant(t *testing.T, kind ProtocolKind) (*Site, *kv.Store) {
 		Endpoint: net.Endpoint(1),
 		Log:      wal.NewMemoryLog(),
 		Resource: kvResource{store},
-		Detector: failure.NewOracle(net),
+		Detector: net,
 		Protocol: kind,
 		Timeout:  time.Minute, // keep termination out of the in-doubt window
 	})

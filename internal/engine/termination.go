@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"nbcommit/internal/election"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -53,24 +52,25 @@ func (s *Site) startTermination(t *txState) {
 		s.runBackup(t)
 		return
 	}
-	// Nudge the backup (it may be in q and not even know the transaction),
-	// then wait for it to drive phases 1 and 2.
+	// Nudge the backup, then wait for it to drive phases 1 and 2. A backup
+	// with no trace of the transaction answers 'n' and is excluded.
 	s.send(backup, KindStatusReq, t.id, encodeMeta(t.meta))
 	s.armTimer(t, s.protoTimeout())
 }
 
 // electBackup picks the backup coordinator: the lowest-numbered operational,
-// non-recovering cohort member, excluding the failed coordinator. Under the
-// paper's reliable failure reporting every operational site computes the
-// same site. Requires s.mu held.
+// non-excluded cohort member other than the failed coordinator. The paper
+// allows "any distributed election mechanism"; this one needs no messages,
+// since under the paper's reliable failure reporting every operational site
+// computes the same site. The cohort is sorted (normalizeCohort), so the
+// first such member is the lowest. Requires s.mu held.
 func (s *Site) electBackup(t *txState) (int, bool) {
-	var candidates []int
 	for _, p := range t.meta.Participants {
-		if p != t.meta.Coordinator && !t.excluded[p] {
-			candidates = append(candidates, p)
+		if p != t.meta.Coordinator && !t.excluded[p] && s.det.Alive(p) {
+			return p, true
 		}
 	}
-	return election.Deterministic(s.det.Alive, candidates)
+	return 0, false
 }
 
 // runBackup makes this site the backup coordinator. Requires s.mu held.
@@ -246,24 +246,22 @@ func (s *Site) startCooperative(t *txState) {
 }
 
 // onStatusReq answers a state query (2PC cooperative termination) or a
-// backup nudge (3PC: the chosen backup may not know the transaction yet).
+// backup nudge (3PC). A site with no trace of the transaction answers 'n',
+// whatever the protocol; a site that knows it answers from its state.
 func (s *Site) onStatusReq(m transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.txns[m.TxID]; !ok && s.roVotes {
-		// No trace of this transaction, and read-only votes are enabled
-		// here: we may be an ex-read-only member of a COMMITTED transaction
-		// that dropped out after phase 1, so the seal-abort below — which
-		// reads no-state as "never voted, abort is safe" — would be
-		// unsound. Answer 'n' without building state: it is never decisive
-		// at the querier (it excludes us or blocks), so no decision can be
-		// assembled from our ignorance. Deployments that keep ReadOnlyVotes
-		// off keep the stronger seal-abort answer, where no-trace really
-		// does imply never-voted (or a settled, forgettable outcome).
+	t, ok := s.txns[m.TxID]
+	if !ok {
+		// No trace: we may be an ex-read-only member of a COMMITTED
+		// transaction that dropped out after phase 1, or may have forgotten
+		// a settled one, so no-trace proves nothing about the outcome.
+		// Answer 'n' and build no state: it is never decisive at the
+		// querier (it excludes us or blocks), so no decision can be
+		// assembled from our ignorance.
 		s.send(m.From, KindStatusRes, m.TxID, []byte{statusNoTrace})
 		return
 	}
-	t := s.tx(m.TxID)
 	if len(t.meta.Participants) == 0 && len(m.Body) > 0 {
 		if meta, err := decodeMeta(m.Body); err == nil {
 			t.meta = meta

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/trace"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
@@ -23,7 +22,6 @@ func tracedCluster(t *testing.T, kind engine.ProtocolKind, n int) (*cluster, *tr
 		logs:  map[int]*wal.MemoryLog{},
 		res:   map[int]*testResource{},
 	}
-	c.det = failure.NewOracle(c.net)
 	for i := 1; i <= n; i++ {
 		c.ids = append(c.ids, i)
 		c.logs[i] = wal.NewMemoryLog()
@@ -33,7 +31,7 @@ func tracedCluster(t *testing.T, kind engine.ProtocolKind, n int) (*cluster, *tr
 			Endpoint: c.net.Endpoint(i),
 			Log:      c.logs[i],
 			Resource: c.res[i],
-			Detector: c.det,
+			Detector: c.net,
 			Protocol: kind,
 			Timeout:  testTimeout,
 			Trace:    rec,

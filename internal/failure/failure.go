@@ -2,19 +2,17 @@
 // network assumption that "the underlying network can detect the failure of
 // a site and reliably report it to an operational site".
 //
-// Two detectors are provided. OracleDetector is a perfect failure detector
-// wired to the in-memory transport.Network's crash state; it exactly matches
-// the paper's model and is used by tests, examples, and benchmarks.
-// HeartbeatDetector approximates the assumption over real transports by
-// exchanging periodic heartbeats and declaring a peer crashed after a
-// timeout.
+// Detector is the view the engine consumes. The in-memory networks
+// (transport.Network and transport.SimNetwork) implement it directly as
+// perfect detectors: they report exactly their own crash state, which
+// matches the paper's model. HeartbeatDetector approximates the assumption
+// over real transports by exchanging periodic heartbeats and declaring a
+// peer crashed after a timeout.
 package failure
 
 import (
 	"sync"
 	"time"
-
-	"nbcommit/internal/transport"
 )
 
 // Detector reports which sites are operational and notifies watchers of
@@ -24,40 +22,6 @@ type Detector interface {
 	Alive(site int) bool
 	// Watch registers a callback invoked once per detected crash.
 	Watch(cb func(site int))
-}
-
-// OracleDetector is a perfect failure detector over an in-memory Network: it
-// reports exactly the network's crash state with no false suspicions and no
-// delay.
-type OracleDetector struct {
-	net *transport.Network
-
-	mu       sync.Mutex
-	watchers []func(int)
-}
-
-// NewOracle returns a perfect detector bound to net.
-func NewOracle(net *transport.Network) *OracleDetector {
-	d := &OracleDetector{net: net}
-	net.WatchCrashes(func(site int) {
-		d.mu.Lock()
-		ws := append([]func(int){}, d.watchers...)
-		d.mu.Unlock()
-		for _, w := range ws {
-			w(site)
-		}
-	})
-	return d
-}
-
-// Alive implements Detector.
-func (d *OracleDetector) Alive(site int) bool { return d.net.Alive(site) }
-
-// Watch implements Detector.
-func (d *OracleDetector) Watch(cb func(site int)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.watchers = append(d.watchers, cb)
 }
 
 // HeartbeatKind is the transport message kind used for heartbeats; message

@@ -145,13 +145,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
@@ -165,14 +158,14 @@ func (h *Histogram) Summary() string {
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
 }
 
-// Timer measures one operation into a histogram.
-type Timer struct {
+// timer measures one operation into a histogram.
+type timer struct {
 	h     *Histogram
 	start time.Time
 }
 
-// StartTimer begins timing into h.
-func StartTimer(h *Histogram) Timer { return Timer{h: h, start: time.Now()} }
+// startTimer begins timing into h.
+func startTimer(h *Histogram) timer { return timer{h: h, start: time.Now()} }
 
-// Stop records the elapsed time.
-func (t Timer) Stop() { t.h.Observe(time.Since(t.start)) }
+// stop records the elapsed time.
+func (t timer) stop() { t.h.Observe(time.Since(t.start)) }

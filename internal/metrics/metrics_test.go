@@ -39,7 +39,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.min != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 }
@@ -55,8 +55,8 @@ func TestHistogramStats(t *testing.T) {
 	if h.Mean() != 30 {
 		t.Fatalf("Mean = %v", h.Mean())
 	}
-	if h.Min() != 10 || h.Max() != 50 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	if h.min != 10 || h.Max() != 50 {
+		t.Fatalf("Min/Max = %v/%v", h.min, h.Max())
 	}
 	if q := h.Quantile(0.5); q != 30 {
 		t.Fatalf("p50 = %v", q)
@@ -74,9 +74,9 @@ func TestHistogramStats(t *testing.T) {
 
 func TestTimer(t *testing.T) {
 	var h Histogram
-	timer := StartTimer(&h)
+	tm := startTimer(&h)
 	time.Sleep(time.Millisecond)
-	timer.Stop()
+	tm.stop()
 	if h.Count() != 1 || h.Max() < time.Millisecond {
 		t.Fatalf("timer sample = %v", h.Max())
 	}
@@ -119,8 +119,8 @@ func TestHistogramAccuracy(t *testing.T) {
 	if got, exact := h.Mean(), sum/time.Duration(len(samples)); got != exact {
 		t.Errorf("Mean = %v, exact %v", got, exact)
 	}
-	if h.Min() != samples[0] || h.Max() != samples[len(samples)-1] {
-		t.Errorf("Min/Max = %v/%v, exact %v/%v", h.Min(), h.Max(), samples[0], samples[len(samples)-1])
+	if h.min != samples[0] || h.Max() != samples[len(samples)-1] {
+		t.Errorf("Min/Max = %v/%v, exact %v/%v", h.min, h.Max(), samples[0], samples[len(samples)-1])
 	}
 	// Bounded memory: the struct size is fixed, independent of sample count.
 	if sz := unsafe.Sizeof(h); sz > 64<<10 {
@@ -142,7 +142,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		prev := time.Duration(-1)
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			v := h.Quantile(q)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < h.min || v > h.Max() {
 				return false
 			}
 			prev = v

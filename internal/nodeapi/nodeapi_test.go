@@ -10,7 +10,6 @@ import (
 
 	"nbcommit/internal/dtx"
 	"nbcommit/internal/engine"
-	"nbcommit/internal/failure"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/remote"
 	"nbcommit/internal/shard"
@@ -33,7 +32,6 @@ type node struct {
 func testCluster(t *testing.T, n int) (map[int]*node, *transport.Network) {
 	t.Helper()
 	net := transport.NewNetwork()
-	det := failure.NewOracle(net)
 	ids := make([]int, 0, n)
 	for i := 1; i <= n; i++ {
 		ids = append(ids, i)
@@ -52,7 +50,7 @@ func testCluster(t *testing.T, n int) (map[int]*node, *transport.Network) {
 			Endpoint: ep,
 			Log:      wal.NewMemoryLog(),
 			Resource: dtx.StoreResource{Store: store},
-			Detector: det,
+			Detector: net,
 			Protocol: engine.ThreePhase,
 			Timeout:  60 * time.Millisecond,
 			Unhandled: func(m transport.Message) {

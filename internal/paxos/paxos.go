@@ -143,10 +143,6 @@ func (t *Tally) Count() int {
 // Majority returns the quorum size for n acceptors.
 func Majority(n int) int { return n/2 + 1 }
 
-// Tolerance returns F, the number of acceptor failures n = 2F+1 acceptors
-// survive.
-func Tolerance(n int) int { return (n - 1) / 2 }
-
 // Merge folds one acceptor's 1b accepted vector into the leader's per-
 // instance view, keeping the highest-ballot acceptance per instance. This
 // is the phase-2 value rule: an instance with any surviving acceptance must

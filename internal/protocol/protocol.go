@@ -227,10 +227,10 @@ func (a *Automaton) StateIDs() []StateID {
 	return ids
 }
 
-// Adjacent returns the set of states reachable from s by exactly one
+// adjacent returns the set of states reachable from s by exactly one
 // transition (the successors of s). Used by the paper's lemma for protocols
 // synchronous within one state transition.
-func (a *Automaton) Adjacent(s StateID) []StateID {
+func (a *Automaton) adjacent(s StateID) []StateID {
 	seen := map[StateID]bool{}
 	var out []StateID
 	for _, t := range a.Transitions {

@@ -264,11 +264,11 @@ func TestValidateRejections(t *testing.T) {
 
 func TestAdjacent(t *testing.T) {
 	a := CanonicalTwoPC()
-	adj := a.Adjacent(StateQ)
+	adj := a.adjacent(StateQ)
 	if len(adj) != 2 || adj[0] != StateA || adj[1] != StateW {
 		t.Fatalf("Adjacent(q) = %v", adj)
 	}
-	if got := a.Adjacent(StateC); len(got) != 0 {
+	if got := a.adjacent(StateC); len(got) != 0 {
 		t.Fatalf("Adjacent(c) = %v, want none", got)
 	}
 }

@@ -93,8 +93,8 @@ func (r *Recorder) Dropped() uint64 {
 	return r.total - uint64(len(r.events))
 }
 
-// Kinds returns the sequence of event kinds, convenient for assertions.
-func (r *Recorder) Kinds() []string {
+// kinds returns the sequence of event kinds, convenient for assertions.
+func (r *Recorder) kinds() []string {
 	evs := r.Events()
 	out := make([]string, len(evs))
 	for i, e := range evs {
@@ -123,8 +123,8 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Dump renders every event, one per line.
-func (r *Recorder) Dump() string {
+// dump renders every event, one per line.
+func (r *Recorder) dump() string {
 	var b strings.Builder
 	for _, e := range r.Events() {
 		b.WriteString(e.String())

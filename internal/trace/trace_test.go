@@ -14,7 +14,7 @@ func TestRecorderBasics(t *testing.T) {
 	if len(evs) != 2 || evs[0].Kind != "VOTE-REQ" || evs[1].Note != "voted" {
 		t.Fatalf("events = %v", evs)
 	}
-	kinds := r.Kinds()
+	kinds := r.kinds()
 	if len(kinds) != 2 || kinds[0] != "VOTE-REQ" || kinds[1] != "YES" {
 		t.Fatalf("kinds = %v", kinds)
 	}
@@ -40,8 +40,8 @@ func TestFilterAndReset(t *testing.T) {
 	if len(only1) != 2 {
 		t.Fatalf("filtered = %v", only1)
 	}
-	if !strings.Contains(r.Dump(), "site 2: B tx=t1") {
-		t.Fatalf("dump = %q", r.Dump())
+	if !strings.Contains(r.dump(), "site 2: B tx=t1") {
+		t.Fatalf("dump = %q", r.dump())
 	}
 	r.Reset()
 	if len(r.Events()) != 0 {
@@ -54,7 +54,7 @@ func TestBoundedRecorderOverwritesOldest(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(1, string(rune('A'+i)), "t", "")
 	}
-	kinds := r.Kinds()
+	kinds := r.kinds()
 	if len(kinds) != 3 || kinds[0] != "C" || kinds[1] != "D" || kinds[2] != "E" {
 		t.Fatalf("kinds = %v, want [C D E]", kinds)
 	}
@@ -70,7 +70,7 @@ func TestBoundedRecorderUnderLimit(t *testing.T) {
 	r := NewBounded(10)
 	r.Add(1, "A", "t", "")
 	r.Add(2, "B", "t", "")
-	kinds := r.Kinds()
+	kinds := r.kinds()
 	if len(kinds) != 2 || kinds[0] != "A" || kinds[1] != "B" {
 		t.Fatalf("kinds = %v", kinds)
 	}

@@ -369,8 +369,8 @@ func (n *SimNetwork) Pending() int {
 	return len(n.readyLocked())
 }
 
-// InFlight reports every captured, undelivered message, deliverable or not.
-func (n *SimNetwork) InFlight() int {
+// inFlight reports every captured, undelivered message, deliverable or not.
+func (n *SimNetwork) inFlight() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.queue)

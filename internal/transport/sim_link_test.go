@@ -144,7 +144,7 @@ func TestHealFlushesHeldMessages(t *testing.T) {
 	if _, ok := n.NextDue(); ok {
 		t.Fatal("NextDue exposes a held message: a scheduler would spin on it")
 	}
-	if got := n.InFlight(); got != 1 {
+	if got := n.inFlight(); got != 1 {
 		t.Fatalf("in-flight = %d, the held message was lost", got)
 	}
 

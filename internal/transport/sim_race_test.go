@@ -93,7 +93,7 @@ func TestSimNetworkConcurrentChaos(t *testing.T) {
 			}
 			n.Peek(0)
 			n.Pending()
-			n.InFlight()
+			n.inFlight()
 			if due, ok := n.NextDue(); ok {
 				clk.mu.Lock()
 				if due.After(clk.cur) {
@@ -148,7 +148,7 @@ func TestSimNetworkConcurrentChaos(t *testing.T) {
 			break
 		}
 	}
-	if left := n.InFlight(); left != 0 {
+	if left := n.inFlight(); left != 0 {
 		t.Fatalf("%d messages neither deliverable nor dropped after full heal", left)
 	}
 }

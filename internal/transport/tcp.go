@@ -246,9 +246,9 @@ func (e *TCPEndpoint) QueueDepth(peer int) int {
 	return len(w.queue)
 }
 
-// BatchStats returns how many coalesced batches have been written and how
+// batchStats returns how many coalesced batches have been written and how
 // many messages they carried; msgs/batches is the mean coalescing factor.
-func (e *TCPEndpoint) BatchStats() (batches, msgs int64) {
+func (e *TCPEndpoint) batchStats() (batches, msgs int64) {
 	return e.batches.Value(), e.batchMsgs.Value()
 }
 

@@ -190,10 +190,10 @@ func TestTCPCoalescingBatchesQueuedMessages(t *testing.T) {
 	release()
 	total := int64(sent + 50)
 	waitFor(t, "the queue to drain", func() bool {
-		_, msgs := a.BatchStats()
+		_, msgs := a.batchStats()
 		return msgs == total && a.QueueDepth(2) == 0
 	})
-	batches, msgs := a.BatchStats()
+	batches, msgs := a.batchStats()
 	if msgs != total || batches >= msgs {
 		t.Fatalf("batches=%d msgs=%d: expected coalescing (fewer writes than messages)", batches, msgs)
 	}
@@ -349,7 +349,7 @@ func TestTCPConcurrentSendAddPeerSetBudgetClose(t *testing.T) {
 			a.SetBudget(redial(time.Duration(i+1)*time.Millisecond, time.Second))
 			_ = a.Dropped()
 			_ = a.QueueDepth(2)
-			_, _ = a.BatchStats()
+			_, _ = a.batchStats()
 			_ = a.Redials()
 		}
 	}()
@@ -399,8 +399,8 @@ func BenchmarkTCPThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			recvOne(b, recv)
-			waitFor(b, "the warm-up write", func() bool { _, msgs := snd.BatchStats(); return msgs == 1 })
-			writes0, msgs0 := snd.BatchStats()
+			waitFor(b, "the warm-up write", func() bool { _, msgs := snd.batchStats(); return msgs == 1 })
+			writes0, msgs0 := snd.batchStats()
 
 			credits := make(chan struct{}, window)
 			var corrupt atomic.Int64
@@ -438,8 +438,8 @@ func BenchmarkTCPThroughput(b *testing.B) {
 			}
 			// The writer counts a batch after its write returns, which can be
 			// after the receiver already has the messages.
-			waitFor(b, "the batch counters", func() bool { _, msgs := snd.BatchStats(); return msgs == msgs0+int64(b.N) })
-			writes, msgs := snd.BatchStats()
+			waitFor(b, "the batch counters", func() bool { _, msgs := snd.batchStats(); return msgs == msgs0+int64(b.N) })
+			writes, msgs := snd.batchStats()
 			b.ReportMetric(float64(msgs-msgs0)/float64(writes-writes0), "msgs/write")
 		})
 	}

@@ -3,10 +3,12 @@
 // communication plus the ability to detect the failure of a site and report
 // it to the operational sites.
 //
-// Two implementations are provided: an in-memory Network with deterministic
-// fault injection (crash-stop sites, partitions, drop hooks) used by tests,
-// examples and benchmarks, and a TCP transport for real multi-process
-// deployments.
+// Three implementations are provided: an in-memory Network with fault
+// injection (crash-stop sites, partitions, drop hooks) used by tests and
+// examples, the deterministic SimNetwork that simulation testing schedules
+// message by message, and a TCP transport for real multi-process
+// deployments. Both in-memory networks are also the paper's reliable failure
+// reporter: their Alive and Watch make them a perfect failure.Detector.
 package transport
 
 import (
@@ -119,9 +121,9 @@ func (n *Network) Alive(id int) bool {
 	return n.endpoints[id] != nil && !n.down[id]
 }
 
-// WatchCrashes registers a callback invoked (synchronously, outside the
-// network lock) whenever a site crashes.
-func (n *Network) WatchCrashes(cb func(site int)) {
+// Watch registers a callback invoked (synchronously, outside the network
+// lock) whenever a site crashes, satisfying failure.Detector.
+func (n *Network) Watch(cb func(site int)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.watchers = append(n.watchers, cb)

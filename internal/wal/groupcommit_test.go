@@ -243,7 +243,7 @@ func TestFileLogTornBatchInReservedSpace(t *testing.T) {
 	// Tear the fourth batch: its body no longer matches its CRC, while the
 	// fifth, behind it, is intact.
 	torn := filepath.Join(dir, "torn.wal")
-	img := crashCopy(live.Path(), torn)
+	img := crashCopy(live.path, torn)
 	tear := int64(3 * len(frame(rec("tx0"))))
 	img[tear+8] ^= 0xff
 	if err := os.WriteFile(torn, img, 0o644); err != nil {

@@ -660,6 +660,3 @@ func (l *FileLog) Close() error {
 	}
 	return err
 }
-
-// Path returns the log file's path.
-func (l *FileLog) Path() string { return l.path }
