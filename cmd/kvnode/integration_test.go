@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nbcommit/internal/clock"
 )
 
 // freePorts reserves n distinct TCP ports by listening and closing.
@@ -53,6 +55,10 @@ func buildNode(t *testing.T) (bin, dir string) {
 	return bin, dir
 }
 
+// nodeTimeout is every test node's -timeout: the smallest base
+// clock.TestBudgetRelations checks for kvnode processes.
+const nodeTimeout = 300 * time.Millisecond
+
 // nodeArgs returns the flags of site id in a cluster whose site i listens on
 // cluster[i-1], with its WAL in dir.
 func nodeArgs(id int, cluster []string, dir string, extra ...string) []string {
@@ -67,7 +73,7 @@ func nodeArgs(id int, cluster []string, dir string, extra ...string) []string {
 		"-listen", cluster[id-1],
 		"-peers", strings.Join(peers, ","),
 		"-wal", filepath.Join(dir, fmt.Sprintf("n%d.wal", id)),
-		"-timeout", "300ms",
+		"-timeout", nodeTimeout.String(),
 	}
 	return append(args, extra...)
 }
@@ -209,12 +215,12 @@ func TestClusterEndToEnd(t *testing.T) {
 	readBack(t, cl, 3, "shared", "v3")
 }
 
-// TestClusterKeepsForgottenCommitsAcrossRestart: with -forget-after 1s, T1
-// commits at all three sites and is forgotten everywhere; T2 then commits,
-// its forced batches carrying T1's lazy end records to disk. Every node is
-// SIGKILLed and restarted, which compacts each WAL before recovery. Both
-// transactions must still read back, through node 2, which coordinated
-// neither.
+// TestClusterKeepsForgottenCommitsAcrossRestart: T1 commits at all three
+// sites and, once the forget grace derived from -timeout has run out, is
+// forgotten everywhere; T2 then commits, its forced batches carrying T1's
+// lazy end records to disk. Every node is SIGKILLed and restarted, which
+// compacts each WAL before recovery. Both transactions must still read
+// back, through node 2, which coordinated neither.
 func TestClusterKeepsForgottenCommitsAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -223,9 +229,9 @@ func TestClusterKeepsForgottenCommitsAcrossRestart(t *testing.T) {
 	addrs := localAddrs(freePorts(t, 5))
 	cluster, clients := addrs[:3], addrs[3:]
 	start := func(id int) *exec.Cmd {
-		extra := []string{"-forget-after", "1s"}
+		var extra []string
 		if id <= len(clients) {
-			extra = append(extra, "-client", clients[id-1])
+			extra = []string{"-client", clients[id-1]}
 		}
 		return startNode(t, bin, nodeArgs(id, cluster, dir, extra...)...)
 	}
@@ -239,7 +245,7 @@ func TestClusterKeepsForgottenCommitsAcrossRestart(t *testing.T) {
 	commitAt(t, cl, "t1", "a", 1, 2, 3)
 	// Past every site's grace period, and the coordinator's DEC-ACK round
 	// before its own: T1 is forgotten and its end records are staged.
-	time.Sleep(3 * time.Second)
+	time.Sleep(clock.NewBudget(nodeTimeout).Forget + 2*time.Second)
 	commitAt(t, cl, "t2", "b", 1, 2, 3)
 	cl.conn.Close()
 

@@ -55,7 +55,6 @@ func main() {
 		protoFlag  = flag.String("proto", "3pc", "commit protocol: 2pc, 3pc, or paxos")
 		paradigm   = flag.String("paradigm", "central", "central or decentralized")
 		timeout    = flag.Duration("timeout", clock.DefaultBase, "protocol timeout, the base every other timer is derived from")
-		forget     = flag.Duration("forget-after", 30*time.Second, "auto-forget settled transactions after this grace period (0: keep forever)")
 		shardFile  = flag.String("shardmap", "", "shard map file (empty: deterministic default map over the site list)")
 		obsAddr    = flag.String("obs-addr", "", "observability HTTP listener serving /metrics, /healthz and /debug/trace (empty: none)")
 	)
@@ -203,16 +202,15 @@ func main() {
 	// Recover always: on an empty WAL it is a no-op; after a crash it
 	// replays committed effects and launches the recovery protocol.
 	site, err := engine.Recover(engine.Config{
-		ID:          *id,
-		Endpoint:    ep,
-		Log:         logFile,
-		Resource:    dtx.StoreResource{Store: store},
-		Detector:    hb,
-		Protocol:    kind,
-		Timeout:     budget.Protocol,
-		ForgetAfter: *forget,
-		Trace:       recorder,
-		Metrics:     engineMetrics,
+		ID:       *id,
+		Endpoint: ep,
+		Log:      logFile,
+		Resource: dtx.StoreResource{Store: store},
+		Detector: hb,
+		Protocol: kind,
+		Timeout:  budget.Protocol,
+		Trace:    recorder,
+		Metrics:  engineMetrics,
 		// Called on the endpoint's receive path, never from behind the
 		// engine's event queue: a heartbeat or a reply is handled where it
 		// arrives.

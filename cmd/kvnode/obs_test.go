@@ -45,9 +45,8 @@ func TestObsEndpoints(t *testing.T) {
 	startNode(t, bin, nodeArgs(1, cluster, dir,
 		"-client", clientAddr,
 		"-obs-addr", obsAddr,
-		"-forget-after", "100ms",
 	)...)
-	startNode(t, bin, nodeArgs(2, cluster, dir, "-forget-after", "100ms")...)
+	startNode(t, bin, nodeArgs(2, cluster, dir)...)
 
 	cl := dialAPI(t, clientAddr)
 	defer cl.conn.Close()

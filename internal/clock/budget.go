@@ -21,6 +21,7 @@ type Budget struct {
 	RedialCap  time.Duration // redial backoff after many failed dials
 	Dial       time.Duration // one dial attempt
 	GC         time.Duration // version-chain GC interval
+	Forget     time.Duration // grace before a settled transaction is forgotten
 }
 
 // NewBudget derives the budget from base. A non-positive base means
@@ -40,5 +41,6 @@ func NewBudget(base time.Duration) Budget {
 		RedialCap:  base / 4,      // 125 ms
 		Dial:       base,          // 500 ms
 		GC:         base * 10,     // 5 s
+		Forget:     base * 60,     // 30 s
 	}
 }

@@ -42,6 +42,10 @@ func TestBudgetRelations(t *testing.T) {
 		{"commit wait ≥ termination", "a COMMIT outlasts the slowest decision of a three-site 3PC cohort: " +
 			"the vote and ack waits, then for the coordinator and one backup a suspicion and the next backup's two phases",
 			func(b Budget) bool { return b.CommitWait >= 2*b.Protocol+2*(b.Suspicion+2*b.Protocol) }},
+		{"commit wait + redial cap + dial < forget", "a protocol message sent while the decision was still being reached, " +
+			"then held behind a backoff window and a dial, lands before any site forgets the transaction: " +
+			"a message for a forgotten txid would recreate it as a new, undecided transaction",
+			func(b Budget) bool { return b.CommitWait+b.RedialCap+b.Dial < b.Forget }},
 	}
 	for _, at := range bases {
 		b := NewBudget(at.base)
@@ -55,7 +59,8 @@ func TestBudgetRelations(t *testing.T) {
 
 // TestBudgetDefault pins the timers kvnode ran before they were derived, so
 // deriving them changed nothing but the redial cap (2 s before, now below
-// the call timeout) and the dial timeout (1 s before).
+// the call timeout) and the dial timeout (1 s before). The forget grace is
+// the 30 s kvnode defaulted to when it was a flag of its own.
 func TestBudgetDefault(t *testing.T) {
 	want := Budget{
 		Protocol:   500 * time.Millisecond,
@@ -68,6 +73,7 @@ func TestBudgetDefault(t *testing.T) {
 		RedialCap:  125 * time.Millisecond,
 		Dial:       500 * time.Millisecond,
 		GC:         5 * time.Second,
+		Forget:     30 * time.Second,
 	}
 	for _, base := range []time.Duration{0, -time.Second, DefaultBase} {
 		if got := NewBudget(base); got != want {

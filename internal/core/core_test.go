@@ -81,7 +81,7 @@ func TestReachableGraphTwoSite2PC(t *testing.T) {
 	if g.Initial.Locals[0] != protocol.StateQ || g.Initial.Locals[1] != protocol.StateQ {
 		t.Errorf("initial locals = %v", g.Initial.Locals)
 	}
-	if g.Initial.Net.Size() != 1 {
+	if g.Initial.Net.size() != 1 {
 		t.Errorf("initial network = %v", g.Initial.Net)
 	}
 }
@@ -436,7 +436,7 @@ func TestMsgBag(t *testing.T) {
 	b := MsgBag{}
 	m := protocol.Msg{Name: "yes", From: 2, To: 1}
 	b.Add(m, 2)
-	if b.Count(m) != 2 || b.Size() != 2 {
+	if b.Count(m) != 2 || b.size() != 2 {
 		t.Fatalf("bag = %v", b)
 	}
 	b.Add(m, -2)
@@ -741,7 +741,7 @@ func TestWildcardEnumeration(t *testing.T) {
 	// it must have two distinct successors via site 1 (one per sender).
 	found := false
 	for _, n := range g.Nodes {
-		if n.Locals[0] != "q" || n.Net.Size() != 2 {
+		if n.Locals[0] != "q" || n.Net.size() != 2 {
 			continue
 		}
 		bySender := map[int]bool{}

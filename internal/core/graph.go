@@ -42,8 +42,8 @@ func (b MsgBag) Add(m protocol.Msg, count int) {
 // Count returns the multiplicity of m.
 func (b MsgBag) Count(m protocol.Msg) int { return b[m] }
 
-// Size returns the total number of outstanding messages.
-func (b MsgBag) Size() int {
+// size returns the total number of outstanding messages.
+func (b MsgBag) size() int {
 	n := 0
 	for _, c := range b {
 		n += c

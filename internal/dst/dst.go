@@ -310,6 +310,10 @@ func (c *cluster) resourceFor(id int) engine.Resource {
 	return c.res[id]
 }
 
+// startSite assembles site id on the simulated network. GC runs in-sim with
+// production's forget grace: drainSettlement moves virtual time through it,
+// so the explorer reaches the settlement path, including the lazy
+// end-record windows (TestTwoPCSettlementWindowReconverges).
 func (c *cluster) startSite(id int) {
 	s, err := engine.New(engine.Config{
 		ID:            id,
@@ -321,10 +325,6 @@ func (c *cluster) startSite(id int) {
 		Timeout:       c.timeoutFor(id),
 		Clock:         c.clk,
 		Deterministic: true,
-		// GC runs in-sim: resolved transactions are settled (DEC-ACK) and
-		// forgotten after a grace period, so the explorer reaches the
-		// settlement path — including the lazy end-record windows.
-		ForgetAfter: 4 * c.timeoutFor(id),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("dst: cannot assemble site %d: %v", id, err)) // our own config; cannot fail
@@ -411,7 +411,6 @@ func (c *cluster) recoverSite(site int) {
 		Timeout:       c.timeoutFor(site),
 		Clock:         c.clk,
 		Deterministic: true,
-		ForgetAfter:   4 * c.timeoutFor(site),
 	})
 	if err != nil {
 		c.fail("recovery of site %d failed: %v", site, err)

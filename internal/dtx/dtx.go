@@ -123,9 +123,6 @@ type Options struct {
 	// shared metrics registry (per-phase latency, commit latency, gauges —
 	// see engine.NewMetrics). Samples from all sites aggregate.
 	Registry *metrics.Registry
-	// ForgetAfter enables the engine's auto-forget of settled transactions
-	// (see engine.Config.ForgetAfter). Zero keeps them forever.
-	ForgetAfter time.Duration
 }
 
 // Cluster is an in-process set of sites sharing a fault-injectable network.
@@ -198,14 +195,13 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 	}
 	store := kv.NewStore(kv.Options{LockTimeout: c.opts.LockTimeout, Policy: c.opts.Policy})
 	cfg := engine.Config{
-		ID:          id,
-		Endpoint:    c.Net.Endpoint(id),
-		Log:         log,
-		Resource:    StoreResource{Store: store},
-		Detector:    c.Net,
-		Protocol:    c.opts.Protocol,
-		Timeout:     c.opts.Timeout,
-		ForgetAfter: c.opts.ForgetAfter,
+		ID:       id,
+		Endpoint: c.Net.Endpoint(id),
+		Log:      log,
+		Resource: StoreResource{Store: store},
+		Detector: c.Net,
+		Protocol: c.opts.Protocol,
+		Timeout:  c.opts.Timeout,
 	}
 	if c.opts.Registry != nil {
 		cfg.Metrics = engine.NewMetrics(c.opts.Registry, c.opts.Protocol)

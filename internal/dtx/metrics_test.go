@@ -21,7 +21,6 @@ func TestClusterMetricsPhaseBreakdown(t *testing.T) {
 				Protocol:    kind,
 				Timeout:     50 * time.Millisecond,
 				LockTimeout: 50 * time.Millisecond,
-				ForgetAfter: 50 * time.Millisecond,
 				Registry:    reg,
 			})
 			if err != nil {

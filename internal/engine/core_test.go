@@ -82,7 +82,10 @@ func TestShutdownDropAccounting(t *testing.T) {
 
 // TestConcurrentCoordinatorsStress runs concurrent coordinators on every
 // site of a cluster from many goroutines at once — Begins, waiters and the
-// event loops that serve them all — and is meant to run under -race.
+// event loops that serve them all — and is meant to run under -race. The
+// workers keep committing until every site has forgotten the first
+// transaction, so garbage collection (DEC-ACKs, grace timers, end records)
+// runs beside live Begins.
 func TestConcurrentCoordinatorsStress(t *testing.T) {
 	net := transport.NewNetwork()
 	const n = 3
@@ -93,14 +96,13 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 		ids = append(ids, i)
 		resources[i] = newTestResource()
 		s, err := engine.New(engine.Config{
-			ID:          i,
-			Endpoint:    net.Endpoint(i),
-			Log:         wal.NewMemoryLog(),
-			Resource:    resources[i],
-			Detector:    net,
-			Protocol:    engine.ThreePhase,
-			Timeout:     100 * time.Millisecond,
-			ForgetAfter: 50 * time.Millisecond,
+			ID:       i,
+			Endpoint: net.Endpoint(i),
+			Log:      wal.NewMemoryLog(),
+			Resource: resources[i],
+			Detector: net,
+			Protocol: engine.ThreePhase,
+			Timeout:  100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,6 +118,15 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 
 	const workers = 8
 	const perWorker = 25
+	const first = "stress-0-0"
+	forgotten := func() bool {
+		for _, s := range sites {
+			if s.Phase(first) != "?" {
+				return false
+			}
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -123,7 +134,14 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			coord := sites[w%n+1]
-			for i := 0; i < perWorker; i++ {
+			// Past its first perWorker commits a worker paces itself, so the
+			// tables do not grow by thousands while the grace runs out.
+			pace := time.NewTicker(10 * time.Millisecond)
+			defer pace.Stop()
+			for i := 0; i < perWorker || !forgotten(); i++ {
+				if i >= perWorker {
+					<-pace.C
+				}
 				txid := fmt.Sprintf("stress-%d-%d", w, i)
 				h, err := coord.Begin(txid, ids, false)
 				if err != nil {
@@ -157,7 +175,9 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 // BenchmarkEngineCommitAllocs measures allocations per full three-site
 // commit (Begin through decision at the coordinator) over an in-memory
 // network and WAL — the engine twin of the internal/remote codec alloc
-// benchmarks. Guarded by the bench smoke's allocs/op threshold.
+// benchmarks. Every commit is settled (DEC-ACKs, grace timers armed), but
+// none is forgotten within a run: the grace at a 1 s timeout is 60 s.
+// Guarded by the bench smoke's allocs/op threshold.
 func BenchmarkEngineCommitAllocs(b *testing.B) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -168,14 +188,13 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 			for i := 1; i <= n; i++ {
 				ids = append(ids, i)
 				s, err := engine.New(engine.Config{
-					ID:          i,
-					Endpoint:    net.Endpoint(i),
-					Log:         wal.NewMemoryLog(),
-					Resource:    newTestResource(),
-					Detector:    net,
-					Protocol:    kind,
-					Timeout:     time.Second,
-					ForgetAfter: 10 * time.Millisecond,
+					ID:       i,
+					Endpoint: net.Endpoint(i),
+					Log:      wal.NewMemoryLog(),
+					Resource: newTestResource(),
+					Detector: net,
+					Protocol: kind,
+					Timeout:  time.Second,
 				})
 				if err != nil {
 					b.Fatal(err)

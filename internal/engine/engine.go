@@ -374,18 +374,14 @@ type Config struct {
 	Protocol ProtocolKind
 	// Timeout bounds each wait for a protocol message before suspecting a
 	// failure and (for participants) invoking the termination protocol.
-	// Zero means clock.DefaultBase.
+	// Zero means clock.DefaultBase. It is the base of clock.NewBudget, which
+	// also gives the grace before a settled transaction is forgotten.
 	Timeout time.Duration
-	// ForgetAfter, when positive, garbage-collects resolved transactions
-	// in the central-site paradigm: a participant acknowledges the
-	// decision (DEC-ACK) once its outcome record is durable and forgets
-	// the transaction after this grace period; the coordinator re-sends
-	// the decision until every participant has acknowledged it — crashed
-	// participants included, which re-acknowledge after recovery — and
-	// only then forgets, so some site always knows the outcome while
-	// anyone may still ask. Zero keeps transactions until Site.Forget is
-	// called. Decentralized (peer) transactions have no acknowledgement
-	// collection point and are never auto-forgotten.
+	// ForgetAfter is ignored: a resolved central-site transaction is always
+	// forgotten after the budget's Forget grace (see gc.go).
+	//
+	// Deprecated: the grace is derived from Timeout by clock.NewBudget; this
+	// field exists only so existing callers that set it still compile.
 	ForgetAfter time.Duration
 	// ReadOnlyVotes is ignored: central-site 2PC and 3PC participants
 	// always vote READ-ONLY when Resource.Prepare returns an empty redo
@@ -437,8 +433,8 @@ type Site struct {
 	det         failure.Detector
 	clk         clock.Clock
 	kind        ProtocolKind
-	timeoutNs   atomic.Int64 // protocol timeout; read via protoTimeout
-	forgetAfter time.Duration
+	timeoutNs   atomic.Int64  // protocol timeout; read via protoTimeout
+	forgetAfter time.Duration // grace before a settled transaction is forgotten
 	determin    bool
 	trace       *trace.Recorder
 	metrics     *Metrics
@@ -564,7 +560,7 @@ func New(cfg Config) (*Site, error) {
 	if cfg.ID <= 0 {
 		return nil, fmt.Errorf("engine: site ID must be positive, got %d", cfg.ID)
 	}
-	to := clock.NewBudget(cfg.Timeout).Protocol
+	budget := clock.NewBudget(cfg.Timeout)
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Wall
@@ -585,7 +581,7 @@ func New(cfg Config) (*Site, error) {
 		det:         cfg.Detector,
 		clk:         clk,
 		kind:        cfg.Protocol,
-		forgetAfter: cfg.ForgetAfter,
+		forgetAfter: budget.Forget,
 		determin:    cfg.Deterministic,
 		trace:       cfg.Trace,
 		metrics:     cfg.Metrics,
@@ -595,14 +591,10 @@ func New(cfg Config) (*Site, error) {
 		events:      make(chan event, 1024),
 		quit:        make(chan struct{}),
 	}
-	s.timeoutNs.Store(int64(to))
+	s.timeoutNs.Store(int64(budget.Protocol))
 	// The wheel's tick only sets bucketing granularity (fires are exact):
 	// a fraction of the protocol timeout keeps cascades rare.
-	tick := to / 16
-	if tick > 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	s.wheel = clock.NewWheel(clk, tick, s.onTimerFire)
+	s.wheel = clock.NewWheel(clk, budget.Protocol/16, s.onTimerFire)
 	if s.metrics != nil {
 		s.metrics.registerSiteGauges(s)
 	}
@@ -1271,25 +1263,6 @@ func (s *Site) tx(txid string) *txState {
 		}
 	}
 	return t
-}
-
-// Forget garbage-collects a resolved transaction: it forces an end record
-// (so recovery skips the transaction entirely) and drops the in-memory
-// state. Forgetting an unresolved transaction is an error — its protocol
-// state is still load-bearing.
-func (s *Site) Forget(txid string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.txns[txid]
-	if !ok {
-		return nil // already forgotten
-	}
-	if !t.resolved() {
-		return fmt.Errorf("engine: site %d cannot forget unresolved transaction %s (phase %s)",
-			s.id, txid, t.phase)
-	}
-	s.forgetLocked(t)
-	return nil
 }
 
 // Participants returns the commit cohort of a transaction this site tracks

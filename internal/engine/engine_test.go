@@ -521,35 +521,6 @@ func TestParticipantCrashBeforeVoteDeliveredAborts(t *testing.T) {
 	}
 }
 
-// TestEndedAbortRecoversAsAbort: under presumed-abort 2PC an aborted
-// transaction leaves only a lazy begin record and, once forgotten, an end
-// record at the coordinator. A coordinator recovering from that uncompacted
-// log must still know the outcome was abort: an in-doubt participant that
-// asks it must learn abort, not commit.
-func TestEndedAbortRecoversAsAbort(t *testing.T) {
-	c := newCluster(t, engine.TwoPhase, 2)
-	// Site 2 is cut off once it has the VOTE-REQ: its YES, the coordinator's
-	// ABORT and its own inquiries are all lost.
-	c.net.SetDropFunc(func(m transport.Message) bool {
-		return m.Kind != engine.KindVoteReq
-	})
-	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
-		t.Fatal(err)
-	}
-	c.waitPhase(2, "t1", "w")
-	c.expect("t1", engine.OutcomeAborted, 1)
-	if err := c.sites[1].Forget("t1"); err != nil {
-		t.Fatal(err)
-	}
-	c.crash(1)
-	c.recoverSite(1)
-	c.net.SetDropFunc(nil)
-	c.expect("t1", engine.OutcomeAborted, 2, 1)
-	if c.res[2].didCommit("t1") {
-		t.Fatal("participant committed a transaction its coordinator aborted")
-	}
-}
-
 // TestRecoveredSiteRefusesBackupRole: with the coordinator down and the
 // would-be backup freshly recovered (in doubt), termination falls to the
 // next operational site, and everyone still terminates consistently.
@@ -662,64 +633,6 @@ func TestOutcomeStringAndErrors(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := engine.New(engine.Config{}); err == nil {
 		t.Fatal("New with nil deps should fail")
-	}
-}
-
-func TestForget(t *testing.T) {
-	c := newCluster(t, engine.ThreePhase, 2)
-	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
-		t.Fatal(err)
-	}
-	c.expect("t1", engine.OutcomeCommitted, 1, 2)
-
-	// Unresolved transactions cannot be forgotten.
-	if _, err := c.sites[1].Begin("t2", c.ids, false); err != nil {
-		t.Fatal(err)
-	}
-	// t2 will resolve quickly, but t1 is definitely resolved now.
-	if err := c.sites[1].Forget("t1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.sites[1].Forget("t1"); err != nil {
-		t.Fatal("double forget should be a no-op")
-	}
-	if _, err := c.sites[1].Outcome("t1"); err == nil {
-		t.Fatal("forgotten transaction still known")
-	}
-	c.expect("t2", engine.OutcomeCommitted, 1, 2)
-	txs := c.sites[1].Transactions()
-	if len(txs) != 1 || txs[0] != "t2" {
-		t.Fatalf("transactions = %v", txs)
-	}
-
-	// Recovery after forgetting replays nothing for t1 (end record).
-	c.crash(1)
-	c.recoverSite(1)
-	for _, id := range c.sites[1].Transactions() {
-		if id == "t1" {
-			// t1 may appear as an ended image; it must be resolved, not in
-			// doubt.
-			if o, err := c.sites[1].Outcome("t1"); err != nil || o == engine.OutcomePending {
-				t.Fatalf("recovered t1 = %v, %v", o, err)
-			}
-		}
-	}
-	if doubt := c.sites[1].InDoubt(); len(doubt) != 0 {
-		t.Fatalf("in doubt after recovery: %v", doubt)
-	}
-}
-
-func TestForgetUnresolvedRejected(t *testing.T) {
-	c := newCluster(t, engine.TwoPhase, 3)
-	c.net.SetDropFunc(func(m transport.Message) bool {
-		return m.To == 1 && (m.Kind == engine.KindYes || m.Kind == engine.KindNo)
-	})
-	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
-		t.Fatal(err)
-	}
-	c.waitPhase(2, "t1", "w")
-	if err := c.sites[2].Forget("t1"); err == nil {
-		t.Fatal("forgetting an in-flight transaction must fail")
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 	"nbcommit/internal/wal"
 )
 
-// Distributed garbage collection of resolved transactions
-// (Config.ForgetAfter). The protocols themselves never say when a site may
-// stop remembering an outcome, so without GC every site's transaction table
-// and WAL grow without bound — the leak that caps sustained throughput.
+// Distributed garbage collection of resolved transactions. The protocols
+// themselves never say when a site may stop remembering an outcome, so
+// without GC every site's transaction table and WAL grow without bound — the
+// leak that caps sustained throughput. GC always runs; its grace period is
+// the budget's Forget (clock.NewBudget of Config.Timeout).
 //
 // The scheme is an acknowledged decision broadcast: each participant sends
 // DEC-ACK to the coordinator once its own outcome record is durable, then
@@ -26,7 +27,7 @@ import (
 // durability like any other send — the ack must not outrun the record it
 // acknowledges. Requires s.mu held.
 func (s *Site) scheduleGC(t *txState) {
-	if s.forgetAfter <= 0 || t.peer {
+	if t.peer {
 		return
 	}
 	if t.phase == phaseAborted && s.presumedAbort(t) {
@@ -57,7 +58,7 @@ func (s *Site) scheduleGC(t *txState) {
 // the decision to participants that have not acknowledged it yet. Requires
 // s.mu held.
 func (s *Site) gcTimeout(t *txState) {
-	if s.forgetAfter <= 0 || t.peer {
+	if t.peer {
 		return
 	}
 	if !t.coordinator {

@@ -524,198 +524,3 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 		t.Fatalf("no batch held more than one record (max %d); group commit did not coalesce", maxBatch)
 	}
 }
-
-// TestAutoForget: with ForgetAfter set, every site garbage-collects settled
-// transactions — the coordinator once the whole cohort acknowledged the
-// decision, participants after the grace period — and the WAL gains end
-// records so recovery (and compaction) skip them. This is the leak fix: a
-// long-lived site's transaction table returns to empty.
-func TestAutoForget(t *testing.T) {
-	net := transport.NewNetwork()
-	logs := map[int]*wal.MemoryLog{}
-	res := map[int]*testResource{}
-	sites := map[int]*engine.Site{}
-	for i := 1; i <= 3; i++ {
-		logs[i] = wal.NewMemoryLog()
-		res[i] = newTestResource()
-		s, err := engine.New(engine.Config{
-			ID:          i,
-			Endpoint:    net.Endpoint(i),
-			Log:         logs[i],
-			Resource:    res[i],
-			Detector:    net,
-			Protocol:    engine.TwoPhase,
-			Timeout:     testTimeout,
-			ForgetAfter: 25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites[i] = s
-		s.Start()
-		defer s.Stop()
-	}
-
-	res[2].refuse("ta") // one aborted, one committed
-	handles := map[string]*engine.Handle{}
-	for _, txid := range []string{"tc", "ta"} {
-		h, err := sites[1].Begin(txid, []int{1, 2, 3}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[txid] = h
-	}
-	if o, err := handles["tc"].Wait(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
-		t.Fatalf("tc = %v, %v", o, err)
-	}
-	if o, err := handles["ta"].Wait(5 * time.Second); err != nil || o != engine.OutcomeAborted {
-		t.Fatalf("ta = %v, %v", o, err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		empty := true
-		for i := 1; i <= 3; i++ {
-			if len(sites[i].Transactions()) != 0 {
-				empty = false
-			}
-		}
-		if empty {
-			break
-		}
-		if time.Now().After(deadline) {
-			for i := 1; i <= 3; i++ {
-				t.Logf("site %d still tracks %v", i, sites[i].Transactions())
-			}
-			t.Fatal("transactions were not garbage-collected")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Every site's WAL must carry end records so recovery skips both
-	// transactions entirely.
-	for i := 1; i <= 3; i++ {
-		recs, err := logs[i].Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends := map[string]bool{}
-		for _, r := range recs {
-			if r.Type == wal.RecEnd {
-				ends[r.TxID] = true
-			}
-		}
-		for _, txid := range []string{"tc", "ta"} {
-			if !ends[txid] {
-				t.Fatalf("site %d has no end record for %s", i, txid)
-			}
-		}
-	}
-
-	// The committed data survived the forgetting.
-	for i := 1; i <= 3; i++ {
-		if !res[i].didCommit("tc") {
-			t.Fatalf("site %d lost the committed effects", i)
-		}
-	}
-}
-
-// TestAutoForgetReachesCrashedParticipant: a participant that was down when
-// the decision went out still acknowledges after recovery, letting the
-// coordinator forget; the recovered participant then forgets on its own.
-func TestAutoForgetReachesCrashedParticipant(t *testing.T) {
-	net := transport.NewNetwork()
-	logs := map[int]*wal.MemoryLog{}
-	res := map[int]*testResource{}
-	sites := map[int]*engine.Site{}
-	mk := func(i int, recover bool) {
-		res[i] = newTestResource()
-		cfg := engine.Config{
-			ID:          i,
-			Endpoint:    net.Endpoint(i),
-			Log:         logs[i],
-			Resource:    res[i],
-			Detector:    net,
-			Protocol:    engine.ThreePhase,
-			Timeout:     testTimeout,
-			ForgetAfter: 25 * time.Millisecond,
-		}
-		var s *engine.Site
-		var err error
-		if recover {
-			s, err = engine.Recover(cfg)
-		} else {
-			s, err = engine.New(cfg)
-			if err == nil {
-				s.Start()
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites[i] = s
-	}
-	for i := 1; i <= 3; i++ {
-		logs[i] = wal.NewMemoryLog()
-		mk(i, false)
-	}
-	defer func() {
-		for _, s := range sites {
-			s.Stop()
-		}
-	}()
-
-	// Site 3 votes YES then crashes before hearing the decision.
-	net.SetDropFunc(func(m transport.Message) bool {
-		return m.To == 3 && m.Kind == engine.KindPrepare
-	})
-	h, err := sites[1].Begin("t1", []int{1, 2, 3}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Site 2 enters p only once the coordinator has counted every vote,
-	// so site 3's YES cannot die in flight with the crash.
-	waitSitePhase(t, sites[2], "t1", "p")
-	waitSitePhase(t, sites[3], "t1", "w")
-	net.Crash(3)
-	sites[3].Stop()
-	net.SetDropFunc(nil)
-	if o, err := h.Wait(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
-		t.Fatalf("t1 = %v, %v", o, err)
-	}
-
-	// The coordinator must keep the outcome while site 3 is down (its
-	// DEC-ACK is missing), then forget once the recovered site acknowledges.
-	time.Sleep(80 * time.Millisecond)
-	if got := sites[1].Transactions(); len(got) != 1 {
-		t.Fatalf("coordinator forgot t1 with a participant still unacknowledged: %v", got)
-	}
-
-	mk(3, true)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if len(sites[1].Transactions()) == 0 && len(sites[3].Transactions()) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("not garbage-collected: coordinator %v, recovered %v",
-				sites[1].Transactions(), sites[3].Transactions())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !res[3].didCommit("t1") {
-		t.Fatal("recovered participant did not apply the commit")
-	}
-}
-
-func waitSitePhase(t *testing.T, s *engine.Site, txid, phase string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Phase(txid) == phase {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("site %d tx %s: phase %s never reached (now %s)", s.ID(), txid, phase, s.Phase(txid))
-}

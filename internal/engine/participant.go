@@ -117,12 +117,10 @@ func (s *Site) onDecision(m transport.Message, o Outcome) {
 		if o == OutcomeCommitted {
 			// A commit for a transaction we never saw can only follow a lost
 			// VOTE-REQ (we never voted YES, so no correct cohort commits) —
-			// or, with auto-forget on, a decision re-sent after we already
-			// applied it durably and forgot. Acknowledge so the coordinator
-			// can stop, but never build state from it.
-			if s.forgetAfter > 0 {
-				s.send(m.From, KindDecAck, m.TxID, nil)
-			}
+			// or a decision re-sent after we already applied it durably and
+			// forgot. Acknowledge so the coordinator can stop, but never
+			// build state from it.
+			s.send(m.From, KindDecAck, m.TxID, nil)
 			return
 		}
 		// Abort for an unknown transaction: record it so repeated queries
@@ -131,13 +129,13 @@ func (s *Site) onDecision(m transport.Message, o Outcome) {
 		t.detached = true
 	}
 	if t.resolved() {
-		// Duplicate decision: with auto-forget on, the sender is most
-		// likely a coordinator still missing our DEC-ACK — re-acknowledge,
-		// and make sure our own grace timer is (re-)armed so the record
-		// does not linger here forever (recovered sites restore resolved
-		// transactions without one). Presumed (2PC) aborts have no
-		// collector: nobody is waiting for an acknowledgement.
-		if s.forgetAfter > 0 && !t.peer && !t.coordinator {
+		// Duplicate decision: the sender is most likely a coordinator still
+		// missing our DEC-ACK — re-acknowledge, and make sure our own grace
+		// timer is (re-)armed so the record does not linger here forever
+		// (recovered sites restore resolved transactions without one).
+		// Presumed (2PC) aborts have no collector: nobody is waiting for an
+		// acknowledgement.
+		if !t.peer && !t.coordinator {
 			if !(t.phase == phaseAborted && s.presumedAbort(t)) {
 				s.send(m.From, KindDecAck, m.TxID, nil)
 			}
@@ -148,7 +146,7 @@ func (s *Site) onDecision(m transport.Message, o Outcome) {
 		return
 	}
 	s.resolve(t, o)
-	if !ok && s.forgetAfter > 0 && !t.coordinator {
+	if !ok && !t.coordinator {
 		// The freshly created detached record has no cohort metadata, so
 		// resolve's scheduleGC could not route the acknowledgement; the
 		// sender of the decision is the one collecting it. Presumed (2PC)

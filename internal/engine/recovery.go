@@ -206,26 +206,24 @@ func Recover(cfg Config) (*Site, error) {
 			s.mu.Unlock()
 		}
 	}
-	if s.forgetAfter > 0 {
-		// Resume garbage collection for resolved transactions that survived
-		// the crash: coordinators re-collect DEC-ACKs, participants forget
-		// after the grace period. Decentralized transactions (known cohort,
-		// no coordinator) stay: with no collection point, forgetting could
-		// strand a recovering peer with nobody who remembers the outcome.
-		for _, id := range ids {
-			s.mu.Lock()
-			t, ok := s.txns[id]
-			if !ok || !t.resolved() {
-				s.mu.Unlock()
-				continue
-			}
-			if t.meta.Coordinator == 0 && !t.coordinator && len(t.meta.Participants) > 0 {
-				s.mu.Unlock()
-				continue
-			}
-			s.armTimer(t, s.forgetAfter)
+	// Resume garbage collection for resolved transactions that survived the
+	// crash: coordinators re-collect DEC-ACKs, participants forget after the
+	// grace period. Decentralized transactions (known cohort, no
+	// coordinator) stay: with no collection point, forgetting could strand a
+	// recovering peer with nobody who remembers the outcome.
+	for _, id := range ids {
+		s.mu.Lock()
+		t, ok := s.txns[id]
+		if !ok || !t.resolved() {
 			s.mu.Unlock()
+			continue
 		}
+		if t.meta.Coordinator == 0 && !t.coordinator && len(t.meta.Participants) > 0 {
+			s.mu.Unlock()
+			continue
+		}
+		s.armTimer(t, s.forgetAfter)
+		s.mu.Unlock()
 	}
 	return s, nil
 }

@@ -114,7 +114,6 @@ func TestStaleTimerAfterResolve(t *testing.T) {
 		Detector:      deadDetector{self: 2},
 		Protocol:      TwoPhase,
 		Timeout:       50 * time.Millisecond,
-		ForgetAfter:   time.Second,
 		Clock:         clk,
 		Deterministic: true,
 	})

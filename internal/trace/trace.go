@@ -114,8 +114,8 @@ func (r *Recorder) Filter(keep func(Event) bool) []Event {
 	return out
 }
 
-// Reset discards all recorded events and counters, keeping the bound.
-func (r *Recorder) Reset() {
+// reset discards all recorded events and counters, keeping the bound.
+func (r *Recorder) reset() {
 	r.mu.Lock()
 	r.events = nil
 	r.start = 0

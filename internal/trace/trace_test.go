@@ -43,7 +43,7 @@ func TestFilterAndReset(t *testing.T) {
 	if !strings.Contains(r.dump(), "site 2: B tx=t1") {
 		t.Fatalf("dump = %q", r.dump())
 	}
-	r.Reset()
+	r.reset()
 	if len(r.Events()) != 0 {
 		t.Fatal("reset did not clear")
 	}
@@ -84,7 +84,7 @@ func TestBoundedRecorderReset(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(1, "E", "t", "")
 	}
-	r.Reset()
+	r.reset()
 	if len(r.Events()) != 0 || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatalf("reset left state: events=%d total=%d dropped=%d",
 			len(r.Events()), r.Total(), r.Dropped())

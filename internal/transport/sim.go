@@ -126,9 +126,9 @@ type simMsg struct {
 // SimNetwork is the deterministic message substrate for simulation testing
 // (internal/dst). Instead of delivering messages into endpoint inboxes,
 // every Send is captured into a single pending queue in send order; a
-// scheduler inspects the deliverable ones with Peek/Take and hands each
-// message to its destination site explicitly (engine.Site.Deliver), choosing
-// the delivery order. That makes every interleaving of a cluster run
+// scheduler takes the deliverable ones with Take and hands each message to
+// its destination site explicitly (engine.Site.Deliver), choosing the
+// delivery order. That makes every interleaving of a cluster run
 // reproducible from a seed.
 //
 // On top of the capture queue sits an optional hostile network model, all of
@@ -396,8 +396,8 @@ func (n *SimNetwork) NextDue() (time.Time, bool) {
 	return best, found
 }
 
-// Peek returns the i-th deliverable message without removing it.
-func (n *SimNetwork) Peek(i int) (Message, bool) {
+// peek returns the i-th deliverable message without removing it.
+func (n *SimNetwork) peek(i int) (Message, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	idx := n.readyLocked()
@@ -433,9 +433,9 @@ func (n *SimNetwork) Stats() (sent, dropped uint64) {
 	return n.sent, dropped
 }
 
-// DroppedCause returns how many messages were dropped for one cause. The
+// droppedCause returns how many messages were dropped for one cause. The
 // causes sum to the dropped total reported by Stats.
-func (n *SimNetwork) DroppedCause(c SimDropCause) uint64 {
+func (n *SimNetwork) droppedCause(c SimDropCause) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c < 0 || c >= numSimDropCauses {

@@ -109,10 +109,10 @@ func TestBlockOneWayAsymmetric(t *testing.T) {
 	if got := n.Pending(); got != 1 {
 		t.Fatalf("pending = %d, want only the reverse message", got)
 	}
-	if m, _ := n.Peek(0); m.Kind != "reverse" || m.From != 2 {
+	if m, _ := n.peek(0); m.Kind != "reverse" || m.From != 2 {
 		t.Fatalf("deliverable = %+v, want the 2->1 message", m)
 	}
-	if got := n.DroppedCause(SimDropPartition); got != 1 {
+	if got := n.droppedCause(SimDropPartition); got != 1 {
 		t.Fatalf("partition drops = %d, want 1", got)
 	}
 
@@ -218,10 +218,10 @@ func TestDropCauseSumInvariant(t *testing.T) {
 	want := map[SimDropCause]uint64{SimDropLoss: 2, SimDropPartition: 1, SimDropCrash: 2}
 	var sum uint64
 	for _, c := range SimDropCauses {
-		if got := n.DroppedCause(c); got != want[c] {
+		if got := n.droppedCause(c); got != want[c] {
 			t.Fatalf("dropped{cause=%s} = %d, want %d", c, got, want[c])
 		}
-		sum += n.DroppedCause(c)
+		sum += n.droppedCause(c)
 	}
 	if _, dropped := n.Stats(); dropped != sum {
 		t.Fatalf("cause counters sum to %d, Stats reports %d dropped", sum, dropped)

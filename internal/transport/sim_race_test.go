@@ -9,7 +9,7 @@ import (
 
 // TestSimNetworkConcurrentChaos drives concurrent schedule-event application
 // (block/unblock, gray, link swaps, crash/re-attach) against concurrent
-// senders and a Take/Peek scheduler loop. It asserts nothing beyond internal
+// senders and a take/peek scheduler loop. It asserts nothing beyond internal
 // consistency — its job is to fail under -race if any chaos mutator touches
 // SimNetwork state outside the lock.
 func TestSimNetworkConcurrentChaos(t *testing.T) {
@@ -91,7 +91,7 @@ func TestSimNetworkConcurrentChaos(t *testing.T) {
 			if _, ok := n.Take(0); ok {
 				continue
 			}
-			n.Peek(0)
+			n.peek(0)
 			n.Pending()
 			n.inFlight()
 			if due, ok := n.NextDue(); ok {
@@ -111,7 +111,7 @@ func TestSimNetworkConcurrentChaos(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			n.Stats()
 			for _, c := range SimDropCauses {
-				n.DroppedCause(c)
+				n.droppedCause(c)
 			}
 			n.Alive(1 + i%sites)
 		}

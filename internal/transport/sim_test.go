@@ -16,7 +16,7 @@ func TestSimNetworkCaptureAndTake(t *testing.T) {
 	if n.Pending() != 2 {
 		t.Fatalf("pending = %d", n.Pending())
 	}
-	if m, ok := n.Peek(1); !ok || m.Kind != "B" {
+	if m, ok := n.peek(1); !ok || m.Kind != "B" {
 		t.Fatalf("peek = %v, %v", m, ok)
 	}
 	m, ok := n.Take(0)
@@ -69,7 +69,7 @@ func TestSimNetworkCrashSemantics(t *testing.T) {
 	if n.Pending() != 1 {
 		t.Fatalf("pending after crash = %d", n.Pending())
 	}
-	if m, _ := n.Peek(0); m.Kind != "FROM-VICTIM" {
+	if m, _ := n.peek(0); m.Kind != "FROM-VICTIM" {
 		t.Fatalf("survivor message = %v", m)
 	}
 

@@ -206,9 +206,9 @@ func (e *TCPEndpoint) AddPeer(id int, addr string) {
 	delete(e.backoff, id)
 }
 
-// Dropped returns how many messages this endpoint has dropped, summed over
+// dropped returns how many messages this endpoint has dropped, summed over
 // every cause — see DroppedCause for the breakdown.
-func (e *TCPEndpoint) Dropped() int64 {
+func (e *TCPEndpoint) dropped() int64 {
 	var total int64
 	for i := range e.drops {
 		total += e.drops[i].Value()

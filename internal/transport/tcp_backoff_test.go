@@ -71,11 +71,11 @@ func TestTCPDeadPeerDropsAreCountedAndBackedOff(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond) // well inside the one-second window
-	if got := a.Dropped(); got != 1 {
+	if got := a.dropped(); got != 1 {
 		t.Fatalf("%d messages dropped inside the backoff window, want only the first", got)
 	}
 	waitFor(t, "the next dial to drop the queued sends", func() bool { return a.DroppedCause(DropDial) == 5 })
-	if got := a.Dropped(); got != 5 {
+	if got := a.dropped(); got != 5 {
 		t.Fatalf("Dropped() = %d, want 5, all under dial", got)
 	}
 	a.mu.Lock()
@@ -130,7 +130,7 @@ func TestTCPBackoffRecovers(t *testing.T) {
 	if err := a.Send(Message{To: 2, Kind: "LOST"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the lost message to be counted", func() bool { return a.Dropped() == 1 })
+	waitFor(t, "the lost message to be counted", func() bool { return a.dropped() == 1 })
 	a.mu.Lock()
 	retryAt := a.backoff[2].retryAt
 	a.mu.Unlock()
@@ -149,7 +149,7 @@ func TestTCPBackoffRecovers(t *testing.T) {
 	if time.Now().Before(retryAt) {
 		t.Fatal("delivered before the backoff window passed")
 	}
-	if got := a.Dropped(); got != 1 {
+	if got := a.dropped(); got != 1 {
 		t.Fatalf("Dropped() = %d, want only the message sent while the peer was down", got)
 	}
 	a.mu.Lock()
@@ -194,7 +194,7 @@ func TestTCPRestartedPeerGetsFirstMessage(t *testing.T) {
 	if m := recvOne(t, b2); m.Kind != "TWO" {
 		t.Fatalf("got %v", m)
 	}
-	if got := a.Dropped(); got != 0 {
+	if got := a.dropped(); got != 0 {
 		t.Fatalf("Dropped() = %d, want 0", got)
 	}
 }
@@ -257,7 +257,7 @@ func TestTCPSetBudgetConcurrentWithSend(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitFor(t, "drops against an unreachable peer", func() bool { return a.Dropped() > 0 })
+	waitFor(t, "drops against an unreachable peer", func() bool { return a.dropped() > 0 })
 	if a.Redials() == 0 {
 		t.Fatal("expected at least one dial attempt to be counted")
 	}

@@ -112,7 +112,7 @@ func TestTCPQueueFullDropAccounting(t *testing.T) {
 	for _, c := range DropCauses {
 		sum += a.DroppedCause(c)
 	}
-	if got := a.Dropped(); got != sum {
+	if got := a.dropped(); got != sum {
 		t.Fatalf("Dropped() = %d, sum of causes = %d", got, sum)
 	}
 }
@@ -347,7 +347,7 @@ func TestTCPConcurrentSendAddPeerSetBudgetClose(t *testing.T) {
 			a.AddPeer(2, live.Addr())
 			a.AddPeer(3, dead)
 			a.SetBudget(redial(time.Duration(i+1)*time.Millisecond, time.Second))
-			_ = a.Dropped()
+			_ = a.dropped()
 			_ = a.QueueDepth(2)
 			_, _ = a.batchStats()
 			_ = a.Redials()
@@ -430,7 +430,7 @@ func BenchmarkTCPThroughput(b *testing.B) {
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				b.Fatalf("receiver stalled: %d sent, %d dropped", b.N, snd.Dropped()+recv.Dropped())
+				b.Fatalf("receiver stalled: %d sent, %d dropped", b.N, snd.dropped()+recv.dropped())
 			}
 			b.StopTimer()
 			if n := corrupt.Load(); n > 0 {

@@ -52,12 +52,12 @@ func (s TxStatus) String() string {
 	}
 }
 
-// InDoubt reports whether a recovering site cannot decide the transaction
+// inDoubt reports whether a recovering site cannot decide the transaction
 // from its own log and must consult operational sites.
-func (s TxStatus) InDoubt() bool { return s == StatusVotedYes || s == StatusPrepared }
+func (s TxStatus) inDoubt() bool { return s == StatusVotedYes || s == StatusPrepared }
 
-// Final reports whether the outcome is already durable locally.
-func (s TxStatus) Final() bool {
+// final reports whether the outcome is already durable locally.
+func (s TxStatus) final() bool {
 	return s == StatusCommitted || s == StatusAborted || s == StatusEnded
 }
 

@@ -265,13 +265,13 @@ func TestReplay(t *testing.T) {
 	if !img["a"].Coordinator || string(img["a"].Begin) != "2,3" {
 		t.Errorf("a image = %+v", img["a"])
 	}
-	if got := img["b"].Status; got != StatusPrepared || !got.InDoubt() {
+	if got := img["b"].Status; got != StatusPrepared || !got.inDoubt() {
 		t.Errorf("b: %v", got)
 	}
-	if got := img["c"].Status; got != StatusVotedYes || !got.InDoubt() {
+	if got := img["c"].Status; got != StatusVotedYes || !got.inDoubt() {
 		t.Errorf("c: %v", got)
 	}
-	if got := img["d"].Status; got != StatusVotedNo || got.InDoubt() || got.Final() {
+	if got := img["d"].Status; got != StatusVotedNo || got.inDoubt() || got.final() {
 		t.Errorf("d: %v", got)
 	}
 	if img["b"].LastLSN != 3 {
@@ -281,16 +281,16 @@ func TestReplay(t *testing.T) {
 
 func TestReplayCoordinatorBegunAborts(t *testing.T) {
 	img := Replay([]Record{{LSN: 1, Type: RecBegin, TxID: "t"}})
-	if img["t"].Status != StatusBegun || img["t"].Status.InDoubt() {
+	if img["t"].Status != StatusBegun || img["t"].Status.inDoubt() {
 		t.Fatalf("begun coordinator image = %+v", img["t"])
 	}
 }
 
 func TestStatusPredicates(t *testing.T) {
-	if !StatusCommitted.Final() || !StatusAborted.Final() || !StatusEnded.Final() {
+	if !StatusCommitted.final() || !StatusAborted.final() || !StatusEnded.final() {
 		t.Fatal("final statuses not final")
 	}
-	if StatusVotedYes.Final() || StatusBegun.Final() {
+	if StatusVotedYes.final() || StatusBegun.final() {
 		t.Fatal("non-final statuses reported final")
 	}
 	for s := StatusUnknown; s <= StatusEnded; s++ {
