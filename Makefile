@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 DST_SEEDS ?= 500
 
-.PHONY: all build vet test race flake fuzz-smoke dst dst-ci dst-regress bench-allocs bench-forced bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-obs
+.PHONY: all build vet test race flake engine-virtual fuzz-smoke dst dst-ci dst-regress bench-allocs bench-forced bench-chaos bench-chaos-smoke bench-e2e-smoke smoke-obs
 
 all: build vet test
 
@@ -38,6 +38,16 @@ flake: build
 		echo "GOMAXPROCS=$$procs: 10 runs done"; \
 	done; \
 	exit $$fail
+
+# Every engine test on simCluster, the virtual-time harness, 50 times at
+# GOMAXPROCS 1 and at 8. A schedule built step by step in virtual
+# time cannot depend on core count or host load, so one failure here is a
+# bug, not a flake. Seconds on two cores; in CI.
+ENGINE_VIRTUAL_TESTS = ^Test(ThreePC|TwoPC|Peer|Participant|CrashAfter|Trace|CohortSubset|AutoForget|Forget|Unilateral|CoordinatorOwnVoteNo|DuplicateBeginRejected|RecoveredSiteRefusesBackupRole|ConcurrentTransactions|NoMixedOutcomes|OutcomeStringAndErrors|NewValidation|BackupCrashDuringTermination|MinorityPartitionStaysSafe|ChaosMultiCoordinator|BeginRejectsOversizedCohort|EndedAbortRecoversAsAbort|HandleOutlivesForget)
+engine-virtual:
+	for procs in 1 8; do \
+		GOMAXPROCS=$$procs $(GO) test -count=50 -run '$(ENGINE_VIRTUAL_TESTS)' ./internal/engine || exit 1; \
+	done
 
 # Short fuzzing pass over every fuzz target, starting from the checked-in
 # seed corpora under */testdata/fuzz/.

@@ -11,7 +11,9 @@ package dtx
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,13 +358,9 @@ func (t *Txn) Delete(site int, key string) error {
 }
 
 // Participants returns the sites the transaction has touched, including the
-// coordinator.
+// coordinator, in ascending order.
 func (t *Txn) Participants() []int {
-	out := make([]int, 0, len(t.touched))
-	for id := range t.touched {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(t.touched))
 }
 
 // Commit runs the configured commit protocol across the touched sites,

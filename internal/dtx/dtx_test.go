@@ -2,6 +2,7 @@ package dtx
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -236,6 +237,27 @@ func TestIDs(t *testing.T) {
 	}
 }
 
+// TestParticipantsSorted: the touched sites come back in ascending order,
+// whatever order the transaction touched them in.
+func TestParticipantsSorted(t *testing.T) {
+	c := newTestCluster(t, 4, engine.ThreePhase)
+	tx, _ := c.Begin(3)
+	for _, site := range []int{4, 1, 2} {
+		if err := tx.Put(site, "k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Map iteration order varies from call to call; ask repeatedly.
+	for i := 0; i < 20; i++ {
+		if got := fmt.Sprint(tx.Participants()); got != "[1 2 3 4]" {
+			t.Fatalf("Participants = %s, want [1 2 3 4]", got)
+		}
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDecentralizedParadigm(t *testing.T) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -311,5 +333,39 @@ func TestDecentralizedSurvivesPeerCrash(t *testing.T) {
 		if err != nil || o != engine.OutcomeAborted {
 			t.Fatalf("site %d: %v %v (survivors must abort, peer never voted)", id, o, err)
 		}
+	}
+}
+
+// TestAbortReleasesLocksOfUnvotedMember: a participant whose VOTE-REQ was
+// lost still holds the locks its writes took. The ABORT it then hears is for
+// a transaction its engine never started, and must still release those
+// locks, or the next writer of the key waits out its lock timeout.
+func TestAbortReleasesLocksOfUnvotedMember(t *testing.T) {
+	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c := newTestCluster(t, 2, kind)
+			c.Net.SetDropFunc(func(m transport.Message) bool {
+				return m.To == 2 && m.Kind == engine.KindVoteReq
+			})
+			tx, _ := c.Begin(1)
+			if err := tx.Put(2, "k", "v1"); err != nil {
+				t.Fatal(err)
+			}
+			if o, err := tx.Commit(waitLong); o != engine.OutcomeAborted {
+				t.Fatalf("commit = %v, %v; want aborted", o, err)
+			}
+			c.Net.SetDropFunc(nil)
+
+			tx2, _ := c.Begin(1)
+			if err := tx2.Put(2, "k", "v2"); err != nil {
+				t.Fatalf("second writer of k: %v", err)
+			}
+			if o, err := tx2.Commit(waitLong); err != nil || o != engine.OutcomeCommitted {
+				t.Fatalf("second commit = %v, %v", o, err)
+			}
+			if v, _ := c.Node(2).Store.Read("k"); v != "v2" {
+				t.Fatalf("k = %q, want v2", v)
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package engine_test
 
 // Tests for the event-driven core: configuration validation, dropped-event
 // accounting across shutdown, and a -race stress run with concurrent
-// coordinators on every site.
+// coordinators on every site. The last two exercise the live event loops, so
+// they run on the wall clock over transport.Network (wallSites), not on
+// simCluster.
 
 import (
 	"fmt"
@@ -35,7 +37,7 @@ func TestNewRejectsNonPositiveID(t *testing.T) {
 }
 
 func TestBeginRejectsOversizedCohort(t *testing.T) {
-	c := newCluster(t, engine.TwoPhase, 1)
+	c := newSimCluster(t, engine.TwoPhase, 1)
 	cohort := make([]int, 0, 70)
 	for i := 1; i <= 70; i++ {
 		cohort = append(cohort, i)
@@ -48,10 +50,10 @@ func TestBeginRejectsOversizedCohort(t *testing.T) {
 // While a site is live, no event may be dropped — only shutdown sheds
 // events, and every shed event must be counted.
 func TestShutdownDropAccounting(t *testing.T) {
-	c := newCluster(t, engine.ThreePhase, 3)
+	sites, ids := wallSites(t, engine.ThreePhase, 3, testTimeout)
 	for i := 0; i < 20; i++ {
 		txid := fmt.Sprintf("drop-%d", i)
-		h, err := c.sites[1].Begin(txid, c.ids, false)
+		h, err := sites[1].Begin(txid, ids, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,14 +61,14 @@ func TestShutdownDropAccounting(t *testing.T) {
 			t.Fatalf("%s: outcome %v err %v", txid, o, err)
 		}
 	}
-	for id, s := range c.sites {
+	for id, s := range sites {
 		if n := s.DroppedEvents(); n != 0 {
 			t.Fatalf("site %d dropped %d events while live", id, n)
 		}
 	}
 
 	// After Stop, late traffic is discarded — and accounted for.
-	s := c.sites[2]
+	s := sites[2]
 	s.Stop()
 	for i := 0; i < 5; i++ {
 		s.Deliver(transport.Message{From: 1, To: 2, Kind: engine.KindVoteReq, TxID: fmt.Sprintf("late-%d", i)})
@@ -87,34 +89,8 @@ func TestShutdownDropAccounting(t *testing.T) {
 // transaction, so garbage collection (DEC-ACKs, grace timers, end records)
 // runs beside live Begins.
 func TestConcurrentCoordinatorsStress(t *testing.T) {
-	net := transport.NewNetwork()
-	const n = 3
-	sites := make(map[int]*engine.Site, n)
-	resources := map[int]*testResource{}
-	var ids []int
-	for i := 1; i <= n; i++ {
-		ids = append(ids, i)
-		resources[i] = newTestResource()
-		s, err := engine.New(engine.Config{
-			ID:       i,
-			Endpoint: net.Endpoint(i),
-			Log:      wal.NewMemoryLog(),
-			Resource: resources[i],
-			Detector: net,
-			Protocol: engine.ThreePhase,
-			Timeout:  100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites[i] = s
-		s.Start()
-	}
-	defer func() {
-		for _, s := range sites {
-			s.Stop()
-		}
-	}()
+	sites, ids := wallSites(t, engine.ThreePhase, 3, 100*time.Millisecond)
+	n := len(ids)
 
 	const workers = 8
 	const perWorker = 25
@@ -181,32 +157,7 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 func BenchmarkEngineCommitAllocs(b *testing.B) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
 		b.Run(kind.String(), func(b *testing.B) {
-			net := transport.NewNetwork()
-			const n = 3
-			sites := make(map[int]*engine.Site, n)
-			var ids []int
-			for i := 1; i <= n; i++ {
-				ids = append(ids, i)
-				s, err := engine.New(engine.Config{
-					ID:       i,
-					Endpoint: net.Endpoint(i),
-					Log:      wal.NewMemoryLog(),
-					Resource: newTestResource(),
-					Detector: net,
-					Protocol: kind,
-					Timeout:  time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sites[i] = s
-				s.Start()
-			}
-			defer func() {
-				for _, s := range sites {
-					s.Stop()
-				}
-			}()
+			sites, ids := wallSites(b, kind, 3, time.Second)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -221,4 +172,37 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// wallSites starts n live sites of one protocol over an in-memory
+// transport.Network, each with its own event loop, and stops them when tb
+// ends.
+func wallSites(tb testing.TB, kind engine.ProtocolKind, n int, timeout time.Duration) (map[int]*engine.Site, []int) {
+	tb.Helper()
+	net := transport.NewNetwork()
+	sites := make(map[int]*engine.Site, n)
+	var ids []int
+	for i := 1; i <= n; i++ {
+		ids = append(ids, i)
+		s, err := engine.New(engine.Config{
+			ID:       i,
+			Endpoint: net.Endpoint(i),
+			Log:      wal.NewMemoryLog(),
+			Resource: newTestResource(),
+			Detector: net,
+			Protocol: kind,
+			Timeout:  timeout,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sites[i] = s
+		s.Start()
+	}
+	tb.Cleanup(func() {
+		for _, s := range sites {
+			s.Stop()
+		}
+	})
+	return sites, ids
 }

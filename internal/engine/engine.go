@@ -132,6 +132,10 @@ const maxCohort = 64
 // Prepare must not block: it runs on the site's event loop (or on Begin's
 // caller), so any waiting, such as for locks, belongs in the operations that
 // stage the transaction's changes before the commit starts.
+//
+// Every abort the site learns of reaches Abort, also for a transaction the
+// site never voted on, and again after recovery. Aborting a transaction the
+// resource does not hold, or no longer holds, must be a no-op.
 type Resource interface {
 	Prepare(txid string) (redo []byte, err error)
 	Commit(txid string, redo []byte) error
@@ -1188,9 +1192,9 @@ func (s *Site) resolve(t *txState, o Outcome) {
 			s.mustLog(wal.Record{Type: wal.RecAborted, TxID: t.id})
 		}
 		t.phase = phaseAborted
-		if !t.detached {
-			s.act(func() { _ = s.res.Abort(id) }) // aborts are idempotent
-		}
+		// Detached records abort too: a participant whose VOTE-REQ was lost
+		// may still hold locks its writes took.
+		s.act(func() { _ = s.res.Abort(id) })
 	}
 	t.blocked = false
 	s.stopTimer(t)

@@ -7,147 +7,10 @@ package engine_test
 
 import (
 	"testing"
-	"time"
 
-	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/transport"
-	"nbcommit/internal/wal"
 )
-
-// grace is the forget grace of a site whose protocol timeout is testTimeout.
-var grace = clock.NewBudget(testTimeout).Forget
-
-// simCluster wires n deterministic engine sites over a SimNetwork, which is
-// also their perfect failure detector.
-type simCluster struct {
-	t     *testing.T
-	kind  engine.ProtocolKind
-	clk   *clock.Virtual
-	net   *transport.SimNetwork
-	sites map[int]*engine.Site
-	logs  map[int]*wal.MemoryLog
-	res   map[int]*testResource
-	ids   []int
-	// drop, when set, loses every message it matches instead of
-	// delivering it.
-	drop func(transport.Message) bool
-}
-
-func newSimCluster(t *testing.T, kind engine.ProtocolKind, n int) *simCluster {
-	t.Helper()
-	c := &simCluster{
-		t:     t,
-		kind:  kind,
-		clk:   clock.NewVirtual(),
-		net:   transport.NewSimNetwork(),
-		sites: map[int]*engine.Site{},
-		logs:  map[int]*wal.MemoryLog{},
-		res:   map[int]*testResource{},
-	}
-	for i := 1; i <= n; i++ {
-		c.ids = append(c.ids, i)
-		c.logs[i] = wal.NewMemoryLog()
-		c.start(i, false)
-	}
-	t.Cleanup(func() {
-		for _, s := range c.sites {
-			s.Stop()
-		}
-	})
-	return c
-}
-
-// start attaches site id with a fresh resource: a new site over its empty
-// log, or (recover) a restarted one that recovers from the log it left.
-func (c *simCluster) start(id int, recover bool) {
-	c.t.Helper()
-	c.res[id] = newTestResource()
-	cfg := engine.Config{
-		ID:            id,
-		Endpoint:      c.net.Endpoint(id),
-		Log:           c.logs[id],
-		Resource:      c.res[id],
-		Detector:      c.net,
-		Protocol:      c.kind,
-		Timeout:       testTimeout,
-		Clock:         c.clk,
-		Deterministic: true,
-	}
-	var s *engine.Site
-	var err error
-	if recover {
-		s, err = engine.Recover(cfg)
-	} else if s, err = engine.New(cfg); err == nil {
-		s.Start()
-	}
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.sites[id] = s
-}
-
-// crash stops a site and has the network report its failure.
-func (c *simCluster) crash(id int) {
-	c.sites[id].Stop()
-	c.net.Crash(id)
-}
-
-// settle delivers messages, in send order, until none is in flight.
-func (c *simCluster) settle() {
-	c.t.Helper()
-	for n := 0; c.net.Pending() > 0; n++ {
-		if n == 100000 {
-			c.t.Fatal("messages still in flight after 100000 deliveries")
-		}
-		m, _ := c.net.Take(0)
-		if c.drop != nil && c.drop(m) {
-			continue
-		}
-		c.sites[m.To].Deliver(m)
-	}
-}
-
-// run moves virtual time forward by d, firing each timer in deadline order
-// and delivering the messages it sends before the next one fires.
-func (c *simCluster) run(d time.Duration) {
-	c.t.Helper()
-	end := c.clk.Now().Add(d)
-	for {
-		c.settle()
-		if dl, ok := c.clk.NextDeadline(); !ok || dl.After(end) {
-			break
-		}
-		c.clk.Step()
-	}
-	c.clk.Advance(end.Sub(c.clk.Now()))
-}
-
-// expect asserts that every given site knows txid's outcome as want.
-func (c *simCluster) expect(txid string, want engine.Outcome, ids ...int) {
-	c.t.Helper()
-	for _, id := range ids {
-		if got, err := c.sites[id].Outcome(txid); err != nil || got != want {
-			c.t.Fatalf("site %d tx %s: outcome %v (%v), want %s", id, txid, got, err, want)
-		}
-	}
-}
-
-// endRecords counts each txid's end records in site id's WAL.
-func (c *simCluster) endRecords(id int) map[string]int {
-	c.t.Helper()
-	recs, err := c.logs[id].Records()
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	ends := map[string]int{}
-	for _, r := range recs {
-		if r.Type == wal.RecEnd {
-			ends[r.TxID]++
-		}
-	}
-	return ends
-}
 
 // TestAutoForget: every site garbage-collects settled transactions — the
 // coordinator once the whole cohort acknowledged the decision, participants

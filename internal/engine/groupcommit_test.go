@@ -155,7 +155,8 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 	return c
 }
 
-func (c *gatedCluster) waitPhase(id int, txid, phase string) {
+// pollPhase polls, on the wall clock, until the site holds txid in phase.
+func (c *gatedCluster) pollPhase(id int, txid, phase string) {
 	c.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -193,7 +194,7 @@ func TestGroupCommitDefersDecision(t *testing.T) {
 	}
 	// The coordinator collects the votes and decides, but its RecCommitted
 	// is gated: the participants must not learn the outcome.
-	c.waitPhase(1, "t1", "c") // volatile state may advance immediately
+	c.pollPhase(1, "t1", "c") // volatile state may advance immediately
 	time.Sleep(100 * time.Millisecond)
 	for _, id := range []int{2, 3} {
 		if ph := c.sites[id].Phase("t1"); ph != "w" {
@@ -229,9 +230,9 @@ func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
-	c.waitPhase(2, "t1", "p")
-	c.waitPhase(3, "t1", "p")
-	c.waitPhase(1, "t1", "c") // decided in volatile state only
+	c.pollPhase(2, "t1", "p")
+	c.pollPhase(3, "t1", "p")
+	c.pollPhase(1, "t1", "c") // decided in volatile state only
 	if c.res[1].didCommit("t1") {
 		t.Fatal("resource acted on a non-durable commit record")
 	}
@@ -275,8 +276,8 @@ func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 	if _, err := c.sites[1].Begin("t1", []int{1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
-	c.waitPhase(2, "t1", "w")
-	c.waitPhase(3, "t1", "w")
+	c.pollPhase(2, "t1", "w")
+	c.pollPhase(3, "t1", "w")
 	// Give the coordinator time to collect votes and stage its prepared
 	// record; the PREPAREs must stay behind the gate.
 	time.Sleep(50 * time.Millisecond)
@@ -373,7 +374,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 					o, _ := h.Wait(5 * time.Second)
 					waited <- o
 				}()
-				c.waitPhase(1, "t1", "c") // decided in volatile state only
+				c.pollPhase(1, "t1", "c") // decided in volatile state only
 				select {
 				case o := <-waited:
 					t.Fatalf("Wait returned %s before the commit record was durable", o)

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"testing"
-	"time"
 
 	"nbcommit/internal/engine"
 	"nbcommit/internal/transport"
@@ -15,18 +14,18 @@ import (
 // nonblocking guarantee holds across cascaded coordinator failures as long
 // as one site stays up.
 func TestBackupCrashDuringTermination(t *testing.T) {
-	c := newCluster(t, engine.ThreePhase, 4)
+	c := newSimCluster(t, engine.ThreePhase, 4)
 	// Swallow every COMMIT from site 1 (the coordinator) and site 2 (the
 	// backup-to-be): decisions are made but never announced.
-	c.net.SetDropFunc(func(m transport.Message) bool {
+	c.drop = func(m transport.Message) bool {
 		return m.Kind == engine.KindCommit && (m.From == 1 || m.From == 2)
-	})
+	}
 	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
-	c.waitPhase(2, "t1", "p")
-	c.waitPhase(3, "t1", "p")
-	c.waitPhase(4, "t1", "p")
+	c.reach(2, "t1", "p")
+	c.reach(3, "t1", "p")
+	c.reach(4, "t1", "p")
 	c.crash(1)
 
 	// Site 2 becomes backup, runs the backup protocol, and decides commit
@@ -38,9 +37,9 @@ func TestBackupCrashDuringTermination(t *testing.T) {
 	c.expect("t1", engine.OutcomeCommitted, 3, 4)
 
 	// Staggered recovery converges everyone on the same outcome.
-	c.net.SetDropFunc(nil)
-	c.recoverSite(1)
-	c.recoverSite(2)
+	c.drop = nil
+	c.start(1, true)
+	c.start(2, true)
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3, 4)
 }
 
@@ -52,31 +51,31 @@ func TestBackupCrashDuringTermination(t *testing.T) {
 // after it heals the backup's retransmissions finish the termination
 // protocol with a single consistent outcome.
 func TestMinorityPartitionStaysSafe(t *testing.T) {
-	c := newCluster(t, engine.ThreePhase, 4)
+	c := newSimCluster(t, engine.ThreePhase, 4)
 	part := func(site int) bool { return site == 2 }
 	cross := func(m transport.Message) bool {
 		return m.From != 1 && m.To != 1 && part(m.From) != part(m.To)
 	}
-	c.net.SetDropFunc(func(m transport.Message) bool {
+	c.drop = func(m transport.Message) bool {
 		return m.Kind == engine.KindCommit && m.From == 1
-	})
+	}
 	if _, err := c.sites[1].Begin("t1", c.ids, false); err != nil {
 		t.Fatal(err)
 	}
-	c.waitPhase(2, "t1", "p")
-	c.waitPhase(3, "t1", "p")
-	c.waitPhase(4, "t1", "p")
+	c.reach(2, "t1", "p")
+	c.reach(3, "t1", "p")
+	c.reach(4, "t1", "p")
 
 	// Cut {2} off from {3,4} before the coordinator dies, so the whole
 	// termination protocol runs under the partition.
-	c.net.SetDropFunc(func(m transport.Message) bool {
+	c.drop = func(m transport.Message) bool {
 		return (m.Kind == engine.KindCommit && m.From == 1) || cross(m)
-	})
+	}
 	c.crash(1)
 
 	// Several timeout cycles of termination attempts on both sides: nobody
 	// may decide without acknowledgements from all operational sites.
-	time.Sleep(6 * testTimeout)
+	c.run(6 * testTimeout)
 	for _, id := range []int{2, 3, 4} {
 		if o, err := c.sites[id].Outcome("t1"); err == nil && o != engine.OutcomePending {
 			t.Fatalf("site %d decided %s during the partition", id, o)
@@ -84,9 +83,9 @@ func TestMinorityPartitionStaysSafe(t *testing.T) {
 	}
 
 	// Heal: the backup's retransmitted phase-1 messages now reach everyone.
-	c.net.SetDropFunc(nil)
+	c.drop = nil
 	c.expect("t1", engine.OutcomeCommitted, 2, 3, 4)
 
-	c.recoverSite(1)
+	c.start(1, true)
 	c.expect("t1", engine.OutcomeCommitted, 1, 2, 3, 4)
 }

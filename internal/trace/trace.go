@@ -103,8 +103,8 @@ func (r *Recorder) kinds() []string {
 	return out
 }
 
-// Filter returns the events matching the predicate.
-func (r *Recorder) Filter(keep func(Event) bool) []Event {
+// filter returns the events matching the predicate.
+func (r *Recorder) filter(keep func(Event) bool) []Event {
 	var out []Event
 	for _, e := range r.Events() {
 		if keep(e) {

@@ -36,7 +36,7 @@ func TestFilterAndReset(t *testing.T) {
 	r.Add(1, "A", "t1", "")
 	r.Add(2, "B", "t1", "")
 	r.Add(1, "C", "t2", "")
-	only1 := r.Filter(func(e Event) bool { return e.Site == 1 })
+	only1 := r.filter(func(e Event) bool { return e.Site == 1 })
 	if len(only1) != 2 {
 		t.Fatalf("filtered = %v", only1)
 	}
