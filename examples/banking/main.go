@@ -47,7 +47,7 @@ func runScenario(kind engine.ProtocolKind) {
 	// Swallow the coordinator's outgoing decision so the crash happens
 	// inside the uncertainty window, then transfer $50 from branch 2 to
 	// branch 3, coordinated by site 1.
-	cluster.Net.SetDropFunc(func(m transport.Message) bool {
+	cluster.Net.SetDrop(func(m transport.Message) bool {
 		return m.From == 1 && (m.Kind == engine.KindCommit ||
 			m.Kind == engine.KindAbort || m.Kind == engine.KindPrepare)
 	})
@@ -62,7 +62,7 @@ func runScenario(kind engine.ProtocolKind) {
 	waitPhase(cluster, 3, tx.ID, "w")   // ...and are now uncertain
 	fmt.Printf("branches voted YES on %s; crashing the coordinator now\n", tx.ID)
 	cluster.Crash(1)
-	cluster.Net.SetDropFunc(nil)
+	cluster.Net.SetDrop(nil)
 
 	// What do the surviving branches do?
 	deadline := time.Now().Add(3 * time.Second)

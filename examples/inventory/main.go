@@ -48,7 +48,7 @@ func main() {
 
 	// Reserve one widget at warehouses 2, 3 and 4 atomically. Warehouse 4
 	// will crash right after voting: its PREPARE never arrives.
-	cluster.Net.SetDropFunc(func(m transport.Message) bool {
+	cluster.Net.SetDrop(func(m transport.Message) bool {
 		return m.To == 4 && m.Kind == engine.KindPrepare
 	})
 	tx, _ := cluster.Begin(1)
@@ -64,7 +64,7 @@ func main() {
 	waitPhase(cluster, 4, tx.ID, "w")
 	fmt.Println("warehouse 4 voted YES — crashing it mid-protocol")
 	cluster.Crash(4)
-	cluster.Net.SetDropFunc(nil)
+	cluster.Net.SetDrop(nil)
 	<-done
 	fmt.Printf("cohort decision without warehouse 4: %v\n", outcome)
 

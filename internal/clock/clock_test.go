@@ -35,8 +35,8 @@ func TestVirtualStepOrder(t *testing.T) {
 	v.AfterFunc(20*time.Millisecond, func() { order = append(order, 3) }) // same deadline: fires after seq-earlier
 	start := v.Now()
 
-	if v.Pending() != 3 {
-		t.Fatalf("pending = %d", v.Pending())
+	if v.pending() != 3 {
+		t.Fatalf("pending = %d", v.pending())
 	}
 	dl, ok := v.NextDeadline()
 	if !ok || dl != start.Add(10*time.Millisecond) {
@@ -84,8 +84,8 @@ func TestVirtualAdvanceCascade(t *testing.T) {
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v", order)
 	}
-	if v.Pending() != 1 {
-		t.Fatalf("pending = %d", v.Pending())
+	if v.pending() != 1 {
+		t.Fatalf("pending = %d", v.pending())
 	}
 	start := NewVirtual().Now()
 	if got := v.Now().Sub(start); got != 20*time.Millisecond {

@@ -95,8 +95,8 @@ func (v *Virtual) popNext() *vtimer {
 	return t
 }
 
-// Pending reports the number of timers still scheduled.
-func (v *Virtual) Pending() int {
+// pending reports the number of timers still scheduled.
+func (v *Virtual) pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n := 0

@@ -184,8 +184,8 @@ func TestWheelStopWheel(t *testing.T) {
 	if got := log.got(); len(got) != 0 {
 		t.Fatalf("stopped wheel fired: %v", got)
 	}
-	if clk.Pending() != 0 {
-		t.Fatalf("stopped wheel left %d virtual timers pending", clk.Pending())
+	if clk.pending() != 0 {
+		t.Fatalf("stopped wheel left %d virtual timers pending", clk.pending())
 	}
 }
 
@@ -229,7 +229,7 @@ func TestWheelManyTimersOneUnderlying(t *testing.T) {
 		w.Schedule(time.Duration(i%97+1)*time.Millisecond, fmt.Sprintf("t%d", i), 1)
 	}
 	// The whole point of the wheel: one virtual timer regardless of load.
-	if p := clk.Pending(); p != 1 {
+	if p := clk.pending(); p != 1 {
 		t.Fatalf("underlying timers = %d, want 1", p)
 	}
 	clk.Advance(100 * time.Millisecond)

@@ -129,16 +129,20 @@ type Options struct {
 
 // Cluster is an in-process set of sites sharing a fault-injectable network.
 // Net is also every site's failure detector: it reports exactly its own
-// crash state, the paper's reliable failure reporting.
+// crash state, the paper's reliable failure reporting. One goroutine runs
+// Net.Serve, handing each message to its destination's engine.
 type Cluster struct {
-	Net    *transport.Network
+	Net    *transport.SimNetwork
 	opts   Options
 	router *shard.Router
+	stop   chan struct{}
+	served chan struct{}
 
 	mu    sync.Mutex
 	nodes map[int]*Node
 	ids   []int
 	txSeq atomic.Uint64
+	once  sync.Once
 }
 
 // NewCluster builds and starts sites 1..n.
@@ -149,18 +153,32 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		opts.LockTimeout = b.LockWait
 	}
 	c := &Cluster{
-		Net:   transport.NewNetwork(),
-		opts:  opts,
-		nodes: map[int]*Node{},
+		Net:    transport.NewSimNetwork(),
+		opts:   opts,
+		stop:   make(chan struct{}),
+		served: make(chan struct{}),
+		nodes:  map[int]*Node{},
 	}
+	go func() {
+		defer close(c.served)
+		c.Net.Serve(c.deliver, c.stop)
+	}()
 	for i := 1; i <= n; i++ {
 		c.ids = append(c.ids, i)
 		if err := c.addNode(i, nil); err != nil {
+			c.Stop()
 			return nil, err
 		}
 	}
 	c.router = &shard.Router{Map: shard.Default(c.ids, 4)}
 	return c, nil
+}
+
+// deliver hands a message to its destination site's engine.
+func (c *Cluster) deliver(m transport.Message) {
+	if n := c.Node(m.To); n != nil {
+		n.Site.Deliver(m)
+	}
 }
 
 // Router exposes the cluster's key placement, e.g. for workload generators
@@ -208,6 +226,11 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 	if c.opts.Registry != nil {
 		cfg.Metrics = engine.NewMetrics(c.opts.Registry, c.opts.Protocol)
 	}
+	// The node table stays locked until the new site is in it, so deliver
+	// waits for a restarting site instead of handing the replies to its
+	// recovery queries to the stopped site it replaces.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var site *engine.Site
 	if priorLog != nil {
 		site, err = engine.Recover(cfg)
@@ -221,9 +244,7 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 		}
 		site.Start()
 	}
-	c.mu.Lock()
 	c.nodes[id] = &Node{ID: id, Store: store, Site: site, log: log}
-	c.mu.Unlock()
 	return nil
 }
 
@@ -257,8 +278,10 @@ func (c *Cluster) Recover(id int) error {
 	return c.addNode(id, n.log)
 }
 
-// Stop shuts every site down.
+// Stop shuts the network's delivery loop and every site down.
 func (c *Cluster) Stop() {
+	c.once.Do(func() { close(c.stop) })
+	<-c.served
 	c.mu.Lock()
 	nodes := make([]*Node, 0, len(c.nodes))
 	for _, n := range c.nodes {

@@ -173,7 +173,7 @@ func TestCrashRecoveryPreservesCommits(t *testing.T) {
 // sites still commit via the termination protocol; the data is there.
 func TestCoordinatorCrash3PCStillCommits(t *testing.T) {
 	c := newTestCluster(t, 3, engine.ThreePhase)
-	c.Net.SetDropFunc(func(m transport.Message) bool {
+	c.Net.SetDrop(func(m transport.Message) bool {
 		return m.From == 1 && m.Kind == engine.KindCommit
 	})
 	tx, _ := c.Begin(1)
@@ -189,7 +189,7 @@ func TestCoordinatorCrash3PCStillCommits(t *testing.T) {
 	waitPhase(t, c, 2, tx.ID, "p")
 	waitPhase(t, c, 3, tx.ID, "p")
 	c.Crash(1)
-	c.Net.SetDropFunc(nil)
+	c.Net.SetDrop(nil)
 	<-done
 
 	for _, id := range []int{2, 3} {
@@ -308,7 +308,7 @@ func TestDecentralizedSurvivesPeerCrash(t *testing.T) {
 	t.Cleanup(c.Stop)
 	// Swallow site 4's outgoing votes, then crash it: survivors terminate
 	// by electing a backup among themselves.
-	c.Net.SetDropFunc(func(m transport.Message) bool {
+	c.Net.SetDrop(func(m transport.Message) bool {
 		return m.From == 4 && (m.Kind == engine.KindDYes || m.Kind == engine.KindDNo)
 	})
 	tx, err := c.Begin(1)
@@ -326,7 +326,7 @@ func TestDecentralizedSurvivesPeerCrash(t *testing.T) {
 	waitPhase(t, c, 2, tx.ID, "w")
 	waitPhase(t, c, 3, tx.ID, "w")
 	c.Crash(4)
-	c.Net.SetDropFunc(nil)
+	c.Net.SetDrop(nil)
 	<-done
 	for _, id := range []int{1, 2, 3} {
 		o, err := c.Node(id).Site.WaitOutcome(tx.ID, waitLong)
@@ -344,7 +344,7 @@ func TestAbortReleasesLocksOfUnvotedMember(t *testing.T) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := newTestCluster(t, 2, kind)
-			c.Net.SetDropFunc(func(m transport.Message) bool {
+			c.Net.SetDrop(func(m transport.Message) bool {
 				return m.To == 2 && m.Kind == engine.KindVoteReq
 			})
 			tx, _ := c.Begin(1)
@@ -354,7 +354,7 @@ func TestAbortReleasesLocksOfUnvotedMember(t *testing.T) {
 			if o, err := tx.Commit(waitLong); o != engine.OutcomeAborted {
 				t.Fatalf("commit = %v, %v; want aborted", o, err)
 			}
-			c.Net.SetDropFunc(nil)
+			c.Net.SetDrop(nil)
 
 			tx2, _ := c.Begin(1)
 			if err := tx2.Put(2, "k", "v2"); err != nil {

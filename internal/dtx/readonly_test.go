@@ -170,7 +170,7 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 			var mu sync.Mutex
 			var toRO, fromRO []transport.Message
 			w := c.BeginKeyed()
-			c.Net.SetDropFunc(func(m transport.Message) bool {
+			c.Net.SetDrop(func(m transport.Message) bool {
 				mu.Lock()
 				defer mu.Unlock()
 				if m.TxID == w.ID {
@@ -183,7 +183,7 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 				}
 				return false
 			})
-			defer c.Net.SetDropFunc(nil)
+			defer c.Net.SetDrop(nil)
 
 			if v, err := w.GetK(readKey); err != nil || v != "ro-val" {
 				t.Fatalf("GetK = %q, %v", v, err)

@@ -3,8 +3,7 @@ package engine_test
 // Tests for the event-driven core: configuration validation, dropped-event
 // accounting across shutdown, and a -race stress run with concurrent
 // coordinators on every site. The last two exercise the live event loops, so
-// they run on the wall clock over transport.Network (wallSites), not on
-// simCluster.
+// they run on the wall clock (wallSites, over liveNet), not on simCluster.
 
 import (
 	"fmt"
@@ -20,7 +19,7 @@ import (
 // Site IDs must be positive: ID 0 used to be unreportable in crash events
 // because the event struct discriminated on a zero-value sentinel.
 func TestNewRejectsNonPositiveID(t *testing.T) {
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	for _, id := range []int{0, -1} {
 		_, err := engine.New(engine.Config{
 			ID:       id,
@@ -174,35 +173,85 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 	}
 }
 
-// wallSites starts n live sites of one protocol over an in-memory
-// transport.Network, each with its own event loop, and stops them when tb
-// ends.
+// wallSites starts n live sites of one protocol over a liveNet, each with
+// its own event loop, and stops them when tb ends.
 func wallSites(tb testing.TB, kind engine.ProtocolKind, n int, timeout time.Duration) (map[int]*engine.Site, []int) {
 	tb.Helper()
-	net := transport.NewNetwork()
+	net := newLiveNet(tb)
 	sites := make(map[int]*engine.Site, n)
 	var ids []int
 	for i := 1; i <= n; i++ {
 		ids = append(ids, i)
-		s, err := engine.New(engine.Config{
+		sites[i] = net.start(tb, engine.Config{
 			ID:       i,
-			Endpoint: net.Endpoint(i),
 			Log:      wal.NewMemoryLog(),
 			Resource: newTestResource(),
-			Detector: net,
 			Protocol: kind,
 			Timeout:  timeout,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		sites[i] = s
-		s.Start()
+		}, false)
 	}
+	return sites, ids
+}
+
+// liveNet runs live sites, each with its own event loop, over a
+// SimNetwork: one Serve goroutine hands every message to its destination's
+// Deliver. It stops Serve and then every site when the test ends.
+type liveNet struct {
+	*transport.SimNetwork
+	mu    sync.Mutex
+	sites map[int]*engine.Site
+}
+
+func newLiveNet(tb testing.TB) *liveNet {
+	n := &liveNet{SimNetwork: transport.NewSimNetwork(), sites: map[int]*engine.Site{}}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Serve(n.deliver, stop)
+	}()
 	tb.Cleanup(func() {
-		for _, s := range sites {
+		close(stop)
+		<-done
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for _, s := range n.sites {
 			s.Stop()
 		}
 	})
-	return sites, ids
+	return n
+}
+
+func (n *liveNet) deliver(m transport.Message) {
+	n.mu.Lock()
+	s := n.sites[m.To]
+	n.mu.Unlock()
+	if s != nil {
+		s.Deliver(m)
+	}
+}
+
+// start attaches site cfg.ID, with the network as its endpoint and
+// detector, and starts it: a new site, or (recover) one restarted from
+// cfg.Log. The site table stays locked until the site is in it, so Serve
+// hands a restarting site the replies to its recovery queries rather than
+// the stopped site it replaces.
+func (n *liveNet) start(tb testing.TB, cfg engine.Config, recover bool) *engine.Site {
+	tb.Helper()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	cfg.Endpoint = n.Endpoint(cfg.ID)
+	cfg.Detector = n.SimNetwork
+	var s *engine.Site
+	var err error
+	if recover {
+		s, err = engine.Recover(cfg)
+	} else if s, err = engine.New(cfg); err == nil {
+		s.Start()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n.sites[cfg.ID] = s
+	return s
 }

@@ -33,11 +33,29 @@ func (s *seen) count(kind, txid string) int {
 	return s.n[kind+"/"+txid]
 }
 
-func dispatchSite(t *testing.T, net *transport.Network, got *seen) *Site {
-	t.Helper()
+// chanEndpoint is an endpoint with an inbox the test writes into, for the
+// event loop's own endpoint read. Sends go nowhere.
+type chanEndpoint struct {
+	id    int
+	inbox chan transport.Message
+}
+
+func (e chanEndpoint) ID() int                        { return e.id }
+func (e chanEndpoint) Send(transport.Message) error   { return nil }
+func (e chanEndpoint) Recv() <-chan transport.Message { return e.inbox }
+func (e chanEndpoint) Close() error                   { return nil }
+
+// The event loop reads the endpoint itself, and the deterministic injection
+// point is Deliver: both hand an unowned kind to Unhandled exactly once,
+// without queueing it, and a protocol kind never.
+func TestUnownedKindsNeverQueued(t *testing.T) {
+	// Unbuffered: each send returns once the loop has taken the message,
+	// and so has finished with every message before it.
+	ep := chanEndpoint{id: 2, inbox: make(chan transport.Message)}
+	got := &seen{n: map[string]int{}}
 	s, err := New(Config{
 		ID:        2,
-		Endpoint:  net.Endpoint(2),
+		Endpoint:  ep,
 		Log:       wal.NewMemoryLog(),
 		Resource:  nopResource{},
 		Detector:  deadDetector{self: 2},
@@ -49,30 +67,22 @@ func dispatchSite(t *testing.T, net *transport.Network, got *seen) *Site {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Stop)
-	return s
-}
-
-// The event loop reads the endpoint itself, and the deterministic injection
-// point is Deliver: both hand an unowned kind to Unhandled exactly once,
-// without queueing it, and a protocol kind never.
-func TestUnownedKindsNeverQueued(t *testing.T) {
-	net := transport.NewNetwork()
-	got := &seen{n: map[string]int{}}
-	s := dispatchSite(t, net, got)
 	s.Start()
-	peer := net.Endpoint(1)
 	meta := encodeMeta(TxMeta{Coordinator: 1, Participants: []int{1, 2}})
 	for _, m := range []transport.Message{
-		{To: 2, Kind: "KV-REPLY", TxID: "t1"},
-		{To: 2, Kind: KindVoteReq, TxID: "t1", Body: meta},
-		{To: 2, Kind: failure.HeartbeatKind},
+		{From: 1, To: 2, Kind: "KV-REPLY", TxID: "t1"},
+		{From: 1, To: 2, Kind: KindVoteReq, TxID: "t1", Body: meta},
+		{From: 1, To: 2, Kind: failure.HeartbeatKind},
 	} {
-		if err := peer.Send(m); err != nil {
-			t.Fatal(err)
-		}
+		ep.inbox <- m
 	}
-	waitFor(t, "the heartbeat", func() bool { return got.count(failure.HeartbeatKind, "") == 1 })
-	waitFor(t, "the VOTE-REQ", func() bool { return s.Participants("t1") != nil })
+	s.Stop() // the loop finishes the heartbeat before it exits
+	if n := got.count(failure.HeartbeatKind, ""); n != 1 {
+		t.Errorf("heartbeat reached Unhandled %d times, want once", n)
+	}
+	if s.Participants("t1") == nil {
+		t.Error("the VOTE-REQ read from the endpoint was not handled")
+	}
 	if n := got.count("KV-REPLY", "t1"); n != 1 {
 		t.Errorf("KV-REPLY reached Unhandled %d times, want once", n)
 	}
@@ -80,6 +90,7 @@ func TestUnownedKindsNeverQueued(t *testing.T) {
 		t.Errorf("a protocol message reached Unhandled %d times", n)
 	}
 
+	net := transport.NewSimNetwork()
 	det := &seen{n: map[string]int{}}
 	d, err := New(Config{
 		ID: 3, Endpoint: net.Endpoint(3), Log: wal.NewMemoryLog(), Resource: nopResource{},

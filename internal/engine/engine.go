@@ -144,12 +144,11 @@ type Resource interface {
 }
 
 // VersionedResource is the optional extension implemented by multi-version
-// resources. The engine publishes both series as per-site gauges and exposes
-// them via Site.ResourceVersion so snapshot readers can see how far the
-// apply path has advanced: CommitTS is the newest commit timestamp stamped
-// at decision-apply time, and Watermark is the oldest in-doubt prepare
-// reservation (0 when nothing is prepared-but-undecided) — the bound below
-// which snapshot reads are final.
+// resources. The engine publishes both series as per-site gauges, so an
+// operator can see how far the apply path has advanced: CommitTS is the
+// newest commit timestamp stamped at decision-apply time, and Watermark is
+// the oldest in-doubt prepare reservation (0 when nothing is
+// prepared-but-undecided) — the bound below which snapshot reads are final.
 type VersionedResource interface {
 	Resource
 	CommitTS() uint64
@@ -608,17 +607,6 @@ func New(cfg Config) (*Site, error) {
 // ID returns the site's identifier.
 func (s *Site) ID() int { return s.id }
 
-// ResourceVersion reports the resource's newest applied commit timestamp and
-// its in-doubt watermark when the resource is multi-version; ok is false for
-// plain resources.
-func (s *Site) ResourceVersion() (commitTS, watermark uint64, ok bool) {
-	vr, ok := s.res.(VersionedResource)
-	if !ok {
-		return 0, 0, false
-	}
-	return vr.CommitTS(), vr.Watermark(), true
-}
-
 // protoTimeout returns the current protocol timeout.
 func (s *Site) protoTimeout() time.Duration {
 	return time.Duration(s.timeoutNs.Load())
@@ -691,10 +679,12 @@ func (s *Site) enqueue(ev event) {
 	}
 }
 
-// Deliver synchronously processes one inbound message on the caller's
-// goroutine. It is the injection point used by deterministic simulation
-// (Config.Deterministic); sites wired to a live transport receive messages
-// through their endpoint instead.
+// Deliver hands one inbound message to the site, for a network that delivers
+// messages itself rather than through the endpoint's Recv
+// (transport.SimNetwork). A deterministic site (Config.Deterministic)
+// processes it synchronously on the caller's goroutine; a live site queues
+// it for its event loop. Either way a kind the engine does not own goes to
+// Unhandled on the caller's goroutine.
 func (s *Site) Deliver(m transport.Message) {
 	if !s.turnAway(m) {
 		s.enqueue(event{kind: evMsg, msg: m})

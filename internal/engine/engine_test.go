@@ -100,7 +100,7 @@ var grace = clock.NewBudget(testTimeout).Forget
 // schedule is built step by step rather than waited for, and no wait depends
 // on the host.
 type simCluster struct {
-	t     *testing.T
+	t     testing.TB
 	kind  engine.ProtocolKind
 	clk   *clock.Virtual
 	net   *transport.SimNetwork
@@ -117,14 +117,25 @@ type simCluster struct {
 	tripped []int
 }
 
-func newSimCluster(t *testing.T, kind engine.ProtocolKind, n int) *simCluster {
+func newSimCluster(t testing.TB, kind engine.ProtocolKind, n int) *simCluster {
 	t.Helper()
 	return newTracedCluster(t, kind, n, nil)
 }
 
 // newTracedCluster is newSimCluster with every site recording its protocol
 // events into rec.
-func newTracedCluster(t *testing.T, kind engine.ProtocolKind, n int, rec *trace.Recorder) *simCluster {
+func newTracedCluster(t testing.TB, kind engine.ProtocolKind, n int, rec *trace.Recorder) *simCluster {
+	t.Helper()
+	logs := make([]wal.Log, n)
+	for i := range logs {
+		logs[i] = wal.NewMemoryLog()
+	}
+	return newClusterOver(t, kind, logs, rec)
+}
+
+// newClusterOver starts sites 1..len(logs), site i over logs[i-1], each
+// recording into rec (nil: nothing).
+func newClusterOver(t testing.TB, kind engine.ProtocolKind, logs []wal.Log, rec *trace.Recorder) *simCluster {
 	t.Helper()
 	c := &simCluster{
 		t:     t,
@@ -136,9 +147,10 @@ func newTracedCluster(t *testing.T, kind engine.ProtocolKind, n int, rec *trace.
 		logs:  map[int]wal.Log{},
 		res:   map[int]*testResource{},
 	}
-	for i := 1; i <= n; i++ {
+	c.net.SetDrop(func(m transport.Message) bool { return c.drop != nil && c.drop(m) })
+	for i := 1; i <= len(logs); i++ {
 		c.ids = append(c.ids, i)
-		c.logs[i] = wal.NewMemoryLog()
+		c.logs[i] = logs[i-1]
 		c.start(i, false)
 	}
 	t.Cleanup(func() {
@@ -156,7 +168,7 @@ func (c *simCluster) start(id int, recover bool) {
 	c.res[id] = newTestResource()
 	cfg := engine.Config{
 		ID:            id,
-		Endpoint:      lossyEndpoint{c.net.Endpoint(id), c},
+		Endpoint:      c.net.Endpoint(id),
 		Log:           c.logs[id],
 		Resource:      c.res[id],
 		Detector:      c.net,
@@ -177,20 +189,6 @@ func (c *simCluster) start(id int, recover bool) {
 		c.t.Fatal(err)
 	}
 	c.sites[id] = s
-}
-
-// lossyEndpoint loses every message the cluster's drop predicate matches.
-type lossyEndpoint struct {
-	transport.Endpoint
-	c *simCluster
-}
-
-func (e lossyEndpoint) Send(m transport.Message) error {
-	m.From = e.ID()
-	if e.c.drop != nil && e.c.drop(m) {
-		return nil
-	}
-	return e.Endpoint.Send(m)
 }
 
 // crash stops a site and has the network report its failure.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
 
@@ -34,7 +32,9 @@ func (l *countingLog) Close() error                    { return l.inner.Close() 
 // protocol's forced-write cost model, independent of device speed, and the
 // bench smoke gates them: presumed-abort 2PC must hold participants to <=2
 // forces per commit and the coordinator to 0 per abort, and a cohort of one
-// forces 1 record per commit and 0 per abort under every family.
+// forces 1 record per commit and 0 per abort under every family. The sites
+// are deterministic and run in virtual time (simCluster), so the counts
+// cannot depend on the host.
 func BenchmarkEngineForcedRecords(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -55,36 +55,13 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			net := transport.NewNetwork()
-			n := tc.cohort
-			sites := make(map[int]*engine.Site, n)
-			logs := make(map[int]*countingLog, n)
-			resources := make(map[int]*testResource, n)
-			var ids []int
-			for i := 1; i <= n; i++ {
-				ids = append(ids, i)
+			logs := make([]*countingLog, tc.cohort)
+			wlogs := make([]wal.Log, tc.cohort)
+			for i := range logs {
 				logs[i] = &countingLog{inner: wal.NewMemoryLog()}
-				resources[i] = newTestResource()
-				s, err := engine.New(engine.Config{
-					ID:       i,
-					Endpoint: net.Endpoint(i),
-					Log:      logs[i],
-					Resource: resources[i],
-					Detector: net,
-					Protocol: tc.kind,
-					Timeout:  time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sites[i] = s
-				s.Start()
+				wlogs[i] = logs[i]
 			}
-			defer func() {
-				for _, s := range sites {
-					s.Stop()
-				}
-			}()
+			c := newClusterOver(b, tc.kind, wlogs, nil)
 			want := engine.OutcomeCommitted
 			if tc.refuse != 0 {
 				want = engine.OutcomeAborted
@@ -93,30 +70,22 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				txid := fmt.Sprintf("forced-%d", i)
 				if tc.refuse != 0 {
-					resources[tc.refuse].refuse(txid)
+					c.res[tc.refuse].refuse(txid)
 				}
-				h, err := sites[1].Begin(txid, ids, false)
-				if err != nil {
+				if _, err := c.sites[1].Begin(txid, c.ids, false); err != nil {
 					b.Fatal(err)
 				}
-				// Wait at every site so each op's forced writes are fully
-				// accounted before the next op (and before the counters are
-				// read): the coordinator through its handle, the
-				// participants by txid.
-				if o, err := h.Wait(5 * time.Second); err != nil || o != want {
-					b.Fatalf("%s at site 1: outcome %v err %v", txid, o, err)
-				}
-				for _, id := range ids[1:] {
-					if o, err := sites[id].WaitOutcome(txid, 5*time.Second); err != nil || o != want {
-						b.Fatalf("%s at site %d: outcome %v err %v", txid, id, o, err)
-					}
-				}
+				// Resolve at every site and deliver what is still in
+				// flight, so each op's forced writes are fully accounted
+				// before the next op (and before the counters are read).
+				c.expect(txid, want, c.ids...)
+				c.settle()
 			}
 			b.StopTimer()
-			coord := float64(logs[1].forced.Load()) / float64(b.N)
+			coord := float64(logs[0].forced.Load()) / float64(b.N)
 			part := 0.0
-			for _, id := range ids[1:] {
-				if f := float64(logs[id].forced.Load()) / float64(b.N); f > part {
+			for _, l := range logs[1:] {
+				if f := float64(l.forced.Load()) / float64(b.N); f > part {
 					part = f
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nbcommit/internal/engine"
-	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
 
@@ -106,7 +105,7 @@ const gatedTimeout = time.Second
 // rest on plain MemoryLogs.
 type gatedCluster struct {
 	t     *testing.T
-	net   *transport.Network
+	net   *liveNet
 	kind  engine.ProtocolKind
 	gated *gatedLog
 	logs  map[int]wal.Log
@@ -118,7 +117,7 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 	t.Helper()
 	c := &gatedCluster{
 		t:     t,
-		net:   transport.NewNetwork(),
+		net:   newLiveNet(t),
 		kind:  kind,
 		gated: newGatedLog(gate...),
 		logs:  map[int]wal.Log{},
@@ -132,27 +131,28 @@ func newGatedCluster(t *testing.T, kind engine.ProtocolKind, gate ...wal.RecordT
 			c.logs[i] = wal.NewMemoryLog()
 		}
 		c.res[i] = newTestResource()
-		s, err := engine.New(engine.Config{
+		c.sites[i] = c.net.start(t, engine.Config{
 			ID:       i,
-			Endpoint: c.net.Endpoint(i),
 			Log:      c.logs[i],
 			Resource: c.res[i],
-			Detector: c.net,
 			Protocol: kind,
 			Timeout:  gatedTimeout,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.sites[i] = s
-		s.Start()
+		}, false)
 	}
-	t.Cleanup(func() {
-		for _, s := range c.sites {
-			s.Stop()
-		}
-	})
 	return c
+}
+
+// recover restarts site 1 from its gated log with a fresh resource.
+func (c *gatedCluster) recover() {
+	c.t.Helper()
+	c.res[1] = newTestResource()
+	c.sites[1] = c.net.start(c.t, engine.Config{
+		ID:       1,
+		Log:      c.logs[1],
+		Resource: c.res[1],
+		Protocol: c.kind,
+		Timeout:  gatedTimeout,
+	}, true)
 }
 
 // pollPhase polls, on the wall clock, until the site holds txid in phase.
@@ -247,20 +247,7 @@ func TestGroupCommitCrashMidBatch3PC(t *testing.T) {
 
 	// The coordinator's log ends at prepared: recovery is in doubt, asks
 	// the cohort, and lands on the same outcome.
-	c.res[1] = newTestResource()
-	s, err := engine.Recover(engine.Config{
-		ID:       1,
-		Endpoint: c.net.Endpoint(1),
-		Log:      c.logs[1],
-		Resource: c.res[1],
-		Detector: c.net,
-		Protocol: engine.ThreePhase,
-		Timeout:  gatedTimeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.sites[1] = s
+	c.recover()
 	c.expect("t1", engine.OutcomeCommitted, 1)
 	if !c.res[1].didCommit("t1") {
 		t.Fatal("recovered coordinator did not apply the redo image")
@@ -292,20 +279,7 @@ func TestGroupCommitCrashMidBatchBeforePrepare(t *testing.T) {
 	c.sites[1].Stop()
 	c.expect("t1", engine.OutcomeAborted, 2, 3)
 
-	c.res[1] = newTestResource()
-	s, err := engine.Recover(engine.Config{
-		ID:       1,
-		Endpoint: c.net.Endpoint(1),
-		Log:      c.logs[1],
-		Resource: c.res[1],
-		Detector: c.net,
-		Protocol: engine.ThreePhase,
-		Timeout:  gatedTimeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.sites[1] = s
+	c.recover()
 	c.expect("t1", engine.OutcomeAborted, 1)
 	if c.res[1].didCommit("t1") {
 		t.Fatal("recovered coordinator committed an aborted transaction")
@@ -415,22 +389,9 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 					t.Fatalf("log holds %v, want %s", got, want)
 				}
 
-				c.res[1] = newTestResource()
-				s, err := engine.Recover(engine.Config{
-					ID:       1,
-					Endpoint: c.net.Endpoint(1),
-					Log:      c.logs[1],
-					Resource: c.res[1],
-					Detector: c.net,
-					Protocol: kind,
-					Timeout:  gatedTimeout,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.sites[1] = s
+				c.recover()
 				if !durable {
-					if ph := s.Phase("t1"); ph != "?" {
+					if ph := c.sites[1].Phase("t1"); ph != "?" {
 						t.Fatalf("recovered site knows t1 (phase %s) though nothing reached the log", ph)
 					}
 					return
@@ -450,7 +411,7 @@ func TestOnePhaseCrashWindow(t *testing.T) {
 // fsync), proving the event loop keeps staging while a flush is in flight.
 func TestEnginePipelinesOverFileLog(t *testing.T) {
 	dir := t.TempDir()
-	net := transport.NewNetwork()
+	net := newLiveNet(t)
 	var batchMu sync.Mutex
 	maxBatch := 0
 	sites := map[int]*engine.Site{}
@@ -471,20 +432,14 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		s, err := engine.New(engine.Config{
+		s := net.start(t, engine.Config{
 			ID:       i,
-			Endpoint: net.Endpoint(i),
 			Log:      l,
 			Resource: newTestResource(),
-			Detector: net,
 			Protocol: engine.ThreePhase,
 			Timeout:  500 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, false)
 		sites[i] = s
-		s.Start()
 		defer s.Stop()
 	}
 

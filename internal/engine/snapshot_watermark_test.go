@@ -3,14 +3,17 @@ package engine
 // Engine-level coverage for snapshot-vs-writer interleavings: a snapshot
 // taken between Prepare and decision-apply must read below the in-doubt
 // watermark and never return the prepared-but-undecided value. The test
-// drives a lone participant directly with Deliver so the window between the
-// vote and the decision stays open for as long as the test wants.
+// drives a lone deterministic participant, in virtual time, directly with
+// Deliver: each message is handled before Deliver returns, so the window
+// between the vote and the decision stays open for as long as the test
+// wants, and every assertion is made synchronously.
 
 import (
 	"errors"
 	"testing"
 	"time"
 
+	"nbcommit/internal/clock"
 	"nbcommit/internal/kv"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
@@ -43,30 +46,20 @@ func (r kvResource) ApplyRedo(redo []byte) error {
 func (r kvResource) CommitTS() uint64  { return r.s.CommitTS() }
 func (r kvResource) Watermark() uint64 { return r.s.Watermark() }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func newInDoubtParticipant(t *testing.T, kind ProtocolKind) (*Site, *kv.Store) {
 	t.Helper()
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	store := kv.NewStore(kv.Options{LockTimeout: time.Second})
 	store.ApplyRedo([]kv.WriteOp{{Key: "a", Value: "old"}})
 	s, err := New(Config{
-		ID:       1,
-		Endpoint: net.Endpoint(1),
-		Log:      wal.NewMemoryLog(),
-		Resource: kvResource{store},
-		Detector: net,
-		Protocol: kind,
-		Timeout:  time.Minute, // keep termination out of the in-doubt window
+		ID:            1,
+		Endpoint:      net.Endpoint(1),
+		Log:           wal.NewMemoryLog(),
+		Resource:      kvResource{store},
+		Detector:      net,
+		Protocol:      kind,
+		Clock:         clock.NewVirtual(), // never advanced: no timer fires
+		Deterministic: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +89,11 @@ func TestSnapshotReadsBelowWatermarkWhileInDoubt(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliverVoteReq(s, "w")
-	waitFor(t, "prepare to reserve the watermark", func() bool { return store.Watermark() != 0 })
 
-	// The published view: commit ts from the seed apply, watermark above it.
-	cts, wm, ok := s.ResourceVersion()
-	if !ok {
-		t.Fatal("kv-backed site does not report as versioned")
-	}
+	// The prepare reserved the watermark, above the seed apply's commit ts.
+	cts, wm := store.CommitTS(), store.Watermark()
 	if wm == 0 || cts >= wm {
-		t.Fatalf("published commit ts %d, watermark %d: apply point not below the in-doubt reservation", cts, wm)
+		t.Fatalf("commit ts %d, watermark %d: apply point not below the in-doubt reservation", cts, wm)
 	}
 
 	// A snapshot inside the window reads strictly below the watermark and
@@ -119,12 +108,14 @@ func TestSnapshotReadsBelowWatermarkWhileInDoubt(t *testing.T) {
 
 	// Decision applies: the watermark clears and the write becomes stable.
 	s.Deliver(transport.Message{From: 9, To: 1, Kind: KindCommit, TxID: "w"})
-	waitFor(t, "decision apply", func() bool { return store.Watermark() == 0 })
+	if wm := store.Watermark(); wm != 0 {
+		t.Fatalf("watermark %d after decision apply, want 0", wm)
+	}
 	if v, _, err := store.SnapshotGet("a"); err != nil || v != "new" {
 		t.Fatalf("snapshot after decision-apply = %q, %v", v, err)
 	}
-	if cts2, _, _ := s.ResourceVersion(); cts2 <= cts {
-		t.Fatalf("commit ts not published at apply: %d then %d", cts, cts2)
+	if cts2 := store.CommitTS(); cts2 <= cts {
+		t.Fatalf("commit ts not advanced at apply: %d then %d", cts, cts2)
 	}
 }
 
@@ -138,10 +129,14 @@ func TestSnapshotUnaffectedByAbortedInDoubt(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliverVoteReq(s, "w")
-	waitFor(t, "prepare to reserve the watermark", func() bool { return store.Watermark() != 0 })
+	if store.Watermark() == 0 {
+		t.Fatal("prepare reserved no watermark")
+	}
 
 	s.Deliver(transport.Message{From: 9, To: 1, Kind: KindAbort, TxID: "w"})
-	waitFor(t, "abort to clear the watermark", func() bool { return store.Watermark() == 0 })
+	if wm := store.Watermark(); wm != 0 {
+		t.Fatalf("watermark %d after abort, want 0", wm)
+	}
 	if v, _, err := store.SnapshotGet("a"); err != nil || v != "old" {
 		t.Fatalf("snapshot after abort = %q, %v", v, err)
 	}

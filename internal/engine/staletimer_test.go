@@ -34,7 +34,7 @@ func (d deadDetector) Watch(func(site int)) {}
 
 func TestStaleTimerGenerationRejected(t *testing.T) {
 	clk := clock.NewVirtual()
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	s, err := New(Config{
 		ID:            2,
 		Endpoint:      net.Endpoint(2),
@@ -105,7 +105,7 @@ func TestStaleTimerGenerationRejected(t *testing.T) {
 // the timer.
 func TestStaleTimerAfterResolve(t *testing.T) {
 	clk := clock.NewVirtual()
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	s, err := New(Config{
 		ID:            2,
 		Endpoint:      net.Endpoint(2),

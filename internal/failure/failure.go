@@ -2,10 +2,9 @@
 // network assumption that "the underlying network can detect the failure of
 // a site and reliably report it to an operational site".
 //
-// Detector is the view the engine consumes. The in-memory networks
-// (transport.Network and transport.SimNetwork) implement it directly as
-// perfect detectors: they report exactly their own crash state, which
-// matches the paper's model. HeartbeatDetector approximates the assumption
+// Detector is the view the engine consumes. The in-memory network,
+// transport.SimNetwork, implements it directly as a perfect detector: it
+// reports exactly its own crash state, which matches the paper's model. HeartbeatDetector approximates the assumption
 // over real transports by exchanging periodic heartbeats and declaring a
 // peer crashed after a timeout.
 package failure

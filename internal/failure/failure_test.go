@@ -8,10 +8,10 @@ import (
 	"nbcommit/internal/transport"
 )
 
-// The in-memory Network is the perfect (oracle) Detector: Alive reports
+// The in-memory SimNetwork is the perfect (oracle) Detector: Alive reports
 // exactly its crash state.
 func TestOracleAliveTracksNetwork(t *testing.T) {
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	net.Endpoint(1)
 	net.Endpoint(2)
 	var d Detector = net
@@ -27,9 +27,10 @@ func TestOracleAliveTracksNetwork(t *testing.T) {
 	}
 }
 
-// Watch reports every crash of the oracle Network, in the order they happen.
+// Watch reports every crash of the oracle SimNetwork, in the order they
+// happen.
 func TestOracleWatch(t *testing.T) {
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	net.Endpoint(1)
 	net.Endpoint(2)
 	net.Endpoint(3)

@@ -138,7 +138,7 @@ func TestLockTimeoutUsesInjectedClock(t *testing.T) {
 	go func() { res <- s.Put("t2", "a", "2") }()
 	// Wait until the contender parks on a virtual timer.
 	deadline := time.Now().Add(5 * time.Second)
-	for vc.Pending() == 0 {
+	for _, armed := vc.NextDeadline(); !armed; _, armed = vc.NextDeadline() {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never scheduled a virtual-clock timer")
 		}
@@ -176,7 +176,7 @@ func TestVirtualClockReleaseStillWakes(t *testing.T) {
 	res := make(chan error, 1)
 	go func() { res <- s.Put("t2", "a", "2") }()
 	deadline := time.Now().Add(5 * time.Second)
-	for vc.Pending() == 0 {
+	for _, armed := vc.NextDeadline(); !armed; _, armed = vc.NextDeadline() {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never scheduled a virtual-clock timer")
 		}

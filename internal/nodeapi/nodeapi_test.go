@@ -27,11 +27,12 @@ type node struct {
 }
 
 // testCluster builds n nodes over the in-memory network with the oracle
-// detector (the node wiring minus TCP and heartbeats). Every node holds the
-// deterministic default shard map for the cluster.
-func testCluster(t *testing.T, n int) (map[int]*node, *transport.Network) {
+// detector (the node wiring minus TCP and heartbeats), and delivers their
+// messages with the network's Serve. Every node holds the deterministic
+// default shard map for the cluster.
+func testCluster(t *testing.T, n int) map[int]*node {
 	t.Helper()
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	ids := make([]int, 0, n)
 	for i := 1; i <= n; i++ {
 		ids = append(ids, i)
@@ -69,12 +70,20 @@ func testCluster(t *testing.T, n int) (map[int]*node, *transport.Network) {
 		site.Start()
 		nodes[i] = &node{id: i, store: store, site: site, client: client, server: server}
 	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		net.Serve(func(m transport.Message) { nodes[m.To].site.Deliver(m) }, stop)
+	}()
 	t.Cleanup(func() {
+		close(stop)
+		<-done
 		for _, nd := range nodes {
 			nd.site.Stop()
 		}
 	})
-	return nodes, net
+	return nodes
 }
 
 // waitRead polls a store until key holds want (COMMITTED means the decision
@@ -114,7 +123,7 @@ func api(nd *node) *API {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 
 	reply := s.Execute("BEGIN")
@@ -152,7 +161,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionErrors(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 
 	for line, wantPrefix := range map[string]string{
@@ -189,7 +198,7 @@ func TestSessionErrors(t *testing.T) {
 }
 
 func TestSessionAbortRollsBack(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	s.Execute("BEGIN")
 	s.Execute("PUT 2 k v")
@@ -202,7 +211,7 @@ func TestSessionAbortRollsBack(t *testing.T) {
 }
 
 func TestSessionCleanupAbortsOpenTxn(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	s.Execute("BEGIN")
 	s.Execute("PUT 2 k v")
@@ -216,7 +225,7 @@ func TestSessionCleanupAbortsOpenTxn(t *testing.T) {
 }
 
 func TestSessionLockConflictSurfacesAsError(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	s1 := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	s2 := &Session{api: api(nodes[2]), touched: map[int]bool{}}
 	s1.Execute("BEGIN")
@@ -235,7 +244,7 @@ func TestSessionLockConflictSurfacesAsError(t *testing.T) {
 }
 
 func TestServeOverRealConnection(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	a := api(nodes[1])
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -294,7 +303,7 @@ func keyOwnedBy(t *testing.T, r *shard.Router, owner int, prefix string) string 
 // participant set of exactly that one site — the serving node and every
 // bystander stay out of the commit entirely.
 func TestKeyedSingleShardOneParticipant(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	a := api(nodes[1])
 	s := &Session{api: a, touched: map[int]bool{}}
 
@@ -328,7 +337,7 @@ func TestKeyedSingleShardOneParticipant(t *testing.T) {
 // TestKeyedCrossShard: keys owned by two sites commit across exactly those
 // two sites, with the serving node coordinating when it owns one of them.
 func TestKeyedCrossShard(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	a := api(nodes[1])
 	s := &Session{api: a, touched: map[int]bool{}}
 
@@ -358,7 +367,7 @@ func TestKeyedCrossShard(t *testing.T) {
 // TestKeyedReadYourWrites: a key committed through one node is readable
 // key-addressed through another node.
 func TestKeyedReadYourWrites(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	writer := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	key := keyOwnedBy(t, api(nodes[1]).Router, 3, "ryw")
 	writer.Execute("BEGIN")
@@ -381,7 +390,7 @@ func TestKeyedReadYourWrites(t *testing.T) {
 // TestKeyedEmptyCommit: a transaction that touched nothing commits trivially
 // without engaging any engine.
 func TestKeyedEmptyCommit(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	reply := s.Execute("BEGIN")
 	txid := strings.TrimPrefix(reply, "OK ")
@@ -398,7 +407,7 @@ func TestKeyedEmptyCommit(t *testing.T) {
 // TestKeyedWithoutRouter: the keyed verbs fail cleanly on a node with no
 // shard map.
 func TestKeyedWithoutRouter(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	a := api(nodes[1])
 	a.Router = nil
 	s := &Session{api: a, touched: map[int]bool{}}
@@ -412,7 +421,7 @@ func TestKeyedWithoutRouter(t *testing.T) {
 // TestKeyedVersionMismatch: a node routing under a stale shard map is
 // rejected by the owner site instead of silently misplacing data.
 func TestKeyedVersionMismatch(t *testing.T) {
-	nodes, _ := testCluster(t, 2)
+	nodes := testCluster(t, 2)
 	a := api(nodes[1])
 	nodes[1].client.MapVersion = 99 // stale router
 	defer func() { nodes[1].client.MapVersion = a.Router.Map.Version }()

@@ -25,7 +25,7 @@ func pickKey(t *testing.T, s *Session, site int, taken map[string]bool) string {
 }
 
 func TestReadOnlySessionFastPath(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	s := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	taken := map[string]bool{}
 	kLocal := pickKey(t, s, 1, taken)  // served from the local store
@@ -101,7 +101,7 @@ func TestReadOnlySessionFastPath(t *testing.T) {
 // A read-only transaction's view is pinned at first touch per site: writes
 // committed after the pin stay invisible until the next transaction.
 func TestReadOnlySnapshotStability(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	writer := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	reader := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	taken := map[string]bool{}
@@ -158,7 +158,7 @@ func TestReadOnlySnapshotStability(t *testing.T) {
 // A missing key inside BEGIN RO still pins the site's snapshot: a key
 // created afterwards stays invisible to this transaction (no phantom).
 func TestReadOnlyMissingKeyPinsSnapshot(t *testing.T) {
-	nodes, _ := testCluster(t, 3)
+	nodes := testCluster(t, 3)
 	writer := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	reader := &Session{api: api(nodes[1]), touched: map[int]bool{}}
 	taken := map[string]bool{}

@@ -13,28 +13,31 @@ import (
 
 // wire connects a Client at site 1 with a Server at site 2 over the
 // in-memory network, dispatching by message kind as kvnode does.
-func wire(t *testing.T) (*Client, *kv.Store, *transport.Network) {
+func wire(t *testing.T) (*Client, *kv.Store, *transport.SimNetwork) {
 	t.Helper()
-	net := transport.NewNetwork()
+	net := transport.NewSimNetwork()
 	e1 := net.Endpoint(1)
 	e2 := net.Endpoint(2)
 	store := kv.NewStore(kv.Options{LockTimeout: 30 * time.Millisecond})
 	srv := &Server{Store: store, Send: e2.Send}
 	client := NewClient(e1.Send, 500*time.Millisecond)
+	stop := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		for m := range e2.Recv() {
-			if m.Kind == KindOp {
+		defer close(done)
+		net.Serve(func(m transport.Message) {
+			switch {
+			case m.To == 2 && m.Kind == KindOp:
 				srv.Handle(m)
-			}
-		}
-	}()
-	go func() {
-		for m := range e1.Recv() {
-			if m.Kind == KindReply {
+			case m.To == 1 && m.Kind == KindReply:
 				client.Deliver(m)
 			}
-		}
+		}, stop)
 	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
 	return client, store, net
 }
 

@@ -88,7 +88,8 @@ type LinkModel struct {
 type SimDropCause int
 
 const (
-	// SimDropLoss: random loss drawn from the link's loss rate.
+	// SimDropLoss: random loss drawn from the link's loss rate, or a
+	// message the drop predicate (SetDrop) matched.
 	SimDropLoss SimDropCause = iota
 	// SimDropPartition: the directed link was blocked at send time.
 	SimDropPartition
@@ -123,13 +124,16 @@ type simMsg struct {
 	due time.Time
 }
 
-// SimNetwork is the deterministic message substrate for simulation testing
-// (internal/dst). Instead of delivering messages into endpoint inboxes,
-// every Send is captured into a single pending queue in send order; a
-// scheduler takes the deliverable ones with Take and hands each message to
-// its destination site explicitly (engine.Site.Deliver), choosing the
-// delivery order. That makes every interleaving of a cluster run
-// reproducible from a seed.
+// SimNetwork is the in-memory network every in-process cluster runs on.
+// Instead of delivering messages into endpoint inboxes, every Send is
+// captured into a single pending queue in send order, and the queue's
+// consumer hands each message to its destination site explicitly
+// (engine.Site.Deliver). In simulation testing (internal/dst) that consumer
+// is a scheduler: it takes the deliverable messages with Take, choosing the
+// delivery order, which makes every interleaving of a cluster run
+// reproducible from a seed. A live cluster, whose sites run their own event
+// loops, runs Serve instead: it delivers every message as soon as it is
+// deliverable, in send order.
 //
 // On top of the capture queue sits an optional hostile network model, all of
 // it deterministic:
@@ -147,6 +151,8 @@ type simMsg struct {
 //     while Alive still reports true — slow-but-alive, the failure mode
 //     timeout-based detectors misjudge.
 //
+// A drop predicate (SetDrop) loses chosen messages at send time.
+//
 // SimNetwork also plays the paper's reliable failure reporter: Alive and
 // Watch expose exactly the perfect-detector view of its crash state, so a
 // SimNetwork can serve directly as a cluster's failure.Detector.
@@ -158,6 +164,8 @@ type SimNetwork struct {
 	blocked  map[[2]int]bool
 	queue    []simMsg
 	watchers []func(site int)
+	drop     func(Message) bool
+	wake     chan struct{} // one slot: a send or a heal nudges Serve
 	sent     uint64
 	drops    [numSimDropCauses]uint64
 
@@ -177,6 +185,7 @@ func NewSimNetwork() *SimNetwork {
 		blocked:  map[[2]int]bool{},
 		links:    map[[2]int]LinkModel{},
 		gray:     map[int]float64{},
+		wake:     make(chan struct{}, 1),
 		rng:      rand.New(rand.NewSource(1)),
 	}
 }
@@ -225,6 +234,17 @@ func (n *SimNetwork) SetGray(id int, factor float64) {
 		return
 	}
 	n.gray[id] = factor
+}
+
+// SetDrop installs a predicate consulted for every message sent to a live
+// site across an open link; a message it matches is lost, counted under
+// SimDropLoss. Pass nil to clear. What is already in flight stays. The
+// predicate runs with the network lock held, so it must not call back into
+// the network.
+func (n *SimNetwork) SetDrop(f func(Message) bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.drop = f
 }
 
 // Endpoint attaches (or re-attaches) site id. Re-attaching after a crash
@@ -311,6 +331,7 @@ func (n *SimNetwork) Unblock(a, b int) {
 	defer n.mu.Unlock()
 	delete(n.blocked, [2]int{a, b})
 	delete(n.blocked, [2]int{b, a})
+	n.nudgeLocked()
 }
 
 // BlockOneWay cuts only the from -> to direction — the asymmetric partition:
@@ -326,6 +347,7 @@ func (n *SimNetwork) UnblockOneWay(from, to int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.blocked, [2]int{from, to})
+	n.nudgeLocked()
 }
 
 // nowLocked reads the virtual clock, or zero when none is installed.
@@ -347,17 +369,21 @@ func (n *SimNetwork) deliverableLocked(q simMsg, now time.Time) bool {
 	return q.due.IsZero() || !q.due.After(now)
 }
 
-// readyLocked returns the queue indices of deliverable messages, in send
-// order. Requires n.mu held.
-func (n *SimNetwork) readyLocked() []int {
+// nthLocked returns the queue index of the i-th deliverable message, in send
+// order, or -1 if there are not that many. It allocates nothing, so Serve
+// adds no allocation to a live commit. Requires n.mu held.
+func (n *SimNetwork) nthLocked(i int) int {
 	now := n.nowLocked()
-	var idx []int
-	for i, q := range n.queue {
-		if n.deliverableLocked(q, now) {
-			idx = append(idx, i)
+	for j, q := range n.queue {
+		if !n.deliverableLocked(q, now) {
+			continue
 		}
+		if i == 0 {
+			return j
+		}
+		i--
 	}
-	return idx
+	return -1
 }
 
 // Pending reports the number of captured messages deliverable right now —
@@ -366,7 +392,14 @@ func (n *SimNetwork) readyLocked() []int {
 func (n *SimNetwork) Pending() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.readyLocked())
+	now := n.nowLocked()
+	ready := 0
+	for _, q := range n.queue {
+		if n.deliverableLocked(q, now) {
+			ready++
+		}
+	}
+	return ready
 }
 
 // inFlight reports every captured, undelivered message, deliverable or not.
@@ -400,11 +433,11 @@ func (n *SimNetwork) NextDue() (time.Time, bool) {
 func (n *SimNetwork) peek(i int) (Message, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	idx := n.readyLocked()
-	if i < 0 || i >= len(idx) {
+	j := n.nthLocked(i)
+	if j < 0 {
 		return Message{}, false
 	}
-	return n.queue[idx[i]].m, true
+	return n.queue[j].m, true
 }
 
 // Take removes and returns the i-th deliverable message; the scheduler then
@@ -412,14 +445,50 @@ func (n *SimNetwork) peek(i int) (Message, bool) {
 func (n *SimNetwork) Take(i int) (Message, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	idx := n.readyLocked()
-	if i < 0 || i >= len(idx) {
+	j := n.nthLocked(i)
+	if j < 0 {
 		return Message{}, false
 	}
-	j := idx[i]
 	m := n.queue[j].m
-	n.queue = append(n.queue[:j], n.queue[j+1:]...)
+	copy(n.queue[j:], n.queue[j+1:])
+	n.queue[len(n.queue)-1] = simMsg{}
+	n.queue = n.queue[:len(n.queue)-1]
 	return m, true
+}
+
+// nudgeLocked wakes Serve without blocking. Requires n.mu held.
+func (n *SimNetwork) nudgeLocked() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Serve runs a live cluster: until stop is closed it hands every deliverable
+// message, in send order, to deliver (normally the destination's
+// engine.Site.Deliver), and sleeps while none is. A send, or a heal that
+// releases held messages, wakes it. deliver runs without the network lock,
+// one message at a time, so a deliver that blocks holds up every later
+// message, as a shared wire would. A network driven by Serve has no clock
+// installed (UseClock): a delayed message would wait for the next wake-up.
+// Run at most one Serve per network, and no Take beside it.
+func (n *SimNetwork) Serve(deliver func(Message), stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if m, ok := n.Take(0); ok {
+			deliver(m)
+			continue
+		}
+		select {
+		case <-n.wake:
+		case <-stop:
+			return
+		}
+	}
 }
 
 // Stats returns the number of messages captured and dropped (all causes) so
@@ -460,10 +529,9 @@ type simEndpoint struct {
 
 func (e *simEndpoint) ID() int { return e.id }
 
-// Recv returns nil: deterministic sites never read an inbox — the scheduler
-// injects messages via engine.Site.Deliver. A site accidentally run in
-// non-deterministic mode over a SimNetwork would wait forever here, which is
-// the loud failure mode we want.
+// Recv returns nil: no site reads an inbox here. The queue's consumer
+// (a scheduler's Take, or Serve for live sites) hands each message to its
+// destination through engine.Site.Deliver.
 func (e *simEndpoint) Recv() <-chan Message { return nil }
 
 func (e *simEndpoint) Send(m Message) error {
@@ -481,6 +549,10 @@ func (e *simEndpoint) Send(m Message) error {
 	if n.blocked[[2]int{e.id, m.To}] {
 		n.drops[SimDropPartition]++
 		return nil // partitioned: lost on the cut link
+	}
+	if n.drop != nil && n.drop(m) {
+		n.drops[SimDropLoss]++
+		return nil // lost by the drop predicate
 	}
 	lm := n.linkLocked(e.id, m.To)
 	if lm.Loss > 0 && n.rng.Float64() < lm.Loss {
@@ -503,6 +575,7 @@ func (e *simEndpoint) Send(m Message) error {
 	}
 	n.queue = append(n.queue, q)
 	n.sent++
+	n.nudgeLocked()
 	return nil
 }
 

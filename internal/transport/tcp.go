@@ -108,7 +108,7 @@ type peerWriter struct {
 // are framed with a compact varint binary codec (wire.go); an inbound
 // connection that speaks anything else is closed. Delivery to an
 // unreachable peer is dropped (matching the crash-stop semantics of the
-// in-memory Network) and counted by cause, so an operator can tell a quiet
+// in-memory SimNetwork) and counted by cause, so an operator can tell a quiet
 // peer from a dead one. Dial and redial timing comes from a clock.Budget.
 type TCPEndpoint struct {
 	id    int

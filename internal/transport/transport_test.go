@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -20,40 +21,88 @@ func recvOne(t testing.TB, ep Endpoint) Message {
 	return Message{}
 }
 
+// serve runs Serve over n until the test ends and returns the channel the
+// delivered messages arrive on.
+func serve(t *testing.T, n *SimNetwork) <-chan Message {
+	t.Helper()
+	got := make(chan Message, 1024)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Serve(func(m Message) { got <- m }, stop)
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	return got
+}
+
+// nextMsg waits for the next message Serve delivers.
+func nextMsg(t *testing.T, got <-chan Message) Message {
+	t.Helper()
+	select {
+	case m := <-got:
+		return m
+	case <-time.After(2 * time.Second):
+		t.Fatal("timed out waiting for message")
+	}
+	return Message{}
+}
+
+// Serve delivers every message in send order, across senders and
+// destinations, and a Send wakes it when it sleeps.
 func TestNetworkDelivery(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
 	e2 := n.Endpoint(2)
-	if err := e1.Send(Message{To: 2, Kind: "PING", TxID: "t"}); err != nil {
-		t.Fatal(err)
+	got := serve(t, n)
+	sends := []struct {
+		from Endpoint
+		m    Message
+	}{
+		{e1, Message{To: 2, Kind: "PING", TxID: "t"}},
+		{e2, Message{To: 1, Kind: "PONG", TxID: "t"}},
+		{e1, Message{To: 2, Kind: "PING", TxID: "u"}},
 	}
-	m := recvOne(t, e2)
-	if m.From != 1 || m.Kind != "PING" || m.TxID != "t" {
-		t.Fatalf("got %v", m)
+	for _, s := range sends {
+		if err := s.from.Send(s.m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if d, _ := n.Stats(); d != 1 {
-		t.Fatalf("delivered = %d", d)
+	for _, s := range sends {
+		m := nextMsg(t, got)
+		if m.From != s.from.ID() || m.To != s.m.To || m.Kind != s.m.Kind || m.TxID != s.m.TxID {
+			t.Fatalf("got %v, want %v from %d", m, s.m, s.from.ID())
+		}
+	}
+	if sent, _ := n.Stats(); sent != 3 {
+		t.Fatalf("sent = %d", sent)
 	}
 }
 
 func TestNetworkSenderStamped(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
-	e2 := n.Endpoint(2)
+	n.Endpoint(2)
+	got := serve(t, n)
 	// A forged From is overwritten.
 	if err := e1.Send(Message{From: 99, To: 2, Kind: "X"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := recvOne(t, e2); m.From != 1 {
+	if m := nextMsg(t, got); m.From != 1 {
 		t.Fatalf("From = %d", m.From)
 	}
 }
 
-// TestNetworkCrash: a crash stops delivery and is reported once to Watch.
+// TestNetworkCrash: a crash purges the messages queued for the site, stops
+// delivery to it and is reported once to Watch.
 func TestNetworkCrash(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
 	n.Endpoint(2)
+	n.Endpoint(3)
 
 	var mu sync.Mutex
 	var crashed []int
@@ -63,6 +112,10 @@ func TestNetworkCrash(t *testing.T) {
 		mu.Unlock()
 	})
 
+	// Queued before the crash, delivered after it: only the message to the
+	// survivor may arrive.
+	e1.Send(Message{To: 2, Kind: "LOST"})
+	e1.Send(Message{To: 3, Kind: "KEPT"})
 	n.Crash(2)
 	if n.Alive(2) {
 		t.Fatal("site 2 alive after crash")
@@ -74,7 +127,14 @@ func TestNetworkCrash(t *testing.T) {
 	if err := e1.Send(Message{To: 2, Kind: "X"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, dropped := n.Stats(); dropped != 1 {
+	e1.Send(Message{To: 3, Kind: "LAST"})
+	got := serve(t, n)
+	for _, want := range []string{"KEPT", "LAST"} {
+		if m := nextMsg(t, got); m.To != 3 || m.Kind != want {
+			t.Fatalf("got %v, want %s to site 3", m, want)
+		}
+	}
+	if _, dropped := n.Stats(); dropped != 2 {
 		t.Fatalf("dropped = %d", dropped)
 	}
 	mu.Lock()
@@ -89,28 +149,26 @@ func TestNetworkCrash(t *testing.T) {
 	}
 }
 
-func TestNetworkCrashClosesInbox(t *testing.T) {
-	n := NewNetwork()
+// A crashed site can no longer send, and no endpoint of the network has an
+// inbox: Serve or a scheduler delivers.
+func TestNetworkCrashedSiteCannotSend(t *testing.T) {
+	n := NewSimNetwork()
 	n.Endpoint(1)
 	e2 := n.Endpoint(2)
 	n.Crash(2)
-	select {
-	case _, ok := <-e2.Recv():
-		if ok {
-			t.Fatal("unexpected message")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("inbox not closed on crash")
-	}
 	if err := e2.Send(Message{To: 1}); err != ErrClosed {
 		t.Fatalf("send from crashed site: %v", err)
+	}
+	if e2.Recv() != nil {
+		t.Fatal("a SimNetwork endpoint has an inbox")
 	}
 }
 
 func TestNetworkRestart(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
 	n.Endpoint(2)
+	got := serve(t, n)
 	n.Crash(2)
 	e2b := n.Endpoint(2) // restart
 	if !n.Alive(2) {
@@ -119,15 +177,25 @@ func TestNetworkRestart(t *testing.T) {
 	if err := e1.Send(Message{To: 2, Kind: "HELLO"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := recvOne(t, e2b); m.Kind != "HELLO" {
+	if m := nextMsg(t, got); m.To != 2 || m.Kind != "HELLO" {
+		t.Fatalf("got %v", m)
+	}
+	if err := e2b.Send(Message{To: 1, Kind: "BACK"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := nextMsg(t, got); m.From != 2 || m.Kind != "BACK" {
 		t.Fatalf("got %v", m)
 	}
 }
 
+// TestNetworkPartition: sends across a cut link are lost, a message already
+// in flight is held, and the heal flushes it to a sleeping Serve.
 func TestNetworkPartition(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
 	e2 := n.Endpoint(2)
+	n.Endpoint(3)
+	e1.Send(Message{To: 2, Kind: "HELD"})
 	n.Block(1, 2)
 	if err := e1.Send(Message{To: 2}); err != nil {
 		t.Fatal(err)
@@ -138,34 +206,52 @@ func TestNetworkPartition(t *testing.T) {
 	if _, dropped := n.Stats(); dropped != 2 {
 		t.Fatalf("dropped = %d", dropped)
 	}
+	select { // so only a later send or the heal can wake Serve
+	case <-n.wake:
+	default:
+	}
+	got := serve(t, n)
+	e1.Send(Message{To: 3, Kind: "OPEN"})
+	if m := nextMsg(t, got); m.Kind != "OPEN" {
+		t.Fatalf("got %v before the heal", m)
+	}
 	n.Unblock(2, 1) // order-insensitive
+	if m := nextMsg(t, got); m.Kind != "HELD" {
+		t.Fatalf("got %v", m)
+	}
 	if err := e1.Send(Message{To: 2, Kind: "OK"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := recvOne(t, e2); m.Kind != "OK" {
+	if m := nextMsg(t, got); m.Kind != "OK" {
 		t.Fatalf("got %v", m)
 	}
 }
 
+// The drop predicate loses what it matches at send time; clearing it lets
+// the same kind through again.
 func TestNetworkDropFunc(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
-	e2 := n.Endpoint(2)
-	n.SetDropFunc(func(m Message) bool { return m.Kind == "EVIL" })
+	n.Endpoint(2)
+	got := serve(t, n)
+	n.SetDrop(func(m Message) bool { return m.Kind == "EVIL" })
 	e1.Send(Message{To: 2, Kind: "EVIL"})
 	e1.Send(Message{To: 2, Kind: "GOOD"})
-	if m := recvOne(t, e2); m.Kind != "GOOD" {
+	if m := nextMsg(t, got); m.Kind != "GOOD" {
 		t.Fatalf("got %v", m)
 	}
-	n.SetDropFunc(nil)
+	if n.droppedCause(SimDropLoss) != 1 {
+		t.Fatalf("predicate drops = %d, want 1 under loss", n.droppedCause(SimDropLoss))
+	}
+	n.SetDrop(nil)
 	e1.Send(Message{To: 2, Kind: "EVIL"})
-	if m := recvOne(t, e2); m.Kind != "EVIL" {
+	if m := nextMsg(t, got); m.Kind != "EVIL" {
 		t.Fatalf("got %v", m)
 	}
 }
 
 func TestEndpointClose(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	e1 := n.Endpoint(1)
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
@@ -175,6 +261,40 @@ func TestEndpointClose(t *testing.T) {
 	}
 	if n.Alive(1) {
 		t.Fatal("closed endpoint still alive")
+	}
+}
+
+// Serve returns once stop is closed, also while it is asleep.
+func TestServeStops(t *testing.T) {
+	n := NewSimNetwork()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Serve(func(Message) { t.Error("delivered on an empty network") }, stop)
+	}()
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve did not return after stop")
+	}
+}
+
+// Take, which Serve pops with, allocates nothing per message.
+func TestServePopAllocs(t *testing.T) {
+	n := NewSimNetwork()
+	e1 := n.Endpoint(1)
+	n.Endpoint(2)
+	m := Message{To: 2, Kind: "M"}
+	allocs := testing.AllocsPerRun(100, func() {
+		e1.Send(m)
+		e1.Send(m)
+		n.Take(0)
+		n.Take(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("send and pop allocate %.1f times per round", allocs)
 	}
 }
 
@@ -301,12 +421,15 @@ func TestTCPPeerReconnect(t *testing.T) {
 	t.Fatal("delivery did not resume after peer restart")
 }
 
+// Concurrent senders all reach Serve, each in its own send order (run under
+// -race).
 func TestNetworkConcurrentSends(t *testing.T) {
-	n := NewNetwork()
+	n := NewSimNetwork()
 	eps := make([]Endpoint, 8)
 	for i := range eps {
 		eps[i] = n.Endpoint(i + 1)
 	}
+	got := serve(t, n)
 	var wg sync.WaitGroup
 	const perSender = 100
 	for i := range eps {
@@ -314,26 +437,17 @@ func TestNetworkConcurrentSends(t *testing.T) {
 		go func(ep Endpoint) {
 			defer wg.Done()
 			for k := 0; k < perSender; k++ {
-				ep.Send(Message{To: 1, Kind: "M"})
+				ep.Send(Message{To: 1, Kind: "M", TxID: fmt.Sprint(k)})
 			}
 		}(eps[i])
 	}
-	done := make(chan struct{})
-	got := 0
-	go func() {
-		defer close(done)
-		for got < len(eps)*perSender {
-			select {
-			case <-eps[0].Recv():
-				got++
-			case <-time.After(2 * time.Second):
-				return
-			}
+	next := map[int]int{}
+	for i := 0; i < len(eps)*perSender; i++ {
+		m := nextMsg(t, got)
+		if m.TxID != fmt.Sprint(next[m.From]) {
+			t.Fatalf("from %d: got message %s, want %d", m.From, m.TxID, next[m.From])
 		}
-	}()
-	wg.Wait()
-	<-done
-	if got != len(eps)*perSender {
-		t.Fatalf("received %d of %d", got, len(eps)*perSender)
+		next[m.From]++
 	}
+	wg.Wait()
 }
