@@ -7,11 +7,14 @@ package clock
 
 import "time"
 
-// Timer is a cancellable pending callback, the subset of *time.Timer the
-// engine needs.
+// Timer is a pending callback, the subset of *time.Timer the engine needs.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
+	// Reset reschedules the timer to fire d from now, whether it was
+	// pending, stopped or had already fired, reporting whether it was still
+	// pending.
+	Reset(d time.Duration) bool
 }
 
 // Clock supplies the current time and timer scheduling.
@@ -20,9 +23,6 @@ type Clock interface {
 	Now() time.Time
 	// AfterFunc schedules f to run once d has elapsed on this clock.
 	AfterFunc(d time.Duration, f func()) Timer
-	// After returns a channel that receives the clock's time once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Wall is the real-time clock backed by package time.
@@ -33,5 +33,3 @@ type wallClock struct{}
 func (wallClock) Now() time.Time { return time.Now() }
 
 func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
-
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

@@ -14,7 +14,7 @@ type Virtual struct {
 	mu     sync.Mutex
 	now    time.Time
 	seq    uint64
-	timers []*vtimer // pending, unordered; selection scans for the minimum
+	timers []*vtimer // pending, unordered; earliest picks the next to fire
 }
 
 // NewVirtual returns a virtual clock starting at a fixed epoch, so that two
@@ -24,22 +24,29 @@ func NewVirtual() *Virtual {
 }
 
 type vtimer struct {
-	clk     *Virtual
-	when    time.Time
-	seq     uint64
-	f       func()
-	stopped bool
+	clk  *Virtual
+	when time.Time
+	seq  uint64
+	f    func()
+	idx  int // position in clk.timers; -1 when not pending
 }
 
 // Stop implements Timer.
 func (t *vtimer) Stop() bool {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
+	return t.clk.remove(t)
+}
+
+// Reset implements Timer. The timer takes a fresh scheduling position: it
+// fires after every other timer due at the same instant that is already
+// scheduled.
+func (t *vtimer) Reset(d time.Duration) bool {
+	t.clk.mu.Lock()
+	defer t.clk.mu.Unlock()
+	pending := t.clk.remove(t)
+	t.clk.schedule(t, d)
+	return pending
 }
 
 // Now implements Clock.
@@ -52,99 +59,92 @@ func (v *Virtual) Now() time.Time {
 // AfterFunc implements Clock. A non-positive duration schedules the callback
 // for the current instant; it still fires only on the next Step or Advance.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	t := &vtimer{clk: v, f: f}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.schedule(t, d)
+	return t
+}
+
+// schedule makes t pending d from now under the next sequence number.
+// Requires v.mu held and t not pending.
+func (v *Virtual) schedule(t *vtimer, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.seq++
-	t := &vtimer{clk: v, when: v.now.Add(d), seq: v.seq, f: f}
+	t.when, t.seq, t.idx = v.now.Add(d), v.seq, len(v.timers)
 	v.timers = append(v.timers, t)
-	return t
 }
 
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	v.AfterFunc(d, func() {
-		ch <- v.Now()
-	})
-	return ch
+// remove takes t off the pending list, reporting whether it was on it.
+// Requires v.mu held.
+func (v *Virtual) remove(t *vtimer) bool {
+	i := t.idx
+	if i < 0 {
+		return false
+	}
+	last := len(v.timers) - 1
+	v.timers[i] = v.timers[last]
+	v.timers[i].idx = i
+	v.timers[last] = nil
+	v.timers = v.timers[:last]
+	t.idx = -1
+	return true
 }
 
-// popNext removes and returns the pending timer with the earliest deadline
-// (ties: lowest sequence number), or nil if none is pending. Requires v.mu
-// held.
-func (v *Virtual) popNext() *vtimer {
-	best := -1
-	for i, t := range v.timers {
-		if t.stopped {
-			continue
-		}
-		if best < 0 || t.when.Before(v.timers[best].when) ||
-			(t.when.Equal(v.timers[best].when) && t.seq < v.timers[best].seq) {
-			best = i
+// earliest returns the pending timer that fires next — earliest deadline,
+// ties to the lowest sequence number — or nil if none is pending. Requires
+// v.mu held.
+func (v *Virtual) earliest() *vtimer {
+	var best *vtimer
+	for _, t := range v.timers {
+		if best == nil || t.when.Before(best.when) ||
+			(t.when.Equal(best.when) && t.seq < best.seq) {
+			best = t
 		}
 	}
-	if best < 0 {
-		v.timers = v.timers[:0]
-		return nil
-	}
-	t := v.timers[best]
-	v.timers = append(v.timers[:best], v.timers[best+1:]...)
-	return t
+	return best
 }
 
 // pending reports the number of timers still scheduled.
 func (v *Virtual) pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, t := range v.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(v.timers)
 }
 
 // NextDeadline returns the earliest pending timer deadline.
 func (v *Virtual) NextDeadline() (time.Time, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var best *vtimer
-	for _, t := range v.timers {
-		if t.stopped {
-			continue
-		}
-		if best == nil || t.when.Before(best.when) ||
-			(t.when.Equal(best.when) && t.seq < best.seq) {
-			best = t
-		}
+	if t := v.earliest(); t != nil {
+		return t.when, true
 	}
-	if best == nil {
-		return time.Time{}, false
-	}
-	return best.when, true
+	return time.Time{}, false
 }
 
-// Step advances the clock to the earliest pending timer and fires it,
-// reporting whether a timer fired. The callback runs with no clock lock
-// held, so it may schedule or stop timers.
-func (v *Virtual) Step() bool {
+// fireNext fires the earliest pending timer, moving the clock to its
+// deadline, and reports whether one fired. A non-zero limit leaves a timer
+// due after it pending. The callback runs with no clock lock held, so it may
+// schedule, reset or stop timers.
+func (v *Virtual) fireNext(limit time.Time) bool {
 	v.mu.Lock()
-	t := v.popNext()
-	if t == nil {
+	t := v.earliest()
+	if t == nil || (!limit.IsZero() && t.when.After(limit)) {
 		v.mu.Unlock()
 		return false
 	}
-	if t.when.After(v.now) {
-		v.now = t.when
-	}
+	v.remove(t)
+	v.now = t.when // never earlier: every pending deadline is at or after now
 	v.mu.Unlock()
 	t.f()
 	return true
 }
+
+// Step advances the clock to the earliest pending timer and fires it,
+// reporting whether a timer fired.
+func (v *Virtual) Step() bool { return v.fireNext(time.Time{}) }
 
 // Advance moves the clock forward by d, firing every timer that becomes due
 // (in deadline order) along the way; timers scheduled by fired callbacks
@@ -153,32 +153,7 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.now.Add(d)
 	v.mu.Unlock()
-	for {
-		v.mu.Lock()
-		var due *vtimer
-		// Peek without removing so timers beyond the window stay pending.
-		best := -1
-		for i, t := range v.timers {
-			if t.stopped || t.when.After(target) {
-				continue
-			}
-			if best < 0 || t.when.Before(v.timers[best].when) ||
-				(t.when.Equal(v.timers[best].when) && t.seq < v.timers[best].seq) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			due = v.timers[best]
-			v.timers = append(v.timers[:best], v.timers[best+1:]...)
-			if due.when.After(v.now) {
-				v.now = due.when
-			}
-		}
-		v.mu.Unlock()
-		if due == nil {
-			break
-		}
-		due.f()
+	for v.fireNext(target) {
 	}
 	v.mu.Lock()
 	if target.After(v.now) {

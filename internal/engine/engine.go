@@ -14,10 +14,10 @@
 // A site runs one event loop, the paper's one automaton per site: messages,
 // timer fires, vote results and durability notifications all serialize onto
 // it, so each transition reads its messages, writes its messages and moves
-// to the next local state atomically. Timers multiplex onto one hierarchical
-// timer wheel per site (clock.Wheel), with a generation token per arm so a
-// stale fire that was already in flight when the timer was re-armed is
-// rejected.
+// to the next local state atomically. Each transaction owns one clock timer
+// and the deadline it was last armed for; a timeout acts only once that
+// deadline has passed, so a stale fire that was already in flight when the
+// timer was re-armed or stopped is ignored.
 package engine
 
 import (
@@ -321,14 +321,15 @@ type txState struct {
 	dprepares  map[int]bool // decentralized 3PC: prepare round
 	px         *paxosTx     // Paxos Commit: acceptor + leader state (paxos.go)
 
-	// timer is the transaction's single protocol/GC timer, an entry in the
-	// site's timer wheel; gen is its arm generation. Every (re-)arm and
-	// cancel bumps gen, and a timeout event carrying a stale generation is
-	// ignored: a fire already collected by the wheel when the transaction
-	// changed phase can never drive the re-armed transaction.
-	timer clock.WheelTimer
-	gen   uint64
-	done  chan struct{}
+	// timer is the transaction's single protocol/GC timer, created on the
+	// first arm and Reset on every later one; deadline is the instant it is
+	// armed for, zero while it is not armed. A timeout acts only at or after
+	// deadline (handleTimeout): a fire already in flight when the
+	// transaction re-armed finds a later deadline, and one that raced a stop
+	// finds none.
+	timer    clock.Timer
+	deadline time.Time
+	done     chan struct{}
 
 	// Metrics timestamps (zero unless Config.Metrics is set and this site
 	// coordinates the transaction): Begin time, vote-round completion,
@@ -443,8 +444,6 @@ type Site struct {
 	metrics     *Metrics
 	unhandled   func(transport.Message)
 
-	wheel *clock.Wheel // every transaction's timer
-
 	mu       sync.Mutex
 	txns     map[string]*txState
 	pending  []*actGroup // actions deferred behind staged WAL records (FIFO)
@@ -469,7 +468,7 @@ type evKind uint8
 
 const (
 	evMsg     evKind = iota + 1 // a protocol message arrived
-	evTimeout                   // a transaction's wheel timer fired
+	evTimeout                   // a transaction's timer fired
 	evCrash                     // the detector reported a site crash
 	evVote                      // Begin's own Resource.Prepare finished
 	evDurable                   // a staged WAL record's batch became durable
@@ -482,7 +481,6 @@ type event struct {
 	kind    evKind
 	msg     transport.Message // evMsg
 	txid    string            // evTimeout
-	gen     uint64            // evTimeout: arm generation of the fire
 	site    int               // evCrash
 	vote    voteResult        // evVote
 	durable *actGroup         // evDurable
@@ -595,9 +593,6 @@ func New(cfg Config) (*Site, error) {
 		quit:        make(chan struct{}),
 	}
 	s.timeoutNs.Store(int64(budget.Protocol))
-	// The wheel's tick only sets bucketing granularity (fires are exact):
-	// a fraction of the protocol timeout keeps cascades rare.
-	s.wheel = clock.NewWheel(clk, budget.Protocol/16, s.onTimerFire)
 	if s.metrics != nil {
 		s.metrics.registerSiteGauges(s)
 	}
@@ -645,12 +640,6 @@ func (s *Site) Start() {
 // onCrashReport reacts to a failure report from the detector.
 func (s *Site) onCrashReport(site int) {
 	s.enqueue(event{kind: evCrash, site: site})
-}
-
-// onTimerFire is the site wheel's expiry callback: queue the timeout,
-// generation token attached.
-func (s *Site) onTimerFire(txid string, gen uint64) {
-	s.enqueue(event{kind: evTimeout, txid: txid, gen: gen})
 }
 
 // enqueue hands an event to the site's event loop — or, in deterministic
@@ -713,13 +702,17 @@ func (s *Site) prepare(txid string) voteResult {
 }
 
 // Stop shuts the site down gracefully. In-flight transactions stay
-// unresolved locally; events still queued when the loop exits are counted
-// as dropped.
+// unresolved locally and their timers are stopped; events still queued when
+// the loop exits are counted as dropped.
 func (s *Site) Stop() {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	s.wheel.Stop()
+	s.mu.Lock()
+	for _, t := range s.txns {
+		s.stopTimer(t)
+	}
+	s.mu.Unlock()
 	close(s.quit)
 	s.wg.Wait()
 	for {
@@ -784,7 +777,7 @@ func (s *Site) handleEvent(ev event) {
 	case evMsg:
 		s.handleMessage(ev.msg)
 	case evTimeout:
-		s.handleTimeout(ev.txid, ev.gen)
+		s.handleTimeout(ev.txid)
 	case evCrash:
 		s.handleCrash(ev.site)
 	case evDurable:
@@ -1004,21 +997,31 @@ func (s *Site) presumedAbort(t *txState) bool {
 	return s.kind == TwoPhase && !t.peer
 }
 
-// armTimer (re)starts the transaction's protocol timer. The new arm's
-// generation invalidates any timeout event from a previous arm that is
-// still in flight. Requires s.mu held.
+// armTimer (re)starts the transaction's timer to fire d from now. The new
+// deadline makes any fire from a previous arm that is still in flight a
+// no-op. A stopped site arms nothing. Requires s.mu held.
 func (s *Site) armTimer(t *txState, d time.Duration) {
-	t.timer.Stop()
-	t.gen++
-	t.timer = s.wheel.Schedule(d, t.id, t.gen)
+	if s.stopped.Load() {
+		return
+	}
+	// The deadline is read before the timer starts, so the timer's own fire
+	// never finds the clock short of it.
+	t.deadline = s.clk.Now().Add(d)
+	if t.timer == nil {
+		id := t.id
+		t.timer = s.clk.AfterFunc(d, func() { s.enqueue(event{kind: evTimeout, txid: id}) })
+		return
+	}
+	t.timer.Reset(d)
 }
 
-// stopTimer cancels the transaction's timer and invalidates in-flight
-// fires. Requires s.mu held.
+// stopTimer cancels the transaction's timer; a fire already in flight finds
+// no deadline and is a no-op. Requires s.mu held.
 func (s *Site) stopTimer(t *txState) {
-	t.timer.Stop()
-	t.timer = clock.WheelTimer{}
-	t.gen++
+	if t.timer != nil {
+		t.timer.Stop()
+	}
+	t.deadline = time.Time{}
 }
 
 // Outcome reports the site's local resolution of a transaction.

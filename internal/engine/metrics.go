@@ -109,7 +109,15 @@ func (m *Metrics) registerSiteGauges(s *Site) {
 	}, "site", site)
 	m.reg.Help("engine_timers_active", "Transactions with an armed protocol or GC timer.")
 	m.reg.GaugeFunc("engine_timers_active", func() float64 {
-		return float64(s.wheel.Len())
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n := 0
+		for _, t := range s.txns {
+			if !t.deadline.IsZero() {
+				n++
+			}
+		}
+		return float64(n)
 	}, "site", site)
 	m.reg.Help("engine_events_dropped_total", "Events discarded because the site had stopped.")
 	m.reg.CounterFunc("engine_events_dropped_total", func() float64 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sort"
+	"time"
 
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
@@ -139,7 +140,7 @@ func (s *Site) onDecision(m transport.Message, o Outcome) {
 			if !(t.phase == phaseAborted && s.presumedAbort(t)) {
 				s.send(m.From, KindDecAck, m.TxID, nil)
 			}
-			if !t.timer.Armed() {
+			if t.deadline.IsZero() {
 				s.armTimer(t, s.forgetAfter)
 			}
 		}
@@ -157,17 +158,18 @@ func (s *Site) onDecision(m transport.Message, o Outcome) {
 	}
 }
 
-// handleTimeout drives a transaction whose protocol wait expired. gen is
-// the arm generation the fire was collected with: a fire that was already
-// in flight when the transaction re-armed (or stopped) its timer carries a
-// stale generation and must not drive the new wait.
-func (s *Site) handleTimeout(txid string, gen uint64) {
+// handleTimeout drives a transaction whose timer fired. It acts only once
+// the transaction's deadline has passed, and clears it first: a fire that
+// was already in flight when the transaction re-armed its timer finds a
+// later deadline, and one that raced a stop finds none.
+func (s *Site) handleTimeout(txid string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.txns[txid]
-	if !ok || t.gen != gen {
+	if !ok || t.deadline.IsZero() || s.clk.Now().Before(t.deadline) {
 		return
 	}
+	t.deadline = time.Time{}
 	if t.resolved() {
 		s.gcTimeout(t)
 		return

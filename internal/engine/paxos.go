@@ -216,7 +216,7 @@ func (s *Site) onPx1a(m transport.Message) {
 		s.mustLog(wal.Record{Type: wal.RecPaxosPromise, TxID: t.id, Payload: m.Body})
 	}
 	s.send(m.From, KindPx1b, t.id, paxos.EncodeP1b(px.acc.Promised, px.acc.Accepts))
-	if !t.timer.Armed() {
+	if t.deadline.IsZero() {
 		s.armTimer(t, s.protoTimeout())
 	}
 }
@@ -327,7 +327,7 @@ func (s *Site) onPx2a(m transport.Message) {
 	} else {
 		s.send(leader, KindPx2b, t.id, paxos.EncodeP2b(bal, inst, val))
 	}
-	if !t.resolved() && !t.timer.Armed() {
+	if !t.resolved() && t.deadline.IsZero() {
 		s.armTimer(t, s.protoTimeout())
 	}
 }
@@ -526,7 +526,7 @@ func (s *Site) onPxNudge(m transport.Message) {
 		s.paxosEscalate(t)
 		return
 	}
-	if !t.timer.Armed() {
+	if t.deadline.IsZero() {
 		s.armTimer(t, s.protoTimeout())
 	}
 }
