@@ -43,7 +43,7 @@ flake: build
 # driven with Deliver), 50 times at GOMAXPROCS 1 and at 8. A schedule built step by step in virtual
 # time cannot depend on core count or host load, so one failure here is a
 # bug, not a flake. Seconds on two cores; in CI.
-ENGINE_VIRTUAL_TESTS = ^Test(ThreePC|TwoPC|Peer|Participant|CrashAfter|Trace|CohortSubset|AutoForget|Forget|Unilateral|CoordinatorOwnVoteNo|DuplicateBeginRejected|RecoveredSiteRefusesBackupRole|ConcurrentTransactions|NoMixedOutcomes|OutcomeStringAndErrors|NewValidation|BackupCrashDuringTermination|MinorityPartitionStaysSafe|ChaosMultiCoordinator|BeginRejectsOversizedCohort|EndedAbortRecoversAsAbort|HandleOutlivesForget|SnapshotReadsBelowWatermarkWhileInDoubt|SnapshotUnaffectedByAbortedInDoubt|StaleTimer|StopCancelsTimers)
+ENGINE_VIRTUAL_TESTS = ^Test(ThreePC|TwoPC|Peer|Participant|CrashAfter|Trace|CohortSubset|AutoForget|Forget|Unilateral|CoordinatorOwnVoteNo|DuplicateBeginRejected|RecoveredSiteRefusesBackupRole|ConcurrentTransactions|NoMixedOutcomes|OutcomeStringAndErrors|NewValidation|BackupCrashDuringTermination|MinorityPartitionStaysSafe|ChaosMultiCoordinator|BeginRejectsOversizedCohort|EndedAbortRecoversAsAbort|HandleOutlivesForget|SnapshotReadsBelowWatermarkWhileInDoubt|SnapshotUnaffectedByAbortedInDoubt|StaleTimer|StopCancelsTimers|ClusterMetrics)
 engine-virtual:
 	for procs in 1 8; do \
 		GOMAXPROCS=$$procs $(GO) test -count=50 -run '$(ENGINE_VIRTUAL_TESTS)' ./internal/engine || exit 1; \

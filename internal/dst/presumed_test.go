@@ -34,43 +34,50 @@ func roConfig(kind engine.ProtocolKind) Config {
 func launchRO(c *cluster) error { return c.begin(1, roTx, false) }
 
 // TestReadOnlyParticipantSilent: in a fault-free run the read-only member
-// answers phase 1 with READ-ONLY and is then completely done — it forces
-// nothing, is skipped by the whole of phase 2 (PREPARE, decision broadcast,
-// settlement), and retains no transaction state. The writers still commit.
+// answers phase 1 with exactly one READ-ONLY vote and is then completely
+// done — it forces nothing, sends nothing else, is skipped by the whole of
+// phase 2 (PREPARE, decision broadcast, settlement), and retains no
+// transaction state. The writers still commit.
 func TestReadOnlyParticipantSilent(t *testing.T) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase} {
-		c := newCluster(roConfig(kind), nil)
-		if err := launchRO(c); err != nil {
-			t.Fatalf("%s: begin: %v", kind, err)
-		}
-		c.run(nil)
-		for _, id := range []int{1, 2} {
-			o, err := c.sites[id].Outcome(roTx)
-			if err != nil || o != engine.OutcomeCommitted {
-				t.Fatalf("%s: writer site %d outcome = %v, %v", kind, id, o, err)
+		t.Run(kind.String(), func(t *testing.T) {
+			c := newCluster(roConfig(kind), nil)
+			if err := launchRO(c); err != nil {
+				t.Fatalf("begin: %v", err)
 			}
-		}
-		if recs, err := c.logs[3].inner.Records(); err != nil || len(recs) != 0 {
-			t.Errorf("%s: read-only site logged %d records, want 0", kind, len(recs))
-		}
-		if _, err := c.sites[3].Outcome(roTx); err == nil {
-			t.Errorf("%s: read-only site still tracks the transaction", kind)
-		}
-		sawRO := false
-		for _, m := range c.deliveries {
-			if m.TxID != roTx {
-				continue
+			c.run(nil)
+			for _, id := range []int{1, 2} {
+				o, err := c.sites[id].Outcome(roTx)
+				if err != nil || o != engine.OutcomeCommitted {
+					t.Fatalf("writer site %d outcome = %v, %v", id, o, err)
+				}
 			}
-			if m.From == 3 && m.Kind == engine.KindReadOnly {
-				sawRO = true
+			if recs, err := c.logs[3].inner.Records(); err != nil || len(recs) != 0 {
+				t.Errorf("read-only site logged %d records, want 0", len(recs))
 			}
-			if m.To == 3 && m.Kind != engine.KindVoteReq {
-				t.Errorf("%s: read-only site received phase-2 traffic: %s", kind, m)
+			if _, err := c.sites[3].Outcome(roTx); err == nil {
+				t.Error("read-only site still tracks the transaction")
 			}
-		}
-		if !sawRO {
-			t.Errorf("%s: no READ-ONLY vote observed on the wire", kind)
-		}
+			votesRO := 0
+			for _, m := range c.deliveries {
+				if m.TxID != roTx {
+					continue
+				}
+				if m.From == 3 {
+					if m.Kind == engine.KindReadOnly {
+						votesRO++
+					} else {
+						t.Errorf("read-only site sent more than its vote: %s", m)
+					}
+				}
+				if m.To == 3 && m.Kind != engine.KindVoteReq {
+					t.Errorf("read-only site received phase-2 traffic: %s", m)
+				}
+			}
+			if votesRO != 1 {
+				t.Errorf("READ-ONLY votes on the wire = %d, want 1", votesRO)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,15 @@
-// Package dtx binds the commit engine to the kv store: a distributed
-// transaction manager in which a transaction reads and writes keys at
-// several sites and is then committed atomically with 2PC, 3PC, or Paxos
-// Commit.
+// Package dtx binds the commit engine to the kv store: an in-process cohort
+// of sites in which a transaction reads and writes keys at named sites and
+// is then committed atomically with 2PC, 3PC, or Paxos Commit. The examples
+// and the experiments run on it; StoreResource, the engine's adapter to a
+// kv.Store, is shared with kvnode.
 //
 // The data plane is direct (the client applies operations to each site's
 // store as it executes); the commit protocol is what crosses the network.
 // This mirrors the paper's model, where the mechanism distributing the
-// transaction is not modelled — only the commit decision is.
+// transaction is not modelled — only the commit decision is. Key routing
+// through a shard map and read-only snapshot transactions are the client
+// layer's job, served by nodeapi.
 package dtx
 
 import (
@@ -21,8 +24,6 @@ import (
 	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
 	"nbcommit/internal/kv"
-	"nbcommit/internal/metrics"
-	"nbcommit/internal/shard"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -121,10 +122,6 @@ type Options struct {
 	// Dir, when set, stores each site's WAL in Dir/site<i>.wal instead of
 	// memory. A file-backed WAL fsyncs every batch, as kvnode's does.
 	Dir string
-	// Registry, when set, instruments every site's commit path into one
-	// shared metrics registry (per-phase latency, commit latency, gauges —
-	// see engine.NewMetrics). Samples from all sites aggregate.
-	Registry *metrics.Registry
 }
 
 // Cluster is an in-process set of sites sharing a fault-injectable network.
@@ -134,7 +131,6 @@ type Options struct {
 type Cluster struct {
 	Net    *transport.SimNetwork
 	opts   Options
-	router *shard.Router
 	stop   chan struct{}
 	served chan struct{}
 
@@ -170,7 +166,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c.router = &shard.Router{Map: shard.Default(c.ids, 4)}
 	return c, nil
 }
 
@@ -180,10 +175,6 @@ func (c *Cluster) deliver(m transport.Message) {
 		n.Site.Deliver(m)
 	}
 }
-
-// Router exposes the cluster's key placement, e.g. for workload generators
-// that need to pre-bucket keys by owner site.
-func (c *Cluster) Router() *shard.Router { return c.router }
 
 // newLog opens the WAL for a site, reusing prior when restarting.
 func (c *Cluster) newLog(id int, prior wal.Log) (wal.Log, error) {
@@ -222,9 +213,6 @@ func (c *Cluster) addNode(id int, priorLog wal.Log) error {
 		Detector: c.Net,
 		Protocol: c.opts.Protocol,
 		Timeout:  c.opts.Timeout,
-	}
-	if c.opts.Registry != nil {
-		cfg.Metrics = engine.NewMetrics(c.opts.Registry, c.opts.Protocol)
 	}
 	// The node table stays locked until the new site is in it, so deliver
 	// waits for a restarting site instead of handing the replies to its
@@ -319,25 +307,6 @@ func (c *Cluster) Begin(coordinator int) (*Txn, error) {
 	return t, nil
 }
 
-// BeginKeyed starts a key-addressed distributed transaction: no site is
-// enlisted up front; the owner sites of the keys it touches become the
-// commit cohort, and the lowest-numbered touched site coordinates. A
-// transaction confined to one shard therefore commits with a participant
-// set of exactly one site.
-func (c *Cluster) BeginKeyed() *Txn {
-	id := fmt.Sprintf("txk-%d", c.txSeq.Add(1))
-	return &Txn{ID: id, c: c, touched: map[int]bool{}, wrote: map[int]bool{}}
-}
-
-// GetK reads a key at its owner site under the transaction.
-func (t *Txn) GetK(key string) (string, error) { return t.Get(t.c.router.Site(key), key) }
-
-// PutK writes a key at its owner site under the transaction.
-func (t *Txn) PutK(key, value string) error { return t.Put(t.c.router.Site(key), key, value) }
-
-// DelK removes a key at its owner site under the transaction.
-func (t *Txn) DelK(key string) error { return t.Delete(t.c.router.Site(key), key) }
-
 // enlist starts the local transaction at a site on first touch.
 func (t *Txn) enlist(site int) error {
 	if t.touched[site] {
@@ -395,18 +364,6 @@ func (t *Txn) Commit(timeout time.Duration) (engine.Outcome, error) {
 		return engine.OutcomePending, fmt.Errorf("dtx: transaction %s already finished", t.ID)
 	}
 	t.finished = true
-	if t.coordinator == 0 {
-		// Keyed transaction: the lowest touched site coordinates, so the
-		// cohort is exactly the owner sites of the touched shards.
-		for site := range t.touched {
-			if t.coordinator == 0 || site < t.coordinator {
-				t.coordinator = site
-			}
-		}
-		if t.coordinator == 0 {
-			return engine.OutcomeCommitted, nil // touched nothing
-		}
-	}
 	deadline := time.Now().Add(timeout)
 	coord := t.c.Node(t.coordinator)
 	h, err := coord.Site.Begin(t.ID, t.Participants(), t.c.opts.Paradigm == Decentralized)
@@ -431,69 +388,6 @@ func (t *Txn) Commit(timeout time.Duration) (engine.Outcome, error) {
 		}
 	}
 	return o, nil
-}
-
-// ROTxn is a read-only transaction on the snapshot fast path: every read is
-// served from a pinned multi-version snapshot of its site, it never takes
-// locks, never enlists in the commit protocol, and "commits" without a
-// single protocol message — Begin/Prepare are skipped entirely. Per-site
-// snapshots are pinned lazily on first touch and released by Close. Not safe
-// for concurrent use by multiple goroutines.
-//
-// Consistency: each site's snapshot is stable (below that site's in-doubt
-// watermark), so a read never observes a torn or undecided write set at any
-// site. Snapshots at different sites are pinned independently — the paper's
-// model has no global timestamp to align them.
-type ROTxn struct {
-	ID    string
-	c     *Cluster
-	snaps map[int]uint64
-	done  bool
-}
-
-// BeginReadOnly starts a read-only transaction on the snapshot fast path.
-func (c *Cluster) BeginReadOnly() *ROTxn {
-	return &ROTxn{
-		ID:    fmt.Sprintf("ro-%d", c.txSeq.Add(1)),
-		c:     c,
-		snaps: map[int]uint64{},
-	}
-}
-
-// GetK reads a key at its owner site from the transaction's snapshot.
-func (t *ROTxn) GetK(key string) (string, error) { return t.Get(t.c.router.Site(key), key) }
-
-// Get reads a key at a site from the transaction's snapshot, pinning the
-// site's stable timestamp on first touch.
-func (t *ROTxn) Get(site int, key string) (string, error) {
-	if t.done {
-		return "", fmt.Errorf("dtx: read-only transaction %s already finished", t.ID)
-	}
-	n := t.c.Node(site)
-	if n == nil {
-		return "", fmt.Errorf("dtx: no site %d", site)
-	}
-	ts, ok := t.snaps[site]
-	if !ok {
-		ts = n.Store.AcquireSnapshot()
-		t.snaps[site] = ts
-	}
-	return n.Store.ReadAt(ts, key)
-}
-
-// Close releases the pinned snapshots. A read-only transaction needs no
-// commit: its snapshot was consistent by construction, so Close is both
-// commit and abort. Idempotent.
-func (t *ROTxn) Close() {
-	if t.done {
-		return
-	}
-	t.done = true
-	for site, ts := range t.snaps {
-		if n := t.c.Node(site); n != nil {
-			n.Store.ReleaseSnapshot(ts)
-		}
-	}
 }
 
 // Abort rolls the transaction back at every touched site without running the

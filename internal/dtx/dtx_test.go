@@ -369,3 +369,45 @@ func TestAbortReleasesLocksOfUnvotedMember(t *testing.T) {
 		})
 	}
 }
+
+// TestStoreResourceVotesReadOnly: a transaction that only read at a site
+// prepares with an empty redo image, the signal the engine's read-only
+// participant optimization keys on; one that wrote prepares with its write
+// set.
+func TestStoreResourceVotesReadOnly(t *testing.T) {
+	st := kv.NewStore(kv.Options{})
+	r := StoreResource{Store: st}
+	for _, txid := range []string{"seed", "reader", "writer"} {
+		if err := st.Begin(txid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Put("seed", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Prepare("seed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit("seed", nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := st.Get("reader", "k"); err != nil || v != "v" {
+		t.Fatalf("read = %q, %v", v, err)
+	}
+	if redo, err := r.Prepare("reader"); err != nil || redo != nil {
+		t.Fatalf("read-only prepare = %q, %v, want an empty redo image", redo, err)
+	}
+	if err := r.Abort("reader"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("writer", "w", "x"); err != nil {
+		t.Fatal(err)
+	}
+	redo, err := r.Prepare("writer")
+	if err != nil || redo == nil {
+		t.Fatalf("writer prepare = %q, %v, want its write set", redo, err)
+	}
+	if ops, err := kv.DecodeWrites(redo); err != nil || len(ops) != 1 {
+		t.Fatalf("writer redo decodes to %v, %v, want one write", ops, err)
+	}
+}

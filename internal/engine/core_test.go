@@ -7,11 +7,13 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nbcommit/internal/engine"
+	"nbcommit/internal/trace"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
 )
@@ -49,7 +51,7 @@ func TestBeginRejectsOversizedCohort(t *testing.T) {
 // While a site is live, no event may be dropped — only shutdown sheds
 // events, and every shed event must be counted.
 func TestShutdownDropAccounting(t *testing.T) {
-	sites, ids := wallSites(t, engine.ThreePhase, 3, testTimeout)
+	sites, ids := wallSites(t, engine.ThreePhase, 3, testTimeout, nil)
 	for i := 0; i < 20; i++ {
 		txid := fmt.Sprintf("drop-%d", i)
 		h, err := sites[1].Begin(txid, ids, false)
@@ -86,9 +88,11 @@ func TestShutdownDropAccounting(t *testing.T) {
 // event loops that serve them all — and is meant to run under -race. The
 // workers keep committing until every site has forgotten the first
 // transaction, so garbage collection (DEC-ACKs, grace timers, end records)
-// runs beside live Begins.
+// runs beside live Begins. A transaction that does not commit fails the test
+// with its trace events from every site, timed from its Begin.
 func TestConcurrentCoordinatorsStress(t *testing.T) {
-	sites, ids := wallSites(t, engine.ThreePhase, 3, 100*time.Millisecond)
+	rec := trace.NewBounded(1 << 16)
+	sites, ids := wallSites(t, engine.ThreePhase, 3, 100*time.Millisecond, rec)
 	n := len(ids)
 
 	const workers = 8
@@ -118,6 +122,7 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 					<-pace.C
 				}
 				txid := fmt.Sprintf("stress-%d-%d", w, i)
+				begun := time.Now()
 				h, err := coord.Begin(txid, ids, false)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", txid, err)
@@ -125,11 +130,11 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 				}
 				o, err := h.Wait(5 * time.Second)
 				if err != nil {
-					errs <- fmt.Errorf("%s: %w", txid, err)
+					errs <- fmt.Errorf("%s: %w\n%s", txid, err, txEvents(rec, txid, begun))
 					return
 				}
 				if o != engine.OutcomeCommitted {
-					errs <- fmt.Errorf("%s: outcome %v", txid, o)
+					errs <- fmt.Errorf("%s: outcome %v\n%s", txid, o, txEvents(rec, txid, begun))
 					return
 				}
 			}
@@ -156,7 +161,7 @@ func TestConcurrentCoordinatorsStress(t *testing.T) {
 func BenchmarkEngineCommitAllocs(b *testing.B) {
 	for _, kind := range []engine.ProtocolKind{engine.TwoPhase, engine.ThreePhase, engine.PaxosCommit} {
 		b.Run(kind.String(), func(b *testing.B) {
-			sites, ids := wallSites(b, kind, 3, time.Second)
+			sites, ids := wallSites(b, kind, 3, time.Second, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -173,9 +178,22 @@ func BenchmarkEngineCommitAllocs(b *testing.B) {
 	}
 }
 
+// txEvents renders txid's recorded events from every site, each timed from
+// begun.
+func txEvents(rec *trace.Recorder, txid string, begun time.Time) string {
+	var b strings.Builder
+	for _, e := range rec.Events() {
+		if e.TxID == txid {
+			fmt.Fprintf(&b, "  +%v %s\n", e.At.Sub(begun), e)
+		}
+	}
+	return b.String()
+}
+
 // wallSites starts n live sites of one protocol over a liveNet, each with
-// its own event loop, and stops them when tb ends.
-func wallSites(tb testing.TB, kind engine.ProtocolKind, n int, timeout time.Duration) (map[int]*engine.Site, []int) {
+// its own event loop, and stops them when tb ends. Every site records its
+// protocol events into rec (nil: nothing).
+func wallSites(tb testing.TB, kind engine.ProtocolKind, n int, timeout time.Duration, rec *trace.Recorder) (map[int]*engine.Site, []int) {
 	tb.Helper()
 	net := newLiveNet(tb)
 	sites := make(map[int]*engine.Site, n)
@@ -188,6 +206,7 @@ func wallSites(tb testing.TB, kind engine.ProtocolKind, n int, timeout time.Dura
 			Resource: newTestResource(),
 			Protocol: kind,
 			Timeout:  timeout,
+			Trace:    rec,
 		}, false)
 	}
 	return sites, ids

@@ -9,6 +9,7 @@ import (
 
 	"nbcommit/internal/clock"
 	"nbcommit/internal/engine"
+	"nbcommit/internal/metrics"
 	"nbcommit/internal/trace"
 	"nbcommit/internal/transport"
 	"nbcommit/internal/wal"
@@ -104,7 +105,8 @@ type simCluster struct {
 	kind  engine.ProtocolKind
 	clk   *clock.Virtual
 	net   *transport.SimNetwork
-	rec   *trace.Recorder // nil: sites record nothing
+	rec   *trace.Recorder   // nil: sites record nothing
+	reg   *metrics.Registry // nil: sites are not instrumented
 	sites map[int]*engine.Site
 	logs  map[int]wal.Log
 	res   map[int]*testResource
@@ -130,12 +132,13 @@ func newTracedCluster(t testing.TB, kind engine.ProtocolKind, n int, rec *trace.
 	for i := range logs {
 		logs[i] = wal.NewMemoryLog()
 	}
-	return newClusterOver(t, kind, logs, rec)
+	return newClusterOver(t, kind, logs, rec, nil)
 }
 
 // newClusterOver starts sites 1..len(logs), site i over logs[i-1], each
-// recording into rec (nil: nothing).
-func newClusterOver(t testing.TB, kind engine.ProtocolKind, logs []wal.Log, rec *trace.Recorder) *simCluster {
+// recording into rec (nil: nothing) and instrumenting its commit path into
+// reg (nil: nothing).
+func newClusterOver(t testing.TB, kind engine.ProtocolKind, logs []wal.Log, rec *trace.Recorder, reg *metrics.Registry) *simCluster {
 	t.Helper()
 	c := &simCluster{
 		t:     t,
@@ -143,6 +146,7 @@ func newClusterOver(t testing.TB, kind engine.ProtocolKind, logs []wal.Log, rec 
 		clk:   clock.NewVirtual(),
 		net:   transport.NewSimNetwork(),
 		rec:   rec,
+		reg:   reg,
 		sites: map[int]*engine.Site{},
 		logs:  map[int]wal.Log{},
 		res:   map[int]*testResource{},
@@ -177,6 +181,9 @@ func (c *simCluster) start(id int, recover bool) {
 		Clock:         c.clk,
 		Deterministic: true,
 		Trace:         c.rec,
+	}
+	if c.reg != nil {
+		cfg.Metrics = engine.NewMetrics(c.reg, c.kind)
 	}
 	var s *engine.Site
 	var err error

@@ -61,7 +61,7 @@ func BenchmarkEngineForcedRecords(b *testing.B) {
 				logs[i] = &countingLog{inner: wal.NewMemoryLog()}
 				wlogs[i] = logs[i]
 			}
-			c := newClusterOver(b, tc.kind, wlogs, nil)
+			c := newClusterOver(b, tc.kind, wlogs, nil, nil)
 			want := engine.OutcomeCommitted
 			if tc.refuse != 0 {
 				want = engine.OutcomeAborted

@@ -424,9 +424,6 @@ func TestEnginePipelinesOverFileLog(t *testing.T) {
 				}
 				batchMu.Unlock()
 			}},
-			// A small window guarantees coalescing even on hardware where
-			// the fsync itself is too fast to build a backlog.
-			FlushInterval: 2 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,12 @@ package nodeapi
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
 	"net"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -299,24 +303,32 @@ func keyOwnedBy(t *testing.T, r *shard.Router, owner int, prefix string) string 
 }
 
 // TestKeyedSingleShardOneParticipant is the sharding acceptance check: a
-// transaction whose only key lives at a remote site commits with a
-// participant set of exactly that one site — the serving node and every
-// bystander stay out of the commit entirely.
+// transaction whose keys all live in one shard at a remote site commits with
+// a participant set of exactly that one site — the serving node and every
+// bystander stay out of the commit entirely and never hear of it.
 func TestKeyedSingleShardOneParticipant(t *testing.T) {
 	nodes := testCluster(t, 3)
 	a := api(nodes[1])
 	s := &Session{api: a, touched: map[int]bool{}}
 
-	key := keyOwnedBy(t, a.Router, 2, "solo")
+	shard := a.Router.Map.ShardOf(keyOwnedBy(t, a.Router, 2, "solo")).ID
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		if k := fmt.Sprintf("solo-%d", i); a.Router.Map.ShardOf(k).ID == shard {
+			keys = append(keys, k) // same shard, not merely same owner site
+		}
+	}
 	reply := s.Execute("BEGIN")
 	if !strings.HasPrefix(reply, "OK ") {
 		t.Fatalf("BEGIN = %q", reply)
 	}
 	txid := strings.TrimPrefix(reply, "OK ")
-	if got := s.Execute("PUTK " + key + " v1"); got != "OK" {
-		t.Fatalf("PUTK = %q", got)
+	for _, key := range keys {
+		if got := s.Execute("PUTK " + key + " v1"); got != "OK" {
+			t.Fatalf("PUTK = %q", got)
+		}
 	}
-	if got := s.Execute("GETK " + key); got != "VAL v1" {
+	if got := s.Execute("GETK " + keys[0]); got != "VAL v1" {
 		t.Fatalf("GETK = %q", got)
 	}
 	if got := s.Execute("COMMIT"); got != "COMMITTED" {
@@ -330,8 +342,13 @@ func TestKeyedSingleShardOneParticipant(t *testing.T) {
 		if got := nodes[bystander].site.Participants(txid); got != nil {
 			t.Fatalf("bystander site %d joined the commit: %v", bystander, got)
 		}
+		if _, err := nodes[bystander].site.Outcome(txid); err == nil {
+			t.Fatalf("bystander site %d knows the transaction", bystander)
+		}
 	}
-	waitRead(t, nodes[2].store, key, "v1")
+	for _, key := range keys {
+		waitRead(t, nodes[2].store, key, "v1")
+	}
 }
 
 // TestKeyedCrossShard: keys owned by two sites commit across exactly those
@@ -365,7 +382,8 @@ func TestKeyedCrossShard(t *testing.T) {
 }
 
 // TestKeyedReadYourWrites: a key committed through one node is readable
-// key-addressed through another node.
+// key-addressed through another node, and a DELK there removes it at its
+// owner.
 func TestKeyedReadYourWrites(t *testing.T) {
 	nodes := testCluster(t, 3)
 	writer := &Session{api: api(nodes[1]), touched: map[int]bool{}}
@@ -384,7 +402,13 @@ func TestKeyedReadYourWrites(t *testing.T) {
 	if got := reader.Execute("GETK " + key); got != "VAL seen" {
 		t.Fatalf("GETK via other node = %q", got)
 	}
-	reader.Execute("ABORT")
+	if got := reader.Execute("DELK " + key); got != "OK" {
+		t.Fatalf("DELK = %q", got)
+	}
+	if got := reader.Execute("COMMIT"); got != "COMMITTED" {
+		t.Fatalf("DELK COMMIT = %q", got)
+	}
+	waitGone(t, nodes[3].store, key)
 }
 
 // TestKeyedEmptyCommit: a transaction that touched nothing commits trivially
@@ -433,4 +457,120 @@ func TestKeyedVersionMismatch(t *testing.T) {
 		t.Fatalf("stale-map PUTK = %q, want version mismatch error", got)
 	}
 	s.Execute("ABORT")
+}
+
+// TestKeyedConcurrentMixAudit drives concurrent sessions, spread over every
+// node, half of whose transactions PUTK keys at two owner sites, then audits
+// the cluster: every transaction ran with exactly the owner sites of its
+// keys as its cohort (one site when single-shard), and every owner
+// holds each client's last committed value. Client keyspaces are disjoint,
+// so each client's record is authoritative for its keys.
+func TestKeyedConcurrentMixAudit(t *testing.T) {
+	const (
+		sites        = 4
+		clients      = 8
+		txnsEach     = 40
+		keysPerOwner = 8
+	)
+	nodes := testCluster(t, sites)
+	router := api(nodes[1]).Router
+
+	type clientLog struct {
+		commits  int
+		expected map[string]string // key -> last committed value
+		pending  map[string]bool   // keys whose last commit left no outcome
+		errs     []string
+	}
+	logs := make([]*clientLog, clients)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		// Pre-bucket this client's keyspace by owner site, so a transaction
+		// can pick single-shard or cross-shard keys directly.
+		buckets := map[int][]string{}
+		for i, full := 0, 0; full < sites; i++ {
+			k := fmt.Sprintf("c%d-k%d", cl, i)
+			owner := router.Site(k)
+			if len(buckets[owner]) == keysPerOwner {
+				continue
+			}
+			if buckets[owner] = append(buckets[owner], k); len(buckets[owner]) == keysPerOwner {
+				full++
+			}
+		}
+		lg := &clientLog{expected: map[string]string{}, pending: map[string]bool{}}
+		logs[cl] = lg
+		s := &Session{api: api(nodes[cl%sites+1]), touched: map[int]bool{}}
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(cl)))
+			pick := func(owner int) string { return buckets[owner][rng.Intn(keysPerOwner)] }
+			for i := 0; i < txnsEach; i++ {
+				cross := i%2 == 1
+				a := 1 + rng.Intn(sites)
+				owners := []int{a}
+				keys := []string{pick(a), pick(a)}
+				if cross {
+					b := 1 + rng.Intn(sites-1)
+					if b >= a {
+						b++
+					}
+					owners = append(owners, b)
+					keys[1] = pick(b)
+				}
+				sort.Ints(owners)
+				val := fmt.Sprintf("v%d-%d", cl, i)
+				txid := strings.TrimPrefix(s.Execute("BEGIN"), "OK ")
+				ok := true
+				for _, k := range keys {
+					if got := s.Execute("PUTK " + k + " " + val); got != "OK" {
+						ok = false
+						break
+					}
+				}
+				if !ok {
+					s.Execute("ABORT")
+					continue
+				}
+				got := s.Execute("COMMIT")
+				// An abort may come before the first owner heard of the
+				// transaction; a commit may not.
+				if cohort := nodes[owners[0]].site.Participants(txid); !slices.Equal(cohort, owners) &&
+					(got == "COMMITTED" || cohort != nil) {
+					lg.errs = append(lg.errs, fmt.Sprintf("%s (cross-shard %v) ended %s with cohort %v, want the owners %v", txid, cross, got, cohort, owners))
+				}
+				switch got {
+				case "COMMITTED":
+					lg.commits++
+					for _, k := range keys {
+						lg.expected[k] = val
+						delete(lg.pending, k)
+					}
+				case "ABORTED":
+				default:
+					for _, k := range keys {
+						lg.pending[k] = true
+					}
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+
+	commits := 0
+	for _, lg := range logs {
+		commits += lg.commits
+		for _, e := range lg.errs {
+			t.Error(e)
+		}
+		for k, want := range lg.expected {
+			if !lg.pending[k] {
+				waitRead(t, nodes[router.Site(k)].store, k, want)
+			}
+		}
+	}
+	if commits == 0 {
+		t.Fatal("no transaction committed")
+	}
+	t.Logf("%d of %d transactions committed", commits, clients*txnsEach)
 }

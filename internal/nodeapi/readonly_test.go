@@ -146,6 +146,10 @@ func TestReadOnlySnapshotStability(t *testing.T) {
 		t.Fatalf("RO COMMIT = %q", got)
 	}
 
+	if got := reader.Execute("GETK " + kLocal); !strings.HasPrefix(got, "ERR no open transaction") {
+		t.Fatalf("read after RO COMMIT = %q", got)
+	}
+
 	// A fresh snapshot sees the new state.
 	if got := reader.Execute("SGETK " + kLocal); got != "VAL two" {
 		t.Fatalf("fresh SGETK local = %q", got)
@@ -153,6 +157,21 @@ func TestReadOnlySnapshotStability(t *testing.T) {
 	if got := reader.Execute("SGETK " + kRemote); got != "VAL two" {
 		t.Fatalf("fresh SGETK remote = %q", got)
 	}
+
+	// Snapshot reads do not wait for a writer holding the keys' locks: they
+	// serve the last committed value.
+	writer.Execute("BEGIN")
+	writer.Execute("PUTK " + kLocal + " three")
+	writer.Execute("PUTK " + kRemote + " three")
+	reader.Execute("BEGIN RO")
+	if got := reader.Execute("GETK " + kLocal); got != "VAL two" {
+		t.Fatalf("RO read local under a writer's lock = %q", got)
+	}
+	if got := reader.Execute("GETK " + kRemote); got != "VAL two" {
+		t.Fatalf("RO read remote under a writer's lock = %q", got)
+	}
+	reader.Execute("COMMIT")
+	writer.Execute("ABORT")
 }
 
 // A missing key inside BEGIN RO still pins the site's snapshot: a key

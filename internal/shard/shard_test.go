@@ -19,7 +19,11 @@ func TestDefaultDeterministic(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"", "a", "user:42", "zzzzzz"} {
+	keys := []string{"", "a", "user:42", "zzzzzz"}
+	for i := 0; i < 500; i++ {
+		keys = append(keys, fmt.Sprintf("k%d", i))
+	}
+	for _, key := range keys {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("owner of %q differs: %d vs %d", key, a.Owner(key), b.Owner(key))
 		}

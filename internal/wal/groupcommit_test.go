@@ -69,15 +69,14 @@ func TestFileLogConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestFileLogBatchCoalescing pins group commit actually batching: with a
-// flush interval holding the flusher back, records staged together become
-// one batch with one sync.
+// TestFileLogBatchCoalescing pins group commit actually batching: records
+// staged while a batch is being written (here: while the test holds the
+// write lock) become the next batch, one write with one sync.
 func TestFileLogBatchCoalescing(t *testing.T) {
 	var batches []int
 	var syncs atomic.Int64
 	var mu sync.Mutex
 	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), FileLogOptions{
-		FlushInterval: 50 * time.Millisecond,
 		Metrics: Metrics{
 			BatchRecords: func(n int) { mu.Lock(); batches = append(batches, n); mu.Unlock() },
 			SyncLatency:  func(time.Duration) { syncs.Add(1) },
@@ -88,6 +87,7 @@ func TestFileLogBatchCoalescing(t *testing.T) {
 	}
 	const n = 10
 	done := make(chan struct{}, n)
+	l.wmu.Lock()
 	for i := 0; i < n; i++ {
 		l.AppendStaged(Record{Type: RecBegin, TxID: fmt.Sprintf("tx%d", i)}, func(lsn uint64, err error) {
 			if err != nil {
@@ -96,6 +96,7 @@ func TestFileLogBatchCoalescing(t *testing.T) {
 			done <- struct{}{}
 		})
 	}
+	l.wmu.Unlock()
 	for i := 0; i < n; i++ {
 		select {
 		case <-done:
@@ -126,17 +127,19 @@ func TestFileLogBatchCoalescing(t *testing.T) {
 func TestFileLogTornBatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	l, err := OpenFileLog(path, FileLogOptions{NoSync: true, FlushInterval: 50 * time.Millisecond})
+	l, err := OpenFileLog(path, FileLogOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 8
 	var wg sync.WaitGroup
+	l.wmu.Lock() // stage all n records into one batch
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		l.AppendStaged(Record{Type: RecVoteYes, TxID: fmt.Sprintf("tx%d", i), Payload: []byte{byte(i), 0xee}},
 			func(uint64, error) { wg.Done() })
 	}
+	l.wmu.Unlock()
 	wg.Wait()
 	l.Close()
 	full, err := os.ReadFile(path)
@@ -369,14 +372,17 @@ func BenchmarkFileLogForce(b *testing.B) {
 }
 
 // TestFileLogRecordsFlushesStaged: Records must observe records staged
-// before the call, without waiting for the flusher.
+// before the call, without waiting for the flusher. A lazy append never
+// wakes the flusher, so only Records itself can flush it.
 func TestFileLogRecordsFlushesStaged(t *testing.T) {
-	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), FileLogOptions{FlushInterval: time.Hour})
+	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), FileLogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.AppendStaged(Record{Type: RecBegin, TxID: "tx1"}, func(uint64, error) {})
+	if err := l.AppendLazy(Record{Type: RecBegin, TxID: "tx1"}); err != nil {
+		t.Fatal(err)
+	}
 	recs, err := l.Records()
 	if err != nil {
 		t.Fatal(err)

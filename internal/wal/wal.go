@@ -111,13 +111,13 @@ type Log interface {
 	Append(rec Record) (uint64, error)
 	// AppendLazy adds a record without forcing it. The record is ordered
 	// into the log like any other, but the caller neither forces it nor
-	// waits for it: it rides whatever batch the next forced append, flush
-	// interval, Records scan, or Close triggers. A crash may lose a suffix
-	// of lazy records; callers must only append records lazily when
-	// recovery can reconstruct (or presume) their meaning — e.g.
-	// presumed-abort settlement records, whose loss merely re-runs
-	// idempotent garbage collection. Any write error surfaces on the batch
-	// that eventually carries the record.
+	// waits for it: it rides whatever batch the next forced append, Records
+	// scan, or Close triggers. A crash may lose a suffix of lazy records;
+	// callers must only append records lazily when recovery can
+	// reconstruct (or presume) their meaning — e.g. presumed-abort
+	// settlement records, whose loss merely re-runs idempotent garbage
+	// collection. Any write error surfaces on the batch that eventually
+	// carries the record.
 	AppendLazy(rec Record) error
 	// Records returns every record in append order.
 	Records() ([]Record, error)
@@ -239,10 +239,9 @@ const (
 //	uint32 CRC-32 (IEEE) of body
 //	body: uint8 type | uint16 len(txid) | txid | payload
 type FileLog struct {
-	path     string
-	syncOn   bool
-	interval time.Duration
-	metrics  Metrics
+	path    string
+	syncOn  bool
+	metrics Metrics
 
 	// mu guards staging state: records not yet handed to the flusher, the
 	// LSN counter and the closed flag.
@@ -279,11 +278,6 @@ type FileLogOptions struct {
 	// NoSync disables the sync after each batch. Faster, but a crash of the
 	// host (not just the process) may lose the tail of the log.
 	NoSync bool
-	// FlushInterval bounds how long the flusher gathers a batch after the
-	// first record is staged. Zero flushes as soon as the flusher is free:
-	// batching then arises naturally while a previous batch's sync is in
-	// progress, adding no latency under light load.
-	FlushInterval time.Duration
 	// Metrics receives batch-size and sync-latency observations.
 	Metrics Metrics
 }
@@ -316,7 +310,6 @@ func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 	l := &FileLog{
 		path:        path,
 		syncOn:      !opts.NoSync,
-		interval:    opts.FlushInterval,
 		metrics:     opts.Metrics,
 		f:           f,
 		end:         validLen,
@@ -468,7 +461,7 @@ func (l *FileLog) AppendStaged(rec Record, fn func(lsn uint64, err error)) {
 
 // AppendLazy implements Log: the record is staged in log order but the
 // flusher is not woken for it, so it rides whatever batch the next forced
-// append (or flush interval, Records scan, or Close) triggers. A crash
+// append (or Records scan, or Close) triggers. A crash
 // before that batch loses the record.
 func (l *FileLog) AppendLazy(rec Record) error {
 	if len(rec.TxID) > 1<<16-1 {
@@ -486,8 +479,8 @@ func (l *FileLog) AppendLazy(rec Record) error {
 	l.stagedBytes += len(buf)
 	full := l.stagedBytes >= maxBatchBytes
 	l.mu.Unlock()
-	// No signal: lazy records add no sync of their own. The flush-interval
-	// gather, the next forced append, Records, or Close will carry them.
+	// No signal: lazy records add no sync of their own. The next forced
+	// append, Records, or Close will carry them.
 	// Only a full batch forces a flush, bounding staged memory.
 	if full {
 		l.signal()
@@ -524,32 +517,7 @@ func (l *FileLog) flusher() {
 			return // Close drains whatever is still staged
 		case <-l.wake:
 		}
-		if l.interval > 0 {
-			l.gather()
-		}
 		l.flush()
-	}
-}
-
-// gather waits up to FlushInterval for more records, leaving early when the
-// batch fills or the log closes.
-func (l *FileLog) gather() {
-	t := time.NewTimer(l.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-t.C:
-			return
-		case <-l.wake:
-			l.mu.Lock()
-			full := l.stagedBytes >= maxBatchBytes
-			l.mu.Unlock()
-			if full {
-				return
-			}
-		}
 	}
 }
 
