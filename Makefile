@@ -57,6 +57,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz='^FuzzWireCodec$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzRemoteCodec$$' -fuzztime=$(FUZZTIME) ./internal/remote
+	$(GO) test -run='^$$' -fuzz='^FuzzPaxosBodies$$' -fuzztime=$(FUZZTIME) ./internal/paxos
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMeta$$' -fuzztime=$(FUZZTIME) ./internal/engine
 
 # Deterministic simulation sweep: exhaustive crash-point enumeration plus
 # $(DST_SEEDS) random failure schedules per protocol (2PC, 3PC and Paxos

@@ -45,7 +45,7 @@ func (r StoreResource) Prepare(txid string) ([]byte, error) {
 		// the engine's read-only participant optimization keys on.
 		return nil, nil
 	}
-	return kv.EncodeWrites(ops)
+	return kv.EncodeWrites(ops), nil
 }
 
 // Commit applies the prepared transaction.

@@ -170,10 +170,7 @@ func (s *Site) maybePeerVotesDone(t *txState) {
 	// 3PC: enter the buffer state and run the prepare interchange.
 	s.mustLog(wal.Record{Type: wal.RecPrepared, TxID: t.id, Payload: encodeVotePayload(t.meta, t.redo)})
 	t.phase = phasePrepared
-	if t.dprepares == nil {
-		t.dprepares = map[int]bool{}
-	}
-	t.dprepares[s.id] = true
+	t.dprepares.add(t.cohortIdx(s.id))
 	for _, p := range t.meta.Participants {
 		if p != s.id {
 			s.send(p, KindDPrepare, t.id, nil)
@@ -203,10 +200,7 @@ func (s *Site) onDPrepare(m transport.Message) {
 	if t.fenced {
 		return // under backup control: only the termination protocol moves us
 	}
-	if t.dprepares == nil {
-		t.dprepares = map[int]bool{}
-	}
-	t.dprepares[m.From] = true
+	t.dprepares.add(t.cohortIdx(m.From))
 	s.maybePeerPreparesDone(t)
 }
 
@@ -216,8 +210,8 @@ func (s *Site) maybePeerPreparesDone(t *txState) {
 	if t.phase != phasePrepared || !t.peer {
 		return
 	}
-	for _, p := range t.meta.Participants {
-		if !t.dprepares[p] {
+	for i := range t.meta.Participants {
+		if !t.dprepares.has(i) {
 			return
 		}
 	}

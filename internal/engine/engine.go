@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"nbcommit/internal/clock"
+	"nbcommit/internal/codec"
 	"nbcommit/internal/failure"
 	"nbcommit/internal/trace"
 	"nbcommit/internal/transport"
@@ -187,9 +188,9 @@ type TxMeta struct {
 }
 
 // encodeMeta/decodeMeta serialize TxMeta for message bodies with a flat
-// varint layout (coordinator, participant count, participants). The commit
-// hot path encodes a meta per message, so this avoids the per-call encoder
-// allocations and reflection of a generic codec.
+// varint layout (package codec): coordinator, participant count,
+// participants. The commit hot path encodes a meta per message, so this
+// avoids the per-call encoder allocations and reflection of a generic codec.
 func encodeMeta(m TxMeta) []byte {
 	buf := make([]byte, 0, 2+2*len(m.Participants))
 	buf = binary.AppendUvarint(buf, uint64(m.Coordinator))
@@ -202,39 +203,18 @@ func encodeMeta(m TxMeta) []byte {
 
 var errBadMeta = errors.New("engine: malformed transaction metadata")
 
-// readMeta decodes a TxMeta from the front of p, returning the bytes
-// consumed.
-func readMeta(p []byte) (TxMeta, int, error) {
-	var m TxMeta
-	coord, n := binary.Uvarint(p)
-	if n <= 0 {
-		return TxMeta{}, 0, errBadMeta
-	}
-	off := n
-	cnt, n := binary.Uvarint(p[off:])
-	if n <= 0 || cnt > uint64(len(p)) || cnt > maxCohort {
-		return TxMeta{}, 0, errBadMeta
-	}
-	off += n
-	m.Coordinator = int(coord)
-	m.Participants = make([]int, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		v, n := binary.Uvarint(p[off:])
-		if n <= 0 {
-			return TxMeta{}, 0, errBadMeta
-		}
-		off += n
-		m.Participants = append(m.Participants, int(v))
-	}
-	return m, off, nil
-}
-
 func decodeMeta(p []byte) (TxMeta, error) {
-	m, n, err := readMeta(p)
-	if err != nil {
-		return TxMeta{}, err
+	r := codec.NewReader(p)
+	m := TxMeta{Coordinator: int(r.Uvarint())}
+	n := r.Count()
+	if n > maxCohort {
+		return TxMeta{}, errBadMeta
 	}
-	if n != len(p) {
+	m.Participants = make([]int, n)
+	for i := range m.Participants {
+		m.Participants[i] = int(r.Uvarint())
+	}
+	if !r.Done() {
 		return TxMeta{}, errBadMeta
 	}
 	return m, nil
@@ -270,8 +250,8 @@ func (p phase) String() string {
 }
 
 // cohortSet is a bitset over cohort positions (indexes into
-// TxMeta.Participants): the zero-allocation replacement for the per-site
-// vote/ack/DEC-ACK maps on the commit hot path.
+// TxMeta.Participants): every per-member flag of a transaction, with no
+// allocation. A site outside the cohort (cohortIdx -1) is never added.
 type cohortSet uint64
 
 func (c cohortSet) has(i int) bool { return i >= 0 && c&(1<<uint(i)) != 0 }
@@ -311,14 +291,14 @@ type txState struct {
 	fenced     bool
 	statuses   map[int]byte // 2PC cooperative termination: cohort phases
 	queried    bool         // 2PC cooperative termination started
-	excluded   map[int]bool // sites refusing the backup role (recovering)
+	excluded   cohortSet    // members refusing the backup role (recovering)
 	blocked    bool         // 2PC uncertainty: termination could not decide
 	recovering bool         // in-doubt after restart; refuses the backup role
 	detached   bool         // resource no longer tracks this txn (recovery)
 	voting     bool         // participant: local prepare in flight
 	peer       bool         // decentralized paradigm (no coordinator)
 	dvotes     map[int]byte // decentralized: vote round ('y'/'n' per site)
-	dprepares  map[int]bool // decentralized 3PC: prepare round
+	dprepares  cohortSet    // decentralized 3PC: prepare round
 	px         *paxosTx     // Paxos Commit: acceptor + leader state (paxos.go)
 
 	// timer is the transaction's single protocol/GC timer, created on the
@@ -528,27 +508,24 @@ type votePayload struct {
 	Redo []byte
 }
 
+// encodeVotePayload lays a vote payload out as the length-prefixed meta
+// followed by the redo image, which runs to the end of the payload.
 func encodeVotePayload(meta TxMeta, redo []byte) []byte {
 	mb := encodeMeta(meta)
 	buf := make([]byte, 0, 2+len(mb)+len(redo))
-	buf = binary.AppendUvarint(buf, uint64(len(mb)))
-	buf = append(buf, mb...)
-	buf = append(buf, redo...)
-	return buf
+	buf = codec.AppendBytes(buf, mb)
+	return append(buf, redo...)
 }
 
 func decodeVotePayload(p []byte) (votePayload, error) {
-	ml, n := binary.Uvarint(p)
-	if n <= 0 || ml > uint64(len(p)-n) {
-		return votePayload{}, errBadMeta
-	}
-	meta, err := decodeMeta(p[n : n+int(ml)])
+	r := codec.NewReader(p)
+	meta, err := decodeMeta(r.Bytes())
 	if err != nil {
 		return votePayload{}, err
 	}
 	v := votePayload{Meta: meta}
-	if rest := p[n+int(ml):]; len(rest) > 0 {
-		v.Redo = append([]byte(nil), rest...)
+	if redo := r.Rest(); len(redo) > 0 {
+		v.Redo = append([]byte(nil), redo...)
 	}
 	return v, nil
 }

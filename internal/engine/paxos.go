@@ -427,8 +427,9 @@ func (s *Site) startPaxosBallot(t *txState, b paxos.Ballot) {
 		return
 	}
 	s.record("px-lead", t.id, fmt.Sprintf("ballot %d", b))
-	meta := encodeMeta(t.meta)
-	s.mustLog(wal.Record{Type: wal.RecPaxosPromise, TxID: t.id, Payload: paxos.EncodePromise(b, meta)})
+	body := paxos.EncodeP1a(b, encodeMeta(t.meta))
+	// The promise record carries the 1a body: recovery reads it with DecodeP1a.
+	s.mustLog(wal.Record{Type: wal.RecPaxosPromise, TxID: t.id, Payload: body})
 	px.leading, px.ballot, px.proposed = true, b, false
 	px.proms = 0
 	px.merged = make([]paxos.Accepted, len(t.meta.Participants))
@@ -437,7 +438,6 @@ func (s *Site) startPaxosBallot(t *txState, b paxos.Ballot) {
 	if b > px.maxSeen {
 		px.maxSeen = b
 	}
-	body := paxos.EncodeP1a(b, meta)
 	for _, p := range t.meta.Participants {
 		if p != s.id {
 			s.send(p, KindPx1a, t.id, body)

@@ -151,7 +151,8 @@ func Recover(cfg Config) (*Site, error) {
 		known := len(t.meta.Participants) > 0
 		switch r.Type {
 		case wal.RecPaxosPromise:
-			if bal, mb, err := paxos.DecodePromise(r.Payload); err == nil {
+			// A promise record carries a 1a body (startPaxosBallot).
+			if bal, mb, err := paxos.DecodeP1a(r.Payload); err == nil {
 				if !known {
 					known = adoptPaxosMeta(t, mb)
 				}
@@ -337,10 +338,7 @@ func (s *Site) onDecideRes(m transport.Message) {
 			}
 			return // keep querying; someone who knows must answer
 		}
-		if t.excluded == nil {
-			t.excluded = map[int]bool{}
-		}
-		t.excluded[m.From] = true
+		t.excluded.add(t.cohortIdx(m.From))
 		if s.kind == PaxosCommit {
 			s.paxosTakeover(t)
 			return
@@ -354,10 +352,7 @@ func (s *Site) onDecideRes(m transport.Message) {
 		if t.recovering {
 			return // both in doubt: keep querying, someone else must know
 		}
-		if t.excluded == nil {
-			t.excluded = map[int]bool{}
-		}
-		t.excluded[m.From] = true
+		t.excluded.add(t.cohortIdx(m.From))
 		if s.kind == PaxosCommit {
 			s.paxosTakeover(t) // re-elect the takeover leader without it
 			return

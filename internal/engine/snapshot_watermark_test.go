@@ -28,7 +28,7 @@ func (r kvResource) Prepare(txid string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return kv.EncodeWrites(ops)
+	return kv.EncodeWrites(ops), nil
 }
 
 func (r kvResource) Commit(txid string, redo []byte) error { return r.s.Commit(txid) }

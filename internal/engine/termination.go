@@ -65,8 +65,8 @@ func (s *Site) startTermination(t *txState) {
 // computes the same site. The cohort is sorted (normalizeCohort), so the
 // first such member is the lowest. Requires s.mu held.
 func (s *Site) electBackup(t *txState) (int, bool) {
-	for _, p := range t.meta.Participants {
-		if p != t.meta.Coordinator && !t.excluded[p] && s.det.Alive(p) {
+	for i, p := range t.meta.Participants {
+		if p != t.meta.Coordinator && !t.excluded.has(i) && s.det.Alive(p) {
 			return p, true
 		}
 	}
@@ -184,7 +184,7 @@ func (s *Site) maybeTermPhase2(t *txState) {
 		return
 	}
 	for i, p := range t.meta.Participants {
-		if p == s.id || p == t.meta.Coordinator || t.excluded[p] {
+		if p == s.id || p == t.meta.Coordinator || t.excluded.has(i) {
 			continue
 		}
 		if !t.termAcks.has(i) && s.det.Alive(p) {
@@ -329,10 +329,7 @@ func (s *Site) onStatusRes(m transport.Message) {
 			s.broadcastOutcome(t)
 			return
 		}
-		if t.excluded == nil {
-			t.excluded = map[int]bool{}
-		}
-		t.excluded[m.From] = true
+		t.excluded.add(t.cohortIdx(m.From))
 		if s.kind == ThreePhase {
 			s.startTermination(t) // recompute the backup without it
 			return
@@ -344,10 +341,7 @@ func (s *Site) onStatusRes(m transport.Message) {
 		return
 	}
 	if st == statusRecovering {
-		if t.excluded == nil {
-			t.excluded = map[int]bool{}
-		}
-		t.excluded[m.From] = true
+		t.excluded.add(t.cohortIdx(m.From))
 		if s.kind == ThreePhase {
 			s.startTermination(t) // recompute the backup without it
 		}

@@ -28,15 +28,15 @@ func TestElectBackup(t *testing.T) {
 		name     string
 		alive    func(int) bool
 		meta     TxMeta
-		excluded map[int]bool
+		excluded cohortSet // by cohort position
 		want     int
 		ok       bool
 	}{
-		{"lowest operational", func(s int) bool { return s != 2 }, TxMeta{Coordinator: 1, Participants: []int{1, 2, 3, 4}}, nil, 3, true},
-		{"lowest of all", all, TxMeta{Coordinator: 1, Participants: []int{1, 5, 7, 9}}, nil, 5, true},
-		{"excluded skipped", all, TxMeta{Coordinator: 1, Participants: []int{1, 2, 3}}, map[int]bool{2: true}, 3, true},
-		{"none alive", func(int) bool { return false }, TxMeta{Coordinator: 3, Participants: []int{1, 2, 3}}, nil, 0, false},
-		{"no candidate", all, TxMeta{Coordinator: 1, Participants: []int{1}}, nil, 0, false},
+		{"lowest operational", func(s int) bool { return s != 2 }, TxMeta{Coordinator: 1, Participants: []int{1, 2, 3, 4}}, 0, 3, true},
+		{"lowest of all", all, TxMeta{Coordinator: 1, Participants: []int{1, 5, 7, 9}}, 0, 5, true},
+		{"excluded skipped", all, TxMeta{Coordinator: 1, Participants: []int{1, 2, 3}}, 1 << 1, 3, true},
+		{"none alive", func(int) bool { return false }, TxMeta{Coordinator: 3, Participants: []int{1, 2, 3}}, 0, 0, false},
+		{"no candidate", all, TxMeta{Coordinator: 1, Participants: []int{1}}, 0, 0, false},
 	} {
 		s := &Site{det: aliveSet(tc.alive)}
 		got, ok := s.electBackup(&txState{meta: tc.meta, excluded: tc.excluded})

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"nbcommit/internal/clock"
+	"nbcommit/internal/codec"
 )
 
 // Common errors.
@@ -91,7 +92,7 @@ const opFlagDelete = 1 << 0
 // cover the worst case — an append-driven resize on the prepare hot path
 // would show up directly in commit latency. TestEncodeWritesNoResize pins
 // the math.
-func EncodeWrites(ops []WriteOp) ([]byte, error) {
+func EncodeWrites(ops []WriteOp) []byte {
 	size := 1 + binary.MaxVarintLen64
 	for _, op := range ops {
 		// Three varint-prefixed fields per op: key length, value length,
@@ -102,21 +103,21 @@ func EncodeWrites(ops []WriteOp) ([]byte, error) {
 	buf[0] = writesFormatV2
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
-		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
-		buf = append(buf, op.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
-		buf = append(buf, op.Value...)
+		buf = codec.AppendString(buf, op.Key)
+		buf = codec.AppendString(buf, op.Value)
 		var flags uint64
 		if op.Delete {
 			flags |= opFlagDelete
 		}
 		buf = binary.AppendUvarint(buf, flags)
 	}
-	return buf, nil
+	return buf
 }
 
+var errMalformedWrites = errors.New("kv: decode writes: malformed payload")
+
 // DecodeWrites parses a write set from a WAL payload. A payload that does
-// not start with writesFormatV2 is an error.
+// not start with writesFormatV2, or is not read exactly, is an error.
 func DecodeWrites(p []byte) ([]WriteOp, error) {
 	if len(p) == 0 {
 		return nil, nil
@@ -124,53 +125,17 @@ func DecodeWrites(p []byte) ([]WriteOp, error) {
 	if p[0] != writesFormatV2 {
 		return nil, fmt.Errorf("kv: decode writes: unknown format tag %#x", p[0])
 	}
-	rest := p[1:]
-	n, cnt, err := decodeUvarint(rest)
-	if err != nil {
-		return nil, err
+	r := codec.NewReader(p[1:])
+	ops := make([]WriteOp, r.Count())
+	for i := range ops {
+		ops[i].Key = r.String()
+		ops[i].Value = r.String()
+		ops[i].Delete = r.Uvarint()&opFlagDelete != 0
 	}
-	rest = rest[n:]
-	if cnt > uint64(len(rest)) { // each op needs at least 3 bytes
-		return nil, fmt.Errorf("kv: decode writes: op count %d exceeds payload", cnt)
-	}
-	ops := make([]WriteOp, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		var op WriteOp
-		if op.Key, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		if op.Value, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		var flags uint64
-		if n, flags, err = decodeUvarint(rest); err != nil {
-			return nil, fmt.Errorf("kv: decode writes: flags: %w", err)
-		}
-		rest = rest[n:]
-		op.Delete = flags&opFlagDelete != 0
-		ops = append(ops, op)
+	if !r.Done() {
+		return nil, errMalformedWrites
 	}
 	return ops, nil
-}
-
-func decodeUvarint(p []byte) (int, uint64, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("kv: decode writes: bad varint")
-	}
-	return n, v, nil
-}
-
-func decodeString(p []byte) (string, []byte, error) {
-	n, l, err := decodeUvarint(p)
-	if err != nil {
-		return "", nil, err
-	}
-	p = p[n:]
-	if l > uint64(len(p)) {
-		return "", nil, fmt.Errorf("kv: decode writes: truncated string")
-	}
-	return string(p[:l]), p[l:], nil
 }
 
 type txn struct {

@@ -229,11 +229,7 @@ func TestPrepareFreezesTxn(t *testing.T) {
 
 func TestEncodeDecodeWrites(t *testing.T) {
 	ops := []WriteOp{{Key: "a", Value: "1"}, {Key: "b", Delete: true}}
-	p, err := EncodeWrites(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeWrites(p)
+	got, err := DecodeWrites(EncodeWrites(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +241,9 @@ func TestEncodeDecodeWrites(t *testing.T) {
 	}
 	if _, err := DecodeWrites([]byte("garbage")); err == nil {
 		t.Fatal("garbage should fail")
+	}
+	if got, err := DecodeWrites(append(EncodeWrites(ops), 0xde, 0xad)); err == nil {
+		t.Fatalf("trailing bytes decoded to %+v", got)
 	}
 }
 

@@ -28,6 +28,8 @@ package paxos
 import (
 	"encoding/binary"
 	"errors"
+
+	"nbcommit/internal/codec"
 )
 
 // MaxInstances bounds the per-transaction instance count; it matches the
@@ -162,10 +164,19 @@ var errBadBody = errors.New("paxos: malformed message body")
 
 // --- codecs ---
 //
-// All bodies are flat varint layouts, engine-style: no reflection, no
+// All bodies are flat varint layouts (package codec): no reflection, no
 // per-field allocations beyond the one output buffer. Cohort metadata
 // (opaque to this package) rides at the tail of 1a/2a bodies so a site that
-// has never heard of the transaction can still act as its acceptor.
+// has never heard of the transaction can still act as its acceptor; every
+// other body must be read exactly.
+//
+//	1a:  ballot  meta...
+//	1b:  promised  n  (ballot value-byte)[n]
+//	2a:  ballot  instance  value-byte  meta...
+//	2b:  ballot  instance  value-byte
+//
+// The 1a layout is also the RecPaxosPromise WAL payload, and the 2a layout
+// the RecPaxosAccept payload.
 
 // EncodeP1a encodes a phase-1a body: ballot + opaque cohort metadata.
 func EncodeP1a(b Ballot, meta []byte) []byte {
@@ -177,11 +188,13 @@ func EncodeP1a(b Ballot, meta []byte) []byte {
 // DecodeP1a decodes a phase-1a body, returning the ballot and the trailing
 // metadata bytes.
 func DecodeP1a(p []byte) (Ballot, []byte, error) {
-	b, n := binary.Uvarint(p)
-	if n <= 0 {
+	r := codec.NewReader(p)
+	b := Ballot(r.Uvarint())
+	meta := r.Rest()
+	if !r.Done() {
 		return 0, nil, errBadBody
 	}
-	return Ballot(b), p[n:], nil
+	return b, meta, nil
 }
 
 // EncodeP1b encodes a phase-1b body: the promised ballot plus the
@@ -199,30 +212,21 @@ func EncodeP1b(promised Ballot, accepts []Accepted) []byte {
 
 // DecodeP1b decodes a phase-1b body.
 func DecodeP1b(p []byte) (Ballot, []Accepted, error) {
-	promised, n := binary.Uvarint(p)
-	if n <= 0 {
+	r := codec.NewReader(p)
+	promised := Ballot(r.Uvarint())
+	n := r.Count()
+	if n > MaxInstances {
 		return 0, nil, errBadBody
 	}
-	off := n
-	cnt, n := binary.Uvarint(p[off:])
-	if n <= 0 || cnt > MaxInstances {
-		return 0, nil, errBadBody
-	}
-	off += n
-	accepts := make([]Accepted, cnt)
+	accepts := make([]Accepted, n)
 	for i := range accepts {
-		b, n := binary.Uvarint(p[off:])
-		if n <= 0 || off+n >= len(p) && i < len(accepts) && off+n+1 > len(p) {
-			return 0, nil, errBadBody
-		}
-		off += n
-		if off >= len(p) {
-			return 0, nil, errBadBody
-		}
-		accepts[i] = Accepted{Bal: Ballot(b), Val: p[off]}
-		off++
+		accepts[i].Bal = Ballot(r.Uvarint())
+		accepts[i].Val = r.Byte()
 	}
-	return Ballot(promised), accepts, nil
+	if !r.Done() {
+		return 0, nil, errBadBody
+	}
+	return promised, accepts, nil
 }
 
 // EncodeP2a encodes a phase-2a body (and the RecPaxosAccept WAL payload):
@@ -238,20 +242,13 @@ func EncodeP2a(b Ballot, inst int, val byte, meta []byte) []byte {
 // DecodeP2a decodes a phase-2a body, returning ballot, instance, value and
 // the trailing metadata bytes.
 func DecodeP2a(p []byte) (Ballot, int, byte, []byte, error) {
-	b, n := binary.Uvarint(p)
-	if n <= 0 {
+	r := codec.NewReader(p)
+	b, inst, val := Ballot(r.Uvarint()), r.Uvarint(), r.Byte()
+	meta := r.Rest()
+	if !r.Done() || inst >= MaxInstances {
 		return 0, 0, 0, nil, errBadBody
 	}
-	off := n
-	inst, n := binary.Uvarint(p[off:])
-	if n <= 0 || inst >= MaxInstances {
-		return 0, 0, 0, nil, errBadBody
-	}
-	off += n
-	if off >= len(p) {
-		return 0, 0, 0, nil, errBadBody
-	}
-	return Ballot(b), int(inst), p[off], p[off+1:], nil
+	return b, int(inst), val, meta, nil
 }
 
 // EncodeP2b encodes a phase-2b body: ballot, instance, value. A nack (the
@@ -266,26 +263,10 @@ func EncodeP2b(b Ballot, inst int, val byte) []byte {
 
 // DecodeP2b decodes a phase-2b body.
 func DecodeP2b(p []byte) (Ballot, int, byte, error) {
-	b, n := binary.Uvarint(p)
-	if n <= 0 {
+	r := codec.NewReader(p)
+	b, inst, val := Ballot(r.Uvarint()), r.Uvarint(), r.Byte()
+	if !r.Done() || inst >= MaxInstances {
 		return 0, 0, 0, errBadBody
 	}
-	off := n
-	inst, n := binary.Uvarint(p[off:])
-	if n <= 0 || inst >= MaxInstances {
-		return 0, 0, 0, errBadBody
-	}
-	off += n
-	if off != len(p)-1 {
-		return 0, 0, 0, errBadBody
-	}
-	return Ballot(b), int(inst), p[off], nil
+	return b, int(inst), val, nil
 }
-
-// EncodePromise encodes the RecPaxosPromise WAL payload: the promised
-// ballot plus cohort metadata (so a pure acceptor can rebuild the cohort
-// after a crash).
-func EncodePromise(b Ballot, meta []byte) []byte { return EncodeP1a(b, meta) }
-
-// DecodePromise decodes a RecPaxosPromise payload.
-func DecodePromise(p []byte) (Ballot, []byte, error) { return DecodeP1a(p) }

@@ -3,10 +3,12 @@ package remote
 import (
 	"encoding/binary"
 	"errors"
+
+	"nbcommit/internal/codec"
 )
 
-// Wire format of a KV-OP / KV-REPLY body, in the flat-varint style of
-// transport/wire.go: every integer is a uvarint, every string is a uvarint
+// Wire format of a KV-OP / KV-REPLY body, in the flat-varint layout of
+// package codec: every integer is a uvarint, every string is a uvarint
 // length followed by its bytes, and nothing is self-describing.
 //
 //	request:  tagRequest  op|enlistBit  ReqID  MapVersion  SnapTS
@@ -27,10 +29,6 @@ const (
 
 var errBadFrame = errors.New("remote: malformed frame")
 
-func appendString(buf []byte, s string) []byte {
-	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
-}
-
 // encodeRequest renders req in one allocation, sized by an upper bound on the
 // varints so that the appends never regrow it.
 func encodeRequest(req Request) []byte {
@@ -43,9 +41,9 @@ func encodeRequest(req Request) []byte {
 	buf = binary.AppendUvarint(buf, req.ReqID)
 	buf = binary.AppendUvarint(buf, req.MapVersion)
 	buf = binary.AppendUvarint(buf, req.SnapTS)
-	buf = appendString(buf, req.TxID)
-	buf = appendString(buf, req.Key)
-	buf = appendString(buf, req.Value)
+	buf = codec.AppendString(buf, req.TxID)
+	buf = codec.AppendString(buf, req.Key)
+	buf = codec.AppendString(buf, req.Value)
 	buf = binary.AppendUvarint(buf, uint64(len(req.Participants)))
 	for _, site := range req.Participants {
 		buf = binary.AppendUvarint(buf, uint64(site))
@@ -62,72 +60,27 @@ func encodeReply(rep Reply) []byte {
 	buf = append(buf, tagReply, flags)
 	buf = binary.AppendUvarint(buf, rep.ReqID)
 	buf = binary.AppendUvarint(buf, rep.TS)
-	return appendString(buf, str)
+	return codec.AppendString(buf, str)
 }
-
-// reader consumes a body front to back. The first short read sets bad and
-// every later read returns zero, so a decoder checks once, at the end.
-type reader struct {
-	p   []byte
-	bad bool
-}
-
-func (r *reader) byte() byte {
-	if len(r.p) == 0 {
-		r.bad = true
-		return 0
-	}
-	b := r.p[0]
-	r.p = r.p[1:]
-	return b
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.p)
-	if n <= 0 {
-		r.bad, r.p = true, nil
-		return 0
-	}
-	r.p = r.p[n:]
-	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if n > uint64(len(r.p)) {
-		r.bad, r.p = true, nil
-		return ""
-	}
-	s := string(r.p[:n])
-	r.p = r.p[n:]
-	return s
-}
-
-// done reports whether the body was consumed exactly.
-func (r *reader) done() bool { return !r.bad && len(r.p) == 0 }
 
 // DecodeRequest parses a KV-OP body.
 func DecodeRequest(body []byte) (Request, error) {
-	r := reader{p: body}
-	tag, op := r.byte(), r.byte()
+	r := codec.NewReader(body)
+	tag, op := r.Byte(), r.Byte()
 	req := Request{Op: Op(op &^ enlistBit), Enlist: op&enlistBit != 0}
-	req.ReqID = r.uvarint()
-	req.MapVersion = r.uvarint()
-	req.SnapTS = r.uvarint()
-	req.TxID = r.string()
-	req.Key = r.string()
-	req.Value = r.string()
-	n := r.uvarint()
-	if tag != tagRequest || n > uint64(len(r.p)) { // a site takes at least one byte
-		return Request{}, errBadFrame
-	}
-	if n > 0 {
+	req.ReqID = r.Uvarint()
+	req.MapVersion = r.Uvarint()
+	req.SnapTS = r.Uvarint()
+	req.TxID = r.String()
+	req.Key = r.String()
+	req.Value = r.String()
+	if n := r.Count(); n > 0 {
 		req.Participants = make([]int, n)
 		for i := range req.Participants {
-			req.Participants[i] = int(r.uvarint())
+			req.Participants[i] = int(r.Uvarint())
 		}
 	}
-	if !r.done() {
+	if tag != tagRequest || !r.Done() {
 		return Request{}, errBadFrame
 	}
 	return req, nil
@@ -135,11 +88,11 @@ func DecodeRequest(body []byte) (Request, error) {
 
 // DecodeReply parses a KV-REPLY body.
 func DecodeReply(body []byte) (Reply, error) {
-	r := reader{p: body}
-	tag, flags := r.byte(), r.byte()
-	rep := Reply{ReqID: r.uvarint(), TS: r.uvarint()}
-	str := r.string()
-	if tag != tagReply || flags&^replyIsErr != 0 || !r.done() {
+	r := codec.NewReader(body)
+	tag, flags := r.Byte(), r.Byte()
+	rep := Reply{ReqID: r.Uvarint(), TS: r.Uvarint()}
+	str := r.String()
+	if tag != tagReply || flags&^replyIsErr != 0 || !r.Done() {
 		return Reply{}, errBadFrame
 	}
 	if flags&replyIsErr != 0 {

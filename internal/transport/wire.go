@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+
+	"nbcommit/internal/codec"
 )
 
 // Binary wire codec (version 1), the only encoding a TCPEndpoint speaks.
@@ -65,13 +67,9 @@ func appendMessage(buf []byte, m Message) []byte {
 	buf = append(buf, wireV1)
 	buf = binary.AppendVarint(buf, int64(m.From))
 	buf = binary.AppendVarint(buf, int64(m.To))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Kind)))
-	buf = append(buf, m.Kind...)
-	buf = binary.AppendUvarint(buf, uint64(len(m.TxID)))
-	buf = append(buf, m.TxID...)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Body)))
-	buf = append(buf, m.Body...)
-	return buf
+	buf = codec.AppendString(buf, m.Kind)
+	buf = codec.AppendString(buf, m.TxID)
+	return codec.AppendBytes(buf, m.Body)
 }
 
 // readWireMessage reads one frame from br, reusing scratch for the frame
@@ -100,74 +98,16 @@ func readWireMessage(br *bufio.Reader, scratch []byte) (Message, []byte, error) 
 
 // decodeWirePayload parses one frame body (everything after the length
 // prefix). It never panics on garbage: every length is bounds-checked
-// against the remaining payload.
+// against the remaining payload. Body is copied out of p, which is the
+// reader's reusable frame scratch.
 func decodeWirePayload(p []byte) (Message, error) {
-	if len(p) == 0 || p[0] != wireV1 {
+	r := codec.NewReader(p)
+	if r.Byte() != wireV1 {
 		return Message{}, errMalformedFrame
 	}
-	p = p[1:]
-	from, p, err := readWireVarint(p)
-	if err != nil {
-		return Message{}, err
-	}
-	to, p, err := readWireVarint(p)
-	if err != nil {
-		return Message{}, err
-	}
-	kind, p, err := readWireString(p)
-	if err != nil {
-		return Message{}, err
-	}
-	txid, p, err := readWireString(p)
-	if err != nil {
-		return Message{}, err
-	}
-	body, p, err := readWireBytes(p)
-	if err != nil {
-		return Message{}, err
-	}
-	if len(p) != 0 {
+	m := Message{From: int(r.Varint()), To: int(r.Varint()), Kind: r.String(), TxID: r.String(), Body: r.Bytes()}
+	if !r.Done() {
 		return Message{}, errMalformedFrame
 	}
-	return Message{From: int(from), To: int(to), Kind: kind, TxID: txid, Body: body}, nil
-}
-
-func readWireVarint(p []byte) (int64, []byte, error) {
-	v, n := binary.Varint(p)
-	if n <= 0 {
-		return 0, p, errMalformedFrame
-	}
-	return v, p[n:], nil
-}
-
-func readWireUvarint(p []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, p, errMalformedFrame
-	}
-	return v, p[n:], nil
-}
-
-func readWireString(p []byte) (string, []byte, error) {
-	n, p, err := readWireUvarint(p)
-	if err != nil || uint64(len(p)) < n {
-		return "", p, errMalformedFrame
-	}
-	return string(p[:n]), p[n:], nil
-}
-
-// readWireBytes copies the field out of the frame scratch: the returned
-// slice escapes into the delivered Message and must not alias the reusable
-// buffer.
-func readWireBytes(p []byte) ([]byte, []byte, error) {
-	n, p, err := readWireUvarint(p)
-	if err != nil || uint64(len(p)) < n {
-		return nil, p, errMalformedFrame
-	}
-	if n == 0 {
-		return nil, p, nil
-	}
-	b := make([]byte, n)
-	copy(b, p[:n])
-	return b, p[n:], nil
+	return m, nil
 }
